@@ -12,12 +12,18 @@ and the kernel (with the dimension/level normalization of degree one) is
 
 Torus reweighting scales each monomial line by e^{j y} (the lift is fixed so
 z^j has weight j; a different lift multiplies everything by a global factor).
+
+The engine is three private functions on node samples of a potential, shared
+by the spline potentials here and by the x = log D solvers (solvers._DSpace):
+_rows forms e^{jt - m Phi}, _gram integrates the rows against a density with
+exact Beta tails, and _kernel sums the rows over the Gram weights.  Volume
+integrals go through model._volume_integral.
 """
 import numpy as np
 from scipy.special import expit, betaln, betainc
 
-from .model import (GridFunction, grid_function, integrate, scalar_curvature,
-                    laplacian_apply, _fs_pieces, fs_derivative)
+from .model import (grid_function, integrate, scalar_curvature,
+                    _volume_integral)
 
 MAX_LEVEL = 200
 
@@ -48,6 +54,10 @@ class GramDiagonal:
 
 
 class BergmanReport:
+    """Kernel report at one level.  `kernel` carries the values and the
+    second derivative (d2, which beta reads); other derivatives fall back to
+    spline differentiation of the values."""
+
     def __init__(self, level, kernel, expected_constant, sup_deviation, mean,
                  weight=0.0):
         self.level = level
@@ -93,6 +103,46 @@ def fs_tails(m, window):
     return left, right
 
 
+def _rows(m, t, Phi):
+    """Section rows e^{jt - m Phi(t)}, j = 0..m, from the samples Phi(t)."""
+    j = np.arange(m + 1)
+    return np.exp(j[:, None] * t[None, :] - m * Phi[None, :])
+
+
+def _gram(m, quad, Phi, integrand, factors, tails=None):
+    """int e^{jt - m Phi} integrand dt, j = 0..m, and the rows at all nodes.
+
+    Phi and integrand are sampled at the nodes of quad.  Beyond the window
+    Phi must be log(1 + e^t) plus a constant c and the integrand a multiple
+    of its density, so each tail is fs_tails times its factor, that multiple
+    times e^{-m c}.
+    """
+    E = _rows(m, quad.nodes, Phi)
+    left, right = fs_tails(m, quad.window) if tails is None else tails
+    G = E[:, 1:-1] @ (quad.inner_weights * integrand[1:-1])
+    return G + factors[0] * left + factors[1] * right, E
+
+
+def _kernel(m, E, weights, out=None):
+    """(1/m) sum_j E_j / weights_j; out=E divides the rows in place."""
+    return np.divide(E, weights[:, None], out=out).sum(axis=0) / m
+
+
+def _norms_and_rows(m, P):
+    """section_norms(m, P) and the rows it integrates, at all nodes."""
+    m = _check_level(m)
+    T = P.window
+    required = 15.0 + np.log(m)
+    if T < required:
+        raise WindowError(
+            "window %.2f too small for level %d: need at least %.2f "
+            "(default is %.2f)" % (T, m, required, 20.0 + np.log(m)))
+    factors = (np.exp(-m * P.c_minus), np.exp(-m * P.c_plus))
+    G, E = _gram(m, P.quad, P.node_values("Phi"), P.node_values("dens"),
+                 factors)
+    return GramDiagonal(m, G, P), E
+
+
 def section_norms(m, P):
     """Squared L^2 norms of the monomial sections z^j, j = 0..m.
 
@@ -101,53 +151,23 @@ def section_norms(m, P):
     outside the window), so the Fubini-Study diagonal reproduces the Beta
     oracle j!(m-j)!/(m+1)! to machine precision.
     """
-    m = _check_level(m)
-    T = P.window
-    required = 15.0 + np.log(m)
-    if T < required:
-        raise WindowError(
-            "window %.2f too small for level %d: need at least %.2f "
-            "(default is %.2f)" % (T, m, required, 20.0 + np.log(m)))
-    t = P.quad.nodes[1:-1]
-    j = np.arange(m + 1)
-    E = np.exp(j[:, None] * t[None, :] - m * P.node_values("Phi")[None, 1:-1])
-    G = E @ (P.quad.inner_weights * P.node_values("dens")[1:-1])
-    left, right = fs_tails(m, T)
-    G = G + np.exp(-m * P.c_minus) * left + np.exp(-m * P.c_plus) * right
-    return GramDiagonal(m, G, P)
+    return _norms_and_rows(m, P)[0]
 
 
-def _basis_rows(m, P, weights):
-    """Rows e^{jt - m Phi}/weights_j at all nodes, plus kernel derivatives.
-
-    Derivatives attach through the recursion in a_j = j - m Phi':
-      E' = a E, E'' = (a^2 - m Phi'') E, and so on.
-    Returns the kernel values and d1..d4 arrays (each already summed over j
-    and divided by m).
+def _kernel_d2(m, P, y):
+    """Weights G_jj e^{jy}, and the weighted kernel and its second derivative
+    at the nodes.  d2 attaches through a_j = j - m Phi': E'' = (a^2 - m Phi'') E.
     """
-    t = P.quad.nodes
+    G, E = _norms_and_rows(m, P)
     j = np.arange(m + 1)
-    E = np.exp(j[:, None] * t[None, :] - m * P.node_values("Phi")[None, :])
-    E = E / weights[:, None]
-    a = j[:, None] - m * P.Phi_d(t, 1)[None, :]
-    d2f = m * P.node_values("dens")[None, :]
-    d3f = m * P.Phi_d(t, 3)[None, :]
-    d4f = m * P.Phi_d(t, 4)[None, :]
-    K = E.sum(axis=0) / m
-    K1 = (a * E).sum(axis=0) / m
-    K2 = ((a * a - d2f) * E).sum(axis=0) / m
-    K3 = ((a ** 3 - 3.0 * d2f * a - d3f) * E).sum(axis=0) / m
-    K4 = ((a ** 4 - 6.0 * d2f * a * a - 4.0 * d3f * a
-           + 3.0 * d2f * d2f - d4f) * E).sum(axis=0) / m
-    return K, K1, K2, K3, K4
-
-
-def _kernel_at(m, P, weights, tpts):
-    """Kernel values (1/m) sum_j e^{jt - m Phi}/weights_j at arbitrary points."""
-    tpts = np.asarray(tpts, dtype=float)
-    j = np.arange(m + 1)
-    E = np.exp(j[:, None] * tpts[None, :] - m * P.Phi(tpts)[None, :])
-    return (E / weights[:, None]).sum(axis=0) / m
+    weights = G.entries * np.exp(j * y)
+    K = _kernel(m, E, weights, out=E)
+    # (a^2 - m Phi'') E built in place: one (m+1) x N array besides E
+    a = j[:, None] - m * P.Phi_d(P.quad.nodes, 1)[None, :]
+    a *= a
+    a -= m * P.node_values("dens")[None, :]
+    a *= E
+    return weights, K, a.sum(axis=0) / m
 
 
 def c_of_m(xi):
@@ -165,9 +185,8 @@ def c_of_m(xi):
 def bergman_kernel(m, P):
     """Level-m Bergman kernel report; constant iff the metric is balanced."""
     m = _check_level(m)
-    G = section_norms(m, P)
-    K, K1, K2, K3, K4 = _basis_rows(m, P, G.entries)
-    kern = grid_function(P, K, name="B_%d" % m, d1=K1, d2=K2, d3=K3, d4=K4)
+    _, K, K2 = _kernel_d2(m, P, 0.0)
+    kern = grid_function(P, K, name="B_%d" % m, d2=K2)
     expected = c_of_m(m)
     return BergmanReport(m, kern, expected,
                          float(np.max(np.abs(K - expected))),
@@ -202,28 +221,22 @@ def weighted_bergman(m, P, y):
     if abs(y) * m > 700.0:
         raise ValueError("weight scaling exp(m y) exceeds floating range: "
                          "|y| m = %.3g" % (abs(y) * m))
-    G = section_norms(m, P)
-    j = np.arange(m + 1)
-    weights = G.entries * np.exp(j * y)
-    K, K1, K2, K3, K4 = _basis_rows(m, P, weights)
-    kern = grid_function(P, K, name="B_%d_weighted" % m,
-                         d1=K1, d2=K2, d3=K3, d4=K4)
+    weights, K, K2 = _kernel_d2(m, P, y)
+    kern = grid_function(P, K, name="B_%d_weighted" % m, d2=K2)
     expected = _c_weighted_from(m, P, weights, y)
     # self-consistency mean: same integral realized with the density pulled
     # back instead of the kernel shifted
-    t = P.quad.nodes
-    dens_shift = P.density(t - y)
-    mass_l = float(P.Phi_d(-P.window - y, 1))
-    mass_r = float(1.0 - P.Phi_d(P.window - y, 1))
-    mean = float(P.quad.inner_weights @ (K[1:-1] * dens_shift[1:-1])
-                 + mass_l * K[0] + mass_r * K[-1])
+    masses = (float(P.Phi_d(-P.window - y, 1)),
+              float(1.0 - P.Phi_d(P.window - y, 1)))
+    mean = _volume_integral(P.quad, K, P.density(P.quad.nodes - y), masses)
     return BergmanReport(m, kern, expected,
                          float(np.max(np.abs(K - expected))), mean, weight=y)
 
 
 def _c_weighted_from(m, P, weights, y):
-    K_shift = _kernel_at(m, P, weights, P.quad.nodes + y)
-    return integrate(P, K_shift)
+    t = P.quad.nodes + y
+    E = _rows(m, t, P.Phi(t))
+    return integrate(P, _kernel(m, E, weights, out=E))
 
 
 def c_weighted(m, P, y):
@@ -318,18 +331,12 @@ def gram_derivative(m, P, psi):
     if abs(mean) > 1e-10:
         raise ValueError("psi must be mean-zero against the volume; "
                          "mean = %.3e" % mean)
-    t = P.quad.nodes[1:-1]
-    j = np.arange(m + 1)
-    E = np.exp(j[:, None] * t[None, :] - m * P.node_values("Phi")[None, 1:-1])
     vals = psi.values
-    integrand = (-m * vals[1:-1] * P.node_values("dens")[1:-1]
-                 + psi.derivative(2)[1:-1])
-    out = E @ (P.quad.inner_weights * integrand)
+    integrand = -m * vals * P.node_values("dens") + psi.derivative(2)
     # psi'' vanishes beyond the window; the -m psi term has constant psi there
-    left, right = fs_tails(m, P.window)
-    out += (-m * vals[0]) * np.exp(-m * P.c_minus) * left
-    out += (-m * vals[-1]) * np.exp(-m * P.c_plus) * right
-    return out
+    factors = ((-m * vals[0]) * np.exp(-m * P.c_minus),
+               (-m * vals[-1]) * np.exp(-m * P.c_plus))
+    return _gram(m, P.quad, P.node_values("Phi"), integrand, factors)[0]
 
 
 def bergman_derivative(m, P, psi):
@@ -342,11 +349,8 @@ def bergman_derivative(m, P, psi):
     """
     m = _check_level(m)
     dG = gram_derivative(m, P, psi)
-    G = section_norms(m, P)
-    t = P.quad.nodes
-    j = np.arange(m + 1)
-    E = np.exp(j[:, None] * t[None, :] - m * P.node_values("Phi")[None, :])
-    B = (E / G.entries[:, None]).sum(axis=0) / m
+    G, E = _norms_and_rows(m, P)
     corr = (E * (dG / G.entries ** 2)[:, None]).sum(axis=0) / m
+    B = _kernel(m, E, G.entries, out=E)
     return grid_function(P, -m * psi.values * B - corr,
                          name="dB_%d" % m)

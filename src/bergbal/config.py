@@ -6,6 +6,7 @@ strict mode unknown keys are errors; otherwise they are returned as warnings.
 """
 import yaml
 
+from .bergman import MAX_LEVEL
 from .solvers import SolverOptions
 
 COMMANDS = ("balance", "tbalance", "newton", "family", "expand", "beta",
@@ -15,8 +16,8 @@ _POTENTIAL_COMMANDS = ("balance", "tbalance", "newton", "family", "expand",
                        "beta")
 
 _TOP_KEYS = {"command", "potential", "levels", "solver", "quadrature",
-             "output", "weight", "freeze_weight", "mode", "seeds", "sample",
-             "profiles", "m_max"}
+             "output", "weight", "freeze_weight", "seeds", "sample", "profiles",
+             "m_max"}
 
 
 class ConfigError(ValueError):
@@ -31,8 +32,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     def __init__(self, command, potential=None, levels=None, solver=None,
                  quadrature=None, output=None, weight=None, freeze_weight=None,
-                 mode="exact", seeds=None, sample=None, profiles=None,
-                 m_max=20, warnings=()):
+                 seeds=None, sample=None, profiles=None, m_max=20,
+                 warnings=()):
         self.command = command
         self.potential = potential
         self.levels = levels
@@ -41,7 +42,6 @@ class ExperimentConfig:
         self.output = output or {}
         self.weight = weight
         self.freeze_weight = freeze_weight
-        self.mode = mode
         self.seeds = seeds
         self.sample = sample
         self.profiles = profiles
@@ -65,8 +65,6 @@ class ExperimentConfig:
             val = getattr(self, key)
             if val is not None:
                 out[key] = val
-        if self.command == "newton":
-            out["mode"] = self.mode
         if self.command == "fourier":
             out["m_max"] = self.m_max
         return out
@@ -118,8 +116,9 @@ def _check_levels(levels, path, errors, minimum=1):
     for i, m in enumerate(levels):
         if not isinstance(m, int) or isinstance(m, bool):
             errors.append("%s[%d]: expected an integer" % (path, i))
-        elif not 1 <= m <= 200:
-            errors.append("%s[%d]: level %d outside [1, 200]" % (path, i, m))
+        elif not 1 <= m <= MAX_LEVEL:
+            errors.append("%s[%d]: level %d outside [1, %d]"
+                          % (path, i, m, MAX_LEVEL))
     if len(levels) < minimum:
         errors.append("%s: need at least %d levels" % (path, minimum))
 
@@ -270,11 +269,6 @@ def parse_config(document, strict=False):
             errors.append("freeze_weight: expected a number")
         else:
             kwargs["freeze_weight"] = float(doc["freeze_weight"])
-    if "mode" in doc:
-        if doc["mode"] not in ("exact", "quasi"):
-            errors.append("mode: expected 'exact' or 'quasi'")
-        else:
-            kwargs["mode"] = doc["mode"]
 
     if errors:
         raise ConfigError(errors)

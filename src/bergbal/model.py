@@ -76,9 +76,7 @@ class Quadrature:
     in integrals against the volume density they carry the exact mass of the
     two tails (Phi'(-T) on the left, 1 - Phi'(T) on the right), so the total
     volume is exact for every potential whose perturbation is constant
-    outside the window.  The `weights` array states the endpoint weights
-    relative to the Fubini-Study density, keeping all weights positive and
-    the fs volume equal to 1 at machine precision.
+    outside the window.
     """
 
     def __init__(self, window, grid_size, order=8):
@@ -96,20 +94,10 @@ class Quadrature:
         winner = (half[:, None] * wg[None, :]).ravel()
         self.nodes = np.concatenate(([-self.window], inner, [self.window]))
         self.inner_weights = winner
-        e = expit(-self.window)
-        fs_dens_end = expit(self.window) * e
-        w_end = e / fs_dens_end
-        self.weights = np.concatenate(([w_end], winner, [w_end]))
 
     @property
     def n_nodes(self):
         return self.nodes.size
-
-    def same_nodes(self, other):
-        return (self.n_nodes == other.n_nodes
-                and self.window == other.window
-                and self.grid_size == other.grid_size
-                and self.order == other.order)
 
 
 class GridFunction:
@@ -344,12 +332,17 @@ def integrate(P, f):
     function integrates to the total volume 1 exactly.
     """
     vals = f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=float)
-    q = P.quad
-    if vals.shape != q.nodes.shape:
+    if vals.shape != P.quad.nodes.shape:
         raise ValueError("grid function not sampled on this potential's nodes")
-    dens = P.node_values("dens")
-    left, right = P.tail_masses()
-    return float(q.inner_weights @ (vals[1:-1] * dens[1:-1])
+    return _volume_integral(P.quad, vals, P.node_values("dens"),
+                            P.tail_masses())
+
+
+def _volume_integral(quad, vals, dens, masses):
+    """Quadrature of vals against the density dens at the nodes, with the
+    endpoint values carrying the two tail masses (left, right)."""
+    left, right = masses
+    return float(quad.inner_weights @ (vals[1:-1] * dens[1:-1])
                  + left * vals[0] + right * vals[-1])
 
 

@@ -56,7 +56,7 @@ def _solve_command(cfg, report):
         if cfg.command == "balance":
             res = tk_iterate(m, P, cfg.solver)
         elif cfg.command == "newton":
-            res = newton_balance(m, P, cfg.solver, mode=cfg.mode)
+            res = newton_balance(m, P, cfg.solver)
         else:
             res = t_balance(m, P, cfg.solver, freeze_weight=cfg.freeze_weight)
         entry = {"converged": res.converged,

@@ -10,7 +10,9 @@ neutral scale and translation directions.  The (m+1) factor pins the scale
 gauge so the Fubini-Study diagonal is an exact fixed point; the translation
 (torus) direction is handled by the selected recentering.  Solving in x
 rather than in spline space keeps the problem exactly finite dimensional, so
-Newton can reach residuals at the floating-point floor.
+Newton can reach residuals at the floating-point floor.  _DSpace samples
+Phi_x at the potential's nodes and calls the kernel engine of bergman.py for
+the Gram diagonal, the kernel and the volume integrals.
 """
 import time
 
@@ -18,8 +20,8 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 from scipy.optimize import brentq
 
-from .model import fs_derivative, _from_knot_values
-from .bergman import section_norms, fs_tails, c_of_m
+from .model import fs_derivative, _from_knot_values, _volume_integral
+from .bergman import section_norms, fs_tails, c_of_m, _gram, _kernel, _rows
 
 _DAMPING_FLOOR = 1.0 / 16.0
 
@@ -106,20 +108,20 @@ class UniquenessReport:
 
 
 class _DSpace:
-    """Shared arrays for one (m, window, grid) solve."""
+    """Shared arrays for one solve at level m on the potential's quadrature.
 
-    def __init__(self, m, window, grid_size, order=8):
+    Gram, kernel and volume integrals go through bergman._gram,
+    bergman._kernel and model._volume_integral.  Beyond the window
+    Phi_x - log(1 + e^t) is nearly constant; the Gram tails use its values
+    at the window edges.
+    """
+
+    def __init__(self, m, quad):
         self.m = int(m)
-        self.window = float(window)
-        self.grid_size = int(grid_size)
-        self.order = int(order)
-        from .model import Quadrature
-        self.quad = Quadrature(window, grid_size, order)
-        self.t = self.quad.nodes
-        self.w_in = self.quad.inner_weights
+        self.quad = quad
+        self.t = quad.nodes
         self.j = np.arange(self.m + 1, dtype=float)
-        self.tail_left, self.tail_right = fs_tails(self.m, self.window)
-        self.C = c_of_m(self.m)
+        self.tails = fs_tails(self.m, quad.window)
         self.fs0 = fs_derivative(self.t, 0)
 
     def pieces(self, x):
@@ -134,84 +136,76 @@ class _DSpace:
         dens = k2 / self.m
         return p, mu, d, k2, Phi, dens
 
-    def gram(self, x, parts=None):
-        p, mu, d, k2, Phi, dens = parts if parts is not None else self.pieces(x)
-        E = np.exp(self.j[:, None] * self.t[None, 1:-1] - self.m * Phi[None, 1:-1])
-        G = E @ (self.w_in * dens[1:-1])
-        cL = Phi[0] - self.fs0[0]
-        cR = Phi[-1] - self.fs0[-1]
-        G = G + np.exp(-self.m * cL) * self.tail_left \
-              + np.exp(-self.m * cR) * self.tail_right
-        return G, E, Phi, dens, (p, mu, d, k2)
+    def _tail_factors(self, Phi):
+        """e^{-m c} for the tail constants c = Phi_x - log(1 + e^t) at -T, T."""
+        return (np.exp(-self.m * (Phi[0] - self.fs0[0])),
+                np.exp(-self.m * (Phi[-1] - self.fs0[-1])))
 
-    def kernel_sup(self, x, y, G, Phi):
-        """sup |B_{m,y} - C| with C the exact constant at y = 0 and the
-        self-consistent weighted mean otherwise."""
-        K = self._kernel(x, y, G, self.t, Phi)
-        C = self.C if y == 0.0 else self._weighted_mean(x, y, G, Phi)
-        return float(np.max(np.abs(K - C))), K, C
+    def gram(self, parts):
+        """Gram diagonal of Phi_x and its rows at all nodes."""
+        Phi, dens = parts[4], parts[5]
+        return _gram(self.m, self.quad, Phi, dens, self._tail_factors(Phi),
+                     self.tails)
 
-    def _kernel(self, x, y, G, tpts, Phi=None):
-        if Phi is None:
-            Phi = logsumexp(self.j[:, None] * tpts[None, :] - x[:, None],
-                            axis=0) / self.m
-        D = G * np.exp(self.j * y)
-        E = np.exp(self.j[:, None] * tpts[None, :] - self.m * Phi[None, :])
-        return (E / D[:, None]).sum(axis=0) / self.m
+    def residual(self, x, y):
+        """sup |B_{m,y} - C| at x, with C the exact constant at y = 0 and the
+        self-consistent weighted mean otherwise.  Also returns the Gram
+        diagonal, its rows and the softmax pieces of x."""
+        parts = self.pieces(x)
+        G, E = self.gram(parts)
+        K = _kernel(self.m, E, G * np.exp(self.j * y))
+        C = c_of_m(self.m) if y == 0.0 else self._weighted_mean(x, y, G, parts)
+        return float(np.max(np.abs(K - C))), G, E, parts
 
-    def _volume_integral(self, x, vals, mu, dens):
-        mass_l = mu[0] / self.m
-        mass_r = 1.0 - mu[-1] / self.m
-        return float(self.w_in @ (vals[1:-1] * dens[1:-1])
-                     + mass_l * vals[0] + mass_r * vals[-1])
+    def _integral(self, vals, mu, dens):
+        """Volume integral against Phi_x; the tail masses are Phi_x'(-T) =
+        mu_0/m and 1 - Phi_x'(T) = 1 - mu_m/m."""
+        return _volume_integral(self.quad, vals, dens,
+                                (mu[0] / self.m, 1.0 - mu[-1] / self.m))
 
-    def _weighted_mean(self, x, y, G, Phi):
+    def _weighted_mean(self, x, y, G, parts):
         """int K_y(u + y) dmu, the weighted constant of the current iterate."""
-        Ks = self._kernel(x, y, G, self.t + y)
-        p, mu, d, k2, Phi2, dens = self.pieces(x)
-        return self._volume_integral(x, Ks, mu, dens)
+        ts = self.t + y
+        Phi = logsumexp(self.j[:, None] * ts[None, :] - x[:, None],
+                        axis=0) / self.m
+        E = _rows(self.m, ts, Phi)
+        Ks = _kernel(self.m, E, G * np.exp(self.j * y), out=E)
+        return self._integral(Ks, parts[1], parts[5])
 
-    def moment_center(self, x, parts=None):
-        p, mu, d, k2, Phi, dens = parts if parts is not None else self.pieces(x)
-        mass_l = mu[0] / self.m
-        mass_r = 1.0 - mu[-1] / self.m
-        return float(self.w_in @ (self.t[1:-1] * dens[1:-1])
-                     - self.window * mass_l + self.window * mass_r)
+    def moment_center(self, x):
+        p, mu, d, k2, Phi, dens = self.pieces(x)
+        return self._integral(self.t, mu, dens)
 
-    def recenter(self, x, mode, parts=None):
+    def recenter(self, x, mode):
         if mode == "even-symmetrize":
             return 0.5 * (x + x[::-1])
         if mode == "moment-center":
-            return x - self.j * self.moment_center(x, parts)
+            return x - self.j * self.moment_center(x)
         return x
 
-    def jacobian(self, x, G, E, dens, softmax):
+    def jacobian(self, G, E, parts):
         """A_il = dG_i[psi_l]/G_i for the potential directions psi_l = dPhi/dx_l
         = -p_l/m, including the constant-tail contributions."""
-        p, mu, d, k2 = softmax
+        p, mu, d, k2, Phi, dens = parts
         ppp = p * (d * d - k2[None, :])        # p_l''
         M = p[:, 1:-1] * dens[None, 1:-1] - ppp[:, 1:-1] / self.m
-        A = (E * self.w_in[None, :]) @ M.T
-        cL = np.exp(-self.m * (logsumexp(self.j * self.t[0] - x) / self.m
-                               - self.fs0[0]))
-        cR = np.exp(-self.m * (logsumexp(self.j * self.t[-1] - x) / self.m
-                               - self.fs0[-1]))
-        A += np.outer(cL * self.tail_left, p[:, 0])
-        A += np.outer(cR * self.tail_right, p[:, -1])
+        A = (E[:, 1:-1] * self.quad.inner_weights[None, :]) @ M.T
+        cL, cR = self._tail_factors(Phi)
+        A += np.outer(cL * self.tails[0], p[:, 0])
+        A += np.outer(cR * self.tails[1], p[:, -1])
         return A / G[:, None]
 
     def potential(self, x):
         # emit on the seed's own grid: a finer one would only amplify the
         # float noise of the knot values in the spline's edge derivatives
-        knots = np.linspace(-self.window, self.window, self.grid_size)
-        Phi = logsumexp(self.j[:, None] * knots[None, :] - x[:, None],
+        q = self.quad
+        Phi = logsumexp(self.j[:, None] * q.knots[None, :] - x[:, None],
                         axis=0) / self.m
-        vals = Phi - fs_derivative(knots, 0)
-        return _from_knot_values(vals, self.window, self.grid_size,
-                                 order=self.order)
+        vals = Phi - fs_derivative(q.knots, 0)
+        return _from_knot_values(vals, q.window, q.grid_size, order=q.order)
 
     def _core_cumulants(self, x):
-        core = np.abs(self.t) <= min(10.0, 0.5 * self.window)
+        core = np.abs(self.t) <= min(10.0, 0.5 * self.quad.window)
         p, mu, d, k2, Phi, dens = self.pieces(x)
         p = p[:, core]
         d = d[:, core]
@@ -271,8 +265,8 @@ class _DSpace:
             dphi = dx = 0.0
         else:
             parts = self.pieces(x)
-            G, E, Phi, dens, softmax = self.gram(x, parts)
-            lam, V = np.linalg.eig(self.jacobian(x, G, E, dens, softmax))
+            G, E = self.gram(parts)
+            lam, V = np.linalg.eig(self.jacobian(G, E, parts))
             slow = np.argsort(-lam.real)[2]
             dphi = residual / ((m + 1) * (1.0 - lam[slow].real))
             v = V[:, slow].real
@@ -305,6 +299,17 @@ def _seed(m, P):
     return np.log((m + 1) * section_norms(m, P).entries)
 
 
+def _result(ds, x, y, hist, converged, k, t0, mode, **diagnostics):
+    """BalanceResult of a solve ending at x; the diagnostics gain the moment
+    center and the core curvature error of x."""
+    P = ds.potential(x)
+    wall_time = time.perf_counter() - t0
+    diagnostics.update(moment_center=ds.moment_center(x),
+                       sigma_core_err=ds.sigma_core_err(x))
+    return BalanceResult(ds.m, P, y, hist, converged, k, wall_time, mode,
+                         diagnostics)
+
+
 def tk_iterate(m, P0, opts=None):
     """Fixed-point iteration on the Gram diagonal (the classical self-map).
 
@@ -316,16 +321,14 @@ def tk_iterate(m, P0, opts=None):
     """
     opts = opts or SolverOptions()
     t0 = time.perf_counter()
-    ds = _DSpace(m, P0.window, P0.grid_size, P0.quad.order)
+    ds = _DSpace(m, P0.quad)
     x = _seed(m, P0)
     damping = opts.damping
     hist = []
     converged = False
     k = 0
     for k in range(opts.max_iterations):
-        parts = ds.pieces(x)
-        G, E, Phi, dens, softmax = ds.gram(x, parts)
-        r, K, C = ds.kernel_sup(x, 0.0, G, Phi)
+        r, G, E, parts = ds.residual(x, 0.0)
         hist.append(r)
         if r <= opts.tolerance:
             converged = True
@@ -337,12 +340,8 @@ def tk_iterate(m, P0, opts=None):
         xn = np.log((m + 1) * G)
         x = x + damping * (xn - x)
         x = ds.recenter(x, opts.recentering)
-    P = ds.potential(x)
-    return BalanceResult(m, P, None, hist, converged, k, time.perf_counter() - t0,
-                         mode="fixed-point",
-                         diagnostics={"damping_final": damping,
-                                      "moment_center": ds.moment_center(x),
-                                      "sigma_core_err": ds.sigma_core_err(x)})
+    return _result(ds, x, None, hist, converged, k, t0, "fixed-point",
+                   damping_final=damping)
 
 
 def _gauss_newton(ds, x0, y, opts):
@@ -360,9 +359,7 @@ def _gauss_newton(ds, x0, y, opts):
     k = 0
     stalls = 0
     for k in range(opts.max_iterations):
-        parts = ds.pieces(x)
-        G, E, Phi, dens, softmax = ds.gram(x, parts)
-        r, K, C = ds.kernel_sup(x, y, G, Phi)
+        r, G, E, parts = ds.residual(x, y)
         hist.append(r)
         if r <= opts.tolerance:
             converged = True
@@ -374,7 +371,7 @@ def _gauss_newton(ds, x0, y, opts):
         else:
             stalls = 0
         R = np.log((m + 1) * G) + ds.j * y - x
-        J = ds.jacobian(x, G, E, dens, softmax) - np.eye(m + 1)
+        J = ds.jacobian(G, E, parts) - np.eye(m + 1)
         if opts.recentering == "none":
             sv = np.linalg.svd(J, compute_uv=False)
             if sv[-1] < 1e-8 * sv[0]:
@@ -405,82 +402,19 @@ def _newton_orders(hist, floor=1e-13):
     return orders
 
 
-def newton_balance(m, P0, opts=None, mode="exact"):
+def newton_balance(m, P0, opts=None):
     """Newton's method for the balanced equation at level m.
 
-    mode="exact" assembles the exact Jacobian of the Gram self-map and shows
-    quadratic convergence; mode="quasi" replaces it by the scalar-curvature
-    linearization (the fourth-order operator L), exact only in the large-m
-    limit, and converges linearly.  The chosen mode is recorded.
+    Assembles the exact Jacobian of the Gram self-map and shows quadratic
+    convergence; the result's mode is "newton-exact".
     """
     opts = opts or SolverOptions()
     t0 = time.perf_counter()
-    ds = _DSpace(m, P0.window, P0.grid_size, P0.quad.order)
-    x0 = _seed(m, P0)
-    if mode == "exact":
-        x, hist, converged, k = _gauss_newton(ds, x0, 0.0, opts)
-    elif mode == "quasi":
-        x, hist, converged, k = _quasi_newton(ds, x0, opts)
-    else:
-        raise ValueError("mode must be 'exact' or 'quasi'")
-    P = ds.potential(x)
+    ds = _DSpace(m, P0.quad)
+    x, hist, converged, k = _gauss_newton(ds, _seed(m, P0), 0.0, opts)
     monotone = bool(np.all(np.diff(hist) < 0)) if len(hist) > 1 else True
-    return BalanceResult(
-        m, P, None, hist, converged, k, time.perf_counter() - t0,
-        mode="newton-" + mode,
-        diagnostics={"orders": _newton_orders(hist),
-                     "monotone_history": monotone,
-                     "moment_center": ds.moment_center(x),
-                     "sigma_core_err": ds.sigma_core_err(x)})
-
-
-def _quasi_newton(ds, x0, opts):
-    """Steps solve L(delta phi) = -beta in the x coordinates by least squares."""
-    m = ds.m
-    x = x0.copy()
-    hist = []
-    converged = False
-    k = 0
-    for k in range(opts.max_iterations):
-        parts = ds.pieces(x)
-        p, mu, d, k2, Phi, dens = parts
-        G, E, Phi, dens2, softmax = ds.gram(x, parts)
-        r, K, C = ds.kernel_sup(x, 0.0, G, Phi)
-        hist.append(r)
-        if r <= opts.tolerance:
-            converged = True
-            break
-        # beta of the current iterate, from the analytic kernel derivatives
-        a = ds.j[:, None] - mu[None, :]
-        D = G
-        EK = np.exp(ds.j[:, None] * ds.t[None, :] - m * Phi[None, :]) / D[:, None]
-        dev = EK.sum(axis=0) / m - ds.C
-        K2 = ((a * a - k2[None, :]) * EK).sum(axis=0) / m
-        beta_vals = 2.0 * m * dev + (4.0 / 3.0) * (-K2 / dens)
-        # columns L(psi_l), psi_l = -p_l/m, via cumulants of the softmax
-        k3 = np.einsum("jt,jt->t", p, d ** 3)
-        k4 = np.einsum("jt,jt->t", p, d ** 4) - 3.0 * k2 * k2
-        r1 = k3 / k2
-        gpp = (k4 * k2 - k3 * k3) / (k2 * k2)
-        sigma = -m * (k4 * k2 - k3 * k3) / k2 ** 3
-        p2 = p * (d * d - k2[None, :])
-        p3 = p * (d ** 3 - 3.0 * d * k2[None, :] - k3[None, :])
-        p4 = p * (d ** 4 - 6.0 * d * d * k2[None, :]
-                  - 4.0 * d * k3[None, :] + 3.0 * (k2 * k2)[None, :]
-                  - k4[None, :])
-        u = -p2 / k2[None, :]
-        q3 = -p3 / k2[None, :]
-        up = q3 - r1[None, :] * u
-        upp = (-p4 / k2[None, :] - r1[None, :] * q3) \
-            - gpp[None, :] * u - r1[None, :] * up
-        cols = -(upp / dens[None, :] + sigma[None, :] * u)
-        dx, *_ = np.linalg.lstsq(cols.T, -beta_vals, rcond=None)
-        # project out the scale and torus directions
-        for v in (np.ones(m + 1), ds.j - ds.j.mean()):
-            dx = dx - v * (v @ dx) / (v @ v)
-        x = x + opts.damping * dx
-        x = ds.recenter(x, opts.recentering)
-    return x, hist, converged, k
+    return _result(ds, x, None, hist, converged, k, t0, "newton-exact",
+                   orders=_newton_orders(hist), monotone_history=monotone)
 
 
 def _find_weight_bracket(moment, scan):
@@ -509,7 +443,7 @@ def t_balance(m, P0, opts=None, freeze_weight=None):
     """
     opts = opts or SolverOptions()
     t0 = time.perf_counter()
-    ds = _DSpace(m, P0.window, P0.grid_size, P0.quad.order)
+    ds = _DSpace(m, P0.quad)
     x0 = _seed(m, P0)
     state = {}
 
@@ -522,12 +456,12 @@ def t_balance(m, P0, opts=None, freeze_weight=None):
         x = inner(y)
         parts = ds.pieces(x)
         p, mu, d, k2, Phi, dens = parts
-        G, E, Phi, dens2, softmax = ds.gram(x, parts)
-        K = ds._kernel(x, y, G, ds.t, Phi)
-        C = ds._weighted_mean(x, y, G, Phi)
+        G, E = ds.gram(parts)
+        K = _kernel(m, E, G * np.exp(ds.j * y), out=E)
+        C = ds._weighted_mean(x, y, G, parts)
         f1 = mu / m
-        f = f1 - ds._volume_integral(x, f1, mu, dens)
-        return ds._volume_integral(x, (K - C) * f, mu, dens)
+        f = f1 - ds._integral(f1, mu, dens)
+        return ds._integral((K - C) * f, mu, dens)
 
     if freeze_weight is not None:
         y = float(freeze_weight)
@@ -537,19 +471,13 @@ def t_balance(m, P0, opts=None, freeze_weight=None):
         if abs(M0) <= 1e-12:
             y = 0.0
         else:
-            scan = [s for s in
-                    (-0.3, -0.1, -0.03, -0.01, -1e-3, 1e-3, 0.01, 0.03, 0.1, 0.3)]
+            scan = [-0.3, -0.1, -0.03, -0.01, -1e-3, 1e-3, 0.01, 0.03, 0.1, 0.3]
             a, b = _find_weight_bracket(moment, scan)
             y = brentq(moment, a, b, xtol=1e-12)
             inner(y)
     x, hist, converged, k = state[y]
-    P = ds.potential(x)
-    return BalanceResult(
-        m, P, y, hist, converged, k, time.perf_counter() - t0,
-        mode="t-balance",
-        diagnostics={"orders": _newton_orders(hist),
-                     "moment_center": ds.moment_center(x),
-                     "sigma_core_err": ds.sigma_core_err(x)})
+    return _result(ds, x, y, hist, converged, k, t0, "t-balance",
+                   orders=_newton_orders(hist))
 
 
 def _family_verdicts(d, s, d_floor, s_floor, all_converged):
@@ -611,7 +539,7 @@ def balanced_family(m_range, P_seed, opts=None):
         P = res.potential
         d_sup.append(float(np.max(np.abs(P.phi(P.quad.nodes)))))
         sigma_sup.append(res.diagnostics["sigma_core_err"])
-        ds = _DSpace(m, P.window, P.grid_size, P.quad.order)
+        ds = _DSpace(m, P.quad)
         floor = ds.round_floors(res.final_residual)
         d_floor.append(floor[0])
         sigma_floor.append(floor[1])

@@ -111,6 +111,17 @@ def test_kernel_equivariance():
     assert np.max(np.abs(ss(tt) - s0(tt - s))) < 1e-8
 
 
+def test_kernel_d2_matches_spline(bump):
+    # d2 is the one kernel derivative attached; the quintic spline through
+    # the values must reproduce it in the core
+    for m in (8, 40):
+        kern = bergman_kernel(m, bump).kernel
+        spline_d2 = grid_function(bump, kern.values).derivative(2)
+        core = np.abs(kern.nodes) <= 10.0
+        gap = np.max(np.abs(kern.d2 - spline_d2)[core])
+        assert gap <= 1e-6 * np.max(np.abs(kern.d2))
+
+
 def test_beta_vanishes_on_fs(fs):
     for m in (5, 10, 17):
         b = beta(m, fs)

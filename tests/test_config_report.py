@@ -16,8 +16,7 @@ BUMP = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.0}
 MINIMAL = {
     "balance": {"command": "balance", "potential": FS, "levels": [4]},
     "tbalance": {"command": "tbalance", "potential": BUMP, "levels": [8]},
-    "newton": {"command": "newton", "potential": BUMP, "levels": [8],
-               "mode": "quasi"},
+    "newton": {"command": "newton", "potential": BUMP, "levels": [8]},
     "family": {"command": "family", "potential": BUMP, "levels": [5, 10]},
     "expand": {"command": "expand", "potential": BUMP, "levels": [10, 20, 40]},
     "beta": {"command": "beta", "potential": BUMP, "levels": [10, 20]},
@@ -40,13 +39,12 @@ def test_yaml_text_and_echo():
 command: newton
 potential: {type: fubini-study}
 levels: [6]
-mode: quasi
 solver: {tolerance: 1.0e-10, damping: 0.5}
 """)
     assert cfg.solver.tolerance == 1e-10
     assert cfg.solver.damping == 0.5
     echo = cfg.echo()
-    assert echo["mode"] == "quasi"
+    assert "mode" not in echo
     assert echo["solver"]["recentering"] == "moment-center"
     assert "m_max" not in echo        # fourier-only field
 
@@ -80,7 +78,7 @@ def test_errors_are_collected_with_paths():
         "potential": {"type": "gaussian-bump", "width": -1.0},
         "levels": [4, "eight", 500],
         "solver": {"damping": 2.0},
-        "mode": "bisect",
+        "freeze_weight": "zero",
     }
     with pytest.raises(ConfigError) as exc:
         parse_config(doc)
@@ -90,8 +88,17 @@ def test_errors_are_collected_with_paths():
     assert "levels[1]" in text
     assert "levels[2]" in text
     assert "solver: damping" in text
-    assert "mode:" in text
+    assert "freeze_weight: expected a number" in text
     assert len(exc.value.errors) >= 6
+
+
+def test_mode_is_unknown_key():
+    # mode is not a config key: exact Newton is the only Newton mode
+    doc = dict(MINIMAL["newton"], mode="exact")
+    cfg = parse_config(doc)
+    assert cfg.warnings == ["unknown key 'mode'"]
+    with pytest.raises(ConfigError, match="unknown key 'mode'"):
+        parse_config(doc, strict=True)
 
 
 def test_potential_validation():

@@ -113,9 +113,10 @@ def test_newton_singular_without_recentering(off):
         newton_balance(8, off, SolverOptions(recentering="none"))
 
 
-def test_newton_mode_guard(bump):
-    with pytest.raises(ValueError):
-        newton_balance(4, bump, mode="secant")
+def test_newton_converges_at_level_40(bump):
+    res = newton_balance(40, bump)
+    assert res.converged and res.mode == "newton-exact"
+    assert np.all(np.isfinite(res.residual_history))
 
 
 def test_t_balance_frozen_weight_is_newton(bump, newton8):
@@ -226,14 +227,11 @@ def test_uniqueness_guard():
         uniqueness_probe(8, [])
 
 
-def test_quasi_newton_far_seed():
-    # linear but robust: a seed far outside the quadratic basin
+def test_newton_far_seed():
+    # a seed far from the round metric still converges in a few steps
     far = make_perturbed_potential(
         {"type": "gaussian-bump", "amplitude": 0.5, "width": 2.0, "center": 0.0},
         window=20.0, grid_size=512)
-    q = newton_balance(8, far, mode="quasi")
-    assert q.converged and q.mode == "newton-quasi"
-    assert q.iterations <= 200
-    e = newton_balance(8, far)
-    gap = np.max(np.abs(q.potential.phi(GRID) - e.potential.phi(GRID)))
-    assert gap < 1e-7
+    res = newton_balance(8, far)
+    assert res.converged
+    assert res.iterations <= 10
