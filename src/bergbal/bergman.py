@@ -13,11 +13,13 @@ and the kernel (with the dimension/level normalization of degree one) is
 Torus reweighting scales each monomial line by e^{j y} (the lift is fixed so
 z^j has weight j; a different lift multiplies everything by a global factor).
 
-The engine is three private functions on node samples of a potential, shared
-by the spline potentials here and by the x = log D solvers (solvers._DSpace):
-_rows forms e^{jt - m Phi}, _gram integrates the rows against a density with
-exact Beta tails, and _kernel sums the rows over the Gram weights.  Volume
-integrals go through model._volume_integral.
+The engine is three private functions on the section rows at the nodes of a
+potential, shared by the spline potentials here and by the x = log D solvers
+(solvers._DSpace): _rows forms e^{jt - m Phi} from samples of Phi, _gram
+integrates rows against a density with exact Beta tails, and _kernel sums the
+rows over the Gram weights.  The solvers form their rows from the softmax
+they already hold, so only the spline paths call _rows.  Volume integrals go
+through model._volume_integral.
 """
 import numpy as np
 from scipy.special import expit, betaln, betainc
@@ -109,18 +111,17 @@ def _rows(m, t, Phi):
     return np.exp(j[:, None] * t[None, :] - m * Phi[None, :])
 
 
-def _gram(m, quad, Phi, integrand, factors, tails=None):
-    """int e^{jt - m Phi} integrand dt, j = 0..m, and the rows at all nodes.
+def _gram(m, quad, E, integrand, factors, tails=None):
+    """int e^{jt - m Phi} integrand dt, j = 0..m, from the rows E.
 
-    Phi and integrand are sampled at the nodes of quad.  Beyond the window
-    Phi must be log(1 + e^t) plus a constant c and the integrand a multiple
-    of its density, so each tail is fs_tails times its factor, that multiple
-    times e^{-m c}.
+    E holds the rows e^{jt - m Phi} and integrand its samples, both at the
+    nodes of quad.  Beyond the window Phi must be log(1 + e^t) plus a
+    constant c and the integrand a multiple of its density, so each tail is
+    fs_tails times its factor, that multiple times e^{-m c}.
     """
-    E = _rows(m, quad.nodes, Phi)
     left, right = fs_tails(m, quad.window) if tails is None else tails
     G = E[:, 1:-1] @ (quad.inner_weights * integrand[1:-1])
-    return G + factors[0] * left + factors[1] * right, E
+    return G + factors[0] * left + factors[1] * right
 
 
 def _kernel(m, E, weights, out=None):
@@ -138,8 +139,8 @@ def _norms_and_rows(m, P):
             "window %.2f too small for level %d: need at least %.2f "
             "(default is %.2f)" % (T, m, required, 20.0 + np.log(m)))
     factors = (np.exp(-m * P.c_minus), np.exp(-m * P.c_plus))
-    G, E = _gram(m, P.quad, P.node_values("Phi"), P.node_values("dens"),
-                 factors)
+    E = _rows(m, P.quad.nodes, P.node_values("Phi"))
+    G = _gram(m, P.quad, E, P.node_values("dens"), factors)
     return GramDiagonal(m, G, P), E
 
 
@@ -327,16 +328,26 @@ def gram_derivative(m, P, psi):
     psi must be mean-zero against the volume (tolerance 1e-10).
     """
     m = _check_level(m)
+    _check_mean_zero(P, psi)
+    return _gram_derivative(m, P, psi,
+                            _rows(m, P.quad.nodes, P.node_values("Phi")))
+
+
+def _check_mean_zero(P, psi):
     mean = integrate(P, psi)
     if abs(mean) > 1e-10:
         raise ValueError("psi must be mean-zero against the volume; "
                          "mean = %.3e" % mean)
+
+
+def _gram_derivative(m, P, psi, E):
+    """gram_derivative from the rows E of P."""
     vals = psi.values
     integrand = -m * vals * P.node_values("dens") + psi.derivative(2)
     # psi'' vanishes beyond the window; the -m psi term has constant psi there
     factors = ((-m * vals[0]) * np.exp(-m * P.c_minus),
                (-m * vals[-1]) * np.exp(-m * P.c_plus))
-    return _gram(m, P.quad, P.node_values("Phi"), integrand, factors)[0]
+    return _gram(m, P.quad, E, integrand, factors)
 
 
 def bergman_derivative(m, P, psi):
@@ -348,8 +359,9 @@ def bergman_derivative(m, P, psi):
     contraction term -m psi B_m.
     """
     m = _check_level(m)
-    dG = gram_derivative(m, P, psi)
+    _check_mean_zero(P, psi)
     G, E = _norms_and_rows(m, P)
+    dG = _gram_derivative(m, P, psi, E)
     corr = (E * (dG / G.entries ** 2)[:, None]).sum(axis=0) / m
     B = _kernel(m, E, G.entries, out=E)
     return grid_function(P, -m * psi.values * B - corr,

@@ -5,6 +5,7 @@ round-trips exactly (floats serialize with full precision).  Tables are
 plot-ready: one row per quadrature node for sampled functions, one row per
 iteration for residual histories, 17 significant digits.
 """
+import functools
 import json
 import os
 import sys
@@ -22,8 +23,14 @@ class ReportWriteError(RuntimeError):
         super().__init__("cannot write %s: %s" % (path, reason))
 
 
+_JSON_SCALARS = frozenset((float, int, str, bool, type(None)))
+
+
 def _plain(obj):
     """Recursively convert numpy scalars/arrays for JSON."""
+    # exact types: np.float64 subclasses float but must still go to .item()
+    if type(obj) in _JSON_SCALARS:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -72,8 +79,22 @@ def build_report(config_echo, versions_extra=None):
     }
 
 
+@functools.lru_cache(maxsize=1)
+def _validator():
+    """Validator of the shipped schema, checked against its metaschema once,
+    on first use."""
+    schema = load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_report(report):
-    jsonschema.validate(report, load_schema())
+    """Raise the best-matching jsonschema.ValidationError, as
+    jsonschema.validate does, if report breaks the schema."""
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(report))
+    if error is not None:
+        raise error
 
 
 def write_report(report, out_dir, tables=True):

@@ -10,9 +10,16 @@ neutral scale and translation directions.  The (m+1) factor pins the scale
 gauge so the Fubini-Study diagonal is an exact fixed point; the translation
 (torus) direction is handled by the selected recentering.  Solving in x
 rather than in spline space keeps the problem exactly finite dimensional, so
-Newton can reach residuals at the floating-point floor.  _DSpace samples
-Phi_x at the potential's nodes and calls the kernel engine of bergman.py for
-the Gram diagonal, the kernel and the volume integrals.
+Newton can reach residuals at the floating-point floor.
+
+Each evaluation at x makes one exponential pass over an (m+1) x N array,
+N the number of nodes: the softmax p_jt = e^{jt - x_j - m Phi_x(t)},
+shifted by its column maximum.  Everything else follows from p without
+another exponential: the section rows are e^{jt - m Phi_x} = p_jt e^{x_j},
+the volume density is the softmax variance over m, and the moment center
+is closed form in Phi_x at the window edges.  _DSpace hands the rows to the
+kernel engine of bergman.py for the Gram diagonal and the kernel, and
+integrates against the volume with model._volume_integral.
 """
 import time
 
@@ -21,7 +28,7 @@ from scipy.special import gammaln, logsumexp
 from scipy.optimize import brentq
 
 from .model import fs_derivative, _from_knot_values, _volume_integral
-from .bergman import section_norms, fs_tails, c_of_m, _gram, _kernel, _rows
+from .bergman import section_norms, fs_tails, c_of_m, _gram, _kernel
 
 _DAMPING_FLOOR = 1.0 / 16.0
 
@@ -110,10 +117,10 @@ class UniquenessReport:
 class _DSpace:
     """Shared arrays for one solve at level m on the potential's quadrature.
 
-    Gram, kernel and volume integrals go through bergman._gram,
-    bergman._kernel and model._volume_integral.  Beyond the window
-    Phi_x - log(1 + e^t) is nearly constant; the Gram tails use its values
-    at the window edges.
+    pieces is the one exponential pass of an evaluation; the rows, the Gram
+    diagonal, the kernel, the Jacobian and the cumulants all read its
+    softmax.  Beyond the window Phi_x - log(1 + e^t) is nearly constant;
+    the Gram tails use its values at the window edges.
     """
 
     def __init__(self, m, quad):
@@ -124,35 +131,50 @@ class _DSpace:
         self.tails = fs_tails(self.m, quad.window)
         self.fs0 = fs_derivative(self.t, 0)
 
-    def pieces(self, x):
-        """softmax cumulants of Phi_x at all nodes."""
-        z = self.j[:, None] * self.t[None, :] - x[:, None]
-        S = logsumexp(z, axis=0)
-        p = np.exp(z - S[None, :])
+    def softmax(self, x, t):
+        """p_jt = e^{jt - x_j} / sum_l e^{lt - x_l} and S_t = m Phi_x(t), in
+        one exponential pass: z = jt - x is shifted by its column maximum a,
+        exponentiated in place and divided by its column sums s; S = a +
+        log s."""
+        p = np.multiply.outer(self.j, t)
+        p -= x[:, None]
+        a = p.max(axis=0)
+        p -= a
+        np.exp(p, out=p)
+        s = p.sum(axis=0)
+        p /= s
+        return p, a + np.log(s)
+
+    def pieces(self, x, t=None):
+        """Softmax cumulants of Phi_x at the nodes (or at t): p, its mean mu,
+        the squared deviations d2 = (j - mu)^2, the variance k2, Phi_x and
+        the density Phi_x'' = k2 / m."""
+        p, S = self.softmax(x, self.t if t is None else t)
         mu = self.j @ p
-        d = self.j[:, None] - mu[None, :]
-        k2 = np.einsum("jt,jt->t", p, d * d)
-        Phi = S / self.m
-        dens = k2 / self.m
-        return p, mu, d, k2, Phi, dens
+        d2 = np.subtract.outer(self.j, mu)
+        d2 *= d2
+        k2 = np.einsum("jt,jt->t", p, d2)
+        return p, mu, d2, k2, S / self.m, k2 / self.m
 
     def _tail_factors(self, Phi):
         """e^{-m c} for the tail constants c = Phi_x - log(1 + e^t) at -T, T."""
         return (np.exp(-self.m * (Phi[0] - self.fs0[0])),
                 np.exp(-self.m * (Phi[-1] - self.fs0[-1])))
 
-    def gram(self, parts):
-        """Gram diagonal of Phi_x and its rows at all nodes."""
-        Phi, dens = parts[4], parts[5]
-        return _gram(self.m, self.quad, Phi, dens, self._tail_factors(Phi),
-                     self.tails)
+    def gram(self, x, parts):
+        """Gram diagonal of Phi_x and its rows e^{jt - m Phi_x} = p_jt e^{x_j}
+        at all nodes."""
+        E = parts[0] * np.exp(x)[:, None]
+        G = _gram(self.m, self.quad, E, parts[5], self._tail_factors(parts[4]),
+                  self.tails)
+        return G, E
 
     def residual(self, x, y):
         """sup |B_{m,y} - C| at x, with C the exact constant at y = 0 and the
         self-consistent weighted mean otherwise.  Also returns the Gram
         diagonal, its rows and the softmax pieces of x."""
         parts = self.pieces(x)
-        G, E = self.gram(parts)
+        G, E = self.gram(x, parts)
         K = _kernel(self.m, E, G * np.exp(self.j * y))
         C = c_of_m(self.m) if y == 0.0 else self._weighted_mean(x, y, G, parts)
         return float(np.max(np.abs(K - C))), G, E, parts
@@ -165,16 +187,22 @@ class _DSpace:
 
     def _weighted_mean(self, x, y, G, parts):
         """int K_y(u + y) dmu, the weighted constant of the current iterate."""
-        ts = self.t + y
-        Phi = logsumexp(self.j[:, None] * ts[None, :] - x[:, None],
-                        axis=0) / self.m
-        E = _rows(self.m, ts, Phi)
+        E = self.softmax(x, self.t + y)[0]
+        E *= np.exp(x)[:, None]
         Ks = _kernel(self.m, E, G * np.exp(self.j * y), out=E)
         return self._integral(Ks, parts[1], parts[5])
 
     def moment_center(self, x):
-        p, mu, d, k2, Phi, dens = self.pieces(x)
-        return self._integral(self.t, mu, dens)
+        """int t dmu_x over the line, the tail masses at -T and T included.
+
+        By parts, int_{-T}^{T} t Phi_x'' dt = T Phi_x'(T) + T Phi_x'(-T)
+        - Phi_x(T) + Phi_x(-T), and the tail masses add -T Phi_x'(-T) and
+        T (1 - Phi_x'(T)); the center is T - Phi_x(T) + Phi_x(-T), two
+        log-sum-exps over the m + 1 entries of x.
+        """
+        T = self.quad.window
+        jT = self.j * T
+        return (self.m * T - logsumexp(jT - x) + logsumexp(-jT - x)) / self.m
 
     def recenter(self, x, mode):
         if mode == "even-symmetrize":
@@ -185,15 +213,19 @@ class _DSpace:
 
     def jacobian(self, G, E, parts):
         """A_il = dG_i[psi_l]/G_i for the potential directions psi_l = dPhi/dx_l
-        = -p_l/m, including the constant-tail contributions."""
-        p, mu, d, k2, Phi, dens = parts
-        ppp = p * (d * d - k2[None, :])        # p_l''
-        M = p[:, 1:-1] * dens[None, 1:-1] - ppp[:, 1:-1] / self.m
-        A = (E[:, 1:-1] * self.quad.inner_weights[None, :]) @ M.T
+        = -p_l/m, including the constant-tail contributions.  The interior
+        integrand -m psi_l Phi'' + psi_l'' is p_l (2 k2 - d2_l) / m, since
+        p_l'' = p_l (d2_l - k2)."""
+        p, mu, d2, k2, Phi, dens = parts
+        M = np.subtract(2.0 * k2[1:-1], d2[:, 1:-1])
+        M *= p[:, 1:-1]
+        M *= self.quad.inner_weights / self.m
+        A = E[:, 1:-1] @ M.T
         cL, cR = self._tail_factors(Phi)
         A += np.outer(cL * self.tails[0], p[:, 0])
         A += np.outer(cR * self.tails[1], p[:, -1])
-        return A / G[:, None]
+        A /= G[:, None]
+        return A
 
     def potential(self, x):
         # emit on the seed's own grid: a finer one would only amplify the
@@ -205,21 +237,21 @@ class _DSpace:
         return _from_knot_values(vals, q.window, q.grid_size, order=q.order)
 
     def _core_cumulants(self, x):
-        core = np.abs(self.t) <= min(10.0, 0.5 * self.quad.window)
-        p, mu, d, k2, Phi, dens = self.pieces(x)
-        p = p[:, core]
-        d = d[:, core]
-        k2 = k2[core]
-        k3 = np.einsum("jt,jt->t", p, d ** 3)
-        k4 = np.einsum("jt,jt->t", p, d ** 4) - 3.0 * k2 * k2
-        return core, p, d, k2, k3, k4
+        """The softmax, its deviations d = j - mu and d2, and the cumulants
+        k2, k3, k4 at the core nodes |t| <= min(10, T/2)."""
+        t = self.t[np.abs(self.t) <= min(10.0, 0.5 * self.quad.window)]
+        p, mu, d2, k2, _, _ = self.pieces(x, t)
+        d = np.subtract.outer(self.j, mu)
+        k3 = np.einsum("jt,jt->t", p, d2 * d)
+        k4 = np.einsum("jt,jt->t", p, d2 * d2) - 3.0 * k2 * k2
+        return t, p, d, d2, k2, k3, k4
 
     def sigma_core_err(self, x):
         """sup of |sigma - 2| over the core half-window, from the exact
         cumulants of Phi_x.  The tail nodes are excluded: there the density
         is ~e^{-T} and evaluating sigma of a near-reference iterate divides
         rounding noise by it."""
-        core, p, d, k2, k3, k4 = self._core_cumulants(x)
+        k2, k3, k4 = self._core_cumulants(x)[4:]
         sigma = -self.m * (k4 * k2 - k3 * k3) / k2 ** 3
         return float(np.max(np.abs(sigma - 2.0)))
 
@@ -245,10 +277,14 @@ class _DSpace:
           the unit roundoff: the knot values Phi - log(1 + e^t) of phi carry
           an absolute error up to u (|Phi| + log(1 + e^t)), about 2 u times
           the largest log(1 + e^t).  Sigma of a round metric is pure rounding
-          noise that grows like m^2; its allowance is the first-order bound
-          sum_l |d sigma / d p_l| p_l eps_l, where eps_l = u (|l t| + |x_l|
-          + |S| + 1) bounds the relative error of the softmax
-          p_l = exp(l t - x_l - S).
+          noise that grows with m; its allowance is the first-order bound
+          sum_l |d sigma / d p_l| p_l eps_l, with eps_l a bound on the
+          relative error of the softmax p_l = e^{z_l - a} / s (see softmax).
+          Forming z_l = l t - x_l rounds by u (|l t| + |z_l|) and z_l - a by
+          u |z_l - a|; the exponential and the division add u each, and the
+          sum s of m + 1 positive terms is off by at most m u relative.  The
+          rounding of the shift a is common to every l and cancels in p, so
+          eps_l = u (|l t| + |z_l| + |z_l - a| + m + 2).
 
         d_m reads phi after its mean is removed, which can double a sup, so
         the d floor gets twice its allowances.
@@ -265,7 +301,7 @@ class _DSpace:
             dphi = dx = 0.0
         else:
             parts = self.pieces(x)
-            G, E = self.gram(parts)
+            G, E = self.gram(x, parts)
             lam, V = np.linalg.eig(self.jacobian(G, E, parts))
             slow = np.argsort(-lam.real)[2]
             dphi = residual / ((m + 1) * (1.0 - lam[slow].real))
@@ -273,19 +309,18 @@ class _DSpace:
             # x displacement that moves Phi by dphi along the slow mode
             dx = dphi * m * np.max(np.abs(v)) / np.max(np.abs(v @ parts[0]))
 
-        core, p, d, k2, k3, k4 = self._core_cumulants(x)
+        t, p, d, d2, k2, k3, k4 = self._core_cumulants(x)
         # d sigma / d p_l, the p_l varied independently at sum_l p_l = 1
         jj = j[:, None]
-        dk2 = d * d
-        dk3 = d ** 3 - 3.0 * jj * k2
-        dk4 = d ** 4 - 4.0 * jj * k3 - 6.0 * k2 * dk2
+        dk3 = d2 * d - 3.0 * jj * k2
+        dk4 = d2 * d2 - 4.0 * jj * k3 - 6.0 * k2 * d2
         N = k4 * k2 - k3 * k3
-        g = -m * ((dk4 * k2 + k4 * dk2 - 2.0 * k3 * dk3) / k2 ** 3
-                  - 3.0 * N * dk2 / k2 ** 4)
-        jt = jj * self.t[None, core]
-        S = logsumexp(jt - x[:, None], axis=0)
+        g = -m * ((dk4 * k2 + k4 * d2 - 2.0 * k3 * dk3) / k2 ** 3
+                  - 3.0 * N * d2 / k2 ** 4)
+        jt = np.multiply.outer(j, t)
+        z = jt - x[:, None]
         eps = 0.5 * np.finfo(float).eps * (
-            np.abs(jt) + np.abs(x)[:, None] + np.abs(S) + 1.0)
+            np.abs(jt) + np.abs(z) + (z.max(axis=0) - z) + m + 2.0)
         rounding = np.sum(np.abs(g) * p * eps, axis=0)
         # sum_l |d sigma / d x_l|, with d sigma / d x_l = -p_l (g_l - <g>)
         slope = np.sum(p * np.abs(g - np.sum(p * g, axis=0)), axis=0)
@@ -455,8 +490,8 @@ def t_balance(m, P0, opts=None, freeze_weight=None):
     def moment(y):
         x = inner(y)
         parts = ds.pieces(x)
-        p, mu, d, k2, Phi, dens = parts
-        G, E = ds.gram(parts)
+        mu, dens = parts[1], parts[5]
+        G, E = ds.gram(x, parts)
         K = _kernel(m, E, G * np.exp(ds.j * y), out=E)
         C = ds._weighted_mean(x, y, G, parts)
         f1 = mu / m

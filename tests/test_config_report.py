@@ -169,6 +169,8 @@ def test_plain_conversion():
                   "d": np.bool_(True), "e": [np.int32(7)]})
     assert out == {"a": 1.5, "b": [0, 1, 2], "c": {"re": 1.0, "im": 2.0},
                    "d": True, "e": [7]}
+    assert type(out["a"]) is float and type(out["e"][0]) is int
+    assert type(out["d"]) is bool
     assert json.dumps(out)
 
 
@@ -183,19 +185,19 @@ def test_build_and_validate():
 def test_schema_rejections():
     schema = load_schema()
     rep = build_report({"command": "balance"})
-    bad = dict(rep, verdicts={"ok": "yes"})
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(bad, schema)
-    bad = dict(rep, error={"type": "X"})   # message missing
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(bad, schema)
-    bad = dict(rep)
-    del bad["conventions"]
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(bad, schema)
-    bad = dict(rep, tables=[{"name": "bad name!", "columns": {}}])
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(bad, schema)
+    missing = dict(rep)
+    del missing["conventions"]
+    for bad in (dict(rep, verdicts={"ok": "yes"}),
+                dict(rep, error={"type": "X"}),   # message missing
+                missing,
+                dict(rep, tables=[{"name": "bad name!", "columns": {}}])):
+        with pytest.raises(jsonschema.ValidationError) as direct:
+            jsonschema.validate(bad, schema)
+        # the cached validator reports the same error
+        with pytest.raises(jsonschema.ValidationError) as cached:
+            validate_report(bad)
+        assert cached.value.message == direct.value.message
+        assert list(cached.value.path) == list(direct.value.path)
 
 
 def test_write_and_load_round_trip(tmp_path):

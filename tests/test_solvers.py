@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from bergbal.model import (
-    default_window, make_fs_potential, make_perturbed_potential,
+    _volume_integral, default_window, make_fs_potential,
+    make_perturbed_potential,
 )
 from bergbal.solvers import (
     BalanceResult, BracketError, SingularJacobianError, SolverOptions,
-    _family_verdicts, _find_weight_bracket, balanced_family, newton_balance,
-    t_balance, tk_iterate, uniqueness_probe,
+    _DSpace, _family_verdicts, _find_weight_bracket, _seed, balanced_family,
+    newton_balance, t_balance, tk_iterate, uniqueness_probe,
 )
-from bergbal.bergman import WindowError
+from bergbal.bergman import WindowError, _gram, _rows
 
 BUMP = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.0}
 OFF = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.5}
@@ -235,3 +237,51 @@ def test_newton_far_seed():
     res = newton_balance(8, far)
     assert res.converged
     assert res.iterations <= 10
+
+
+def _seeded(desc, m):
+    """_DSpace at level m on desc's default window, and its seed diagonal."""
+    P = make_perturbed_potential(desc, window=default_window(m), grid_size=512)
+    return _DSpace(m, P.quad), _seed(m, P)
+
+
+@pytest.mark.parametrize("m", [8, 40, 200])
+def test_moment_center_closed_form(m):
+    # T - Phi_x(T) + Phi_x(-T) against the quadrature of t dmu with the
+    # tail masses at the window edges; x + 0.7 j translates Phi_x by 0.7
+    ds, x = _seeded(OFF, m)
+    x = x + 0.7 * ds.j
+    p, mu, d2, k2, Phi, dens = ds.pieces(x)
+    quadrature = _volume_integral(ds.quad, ds.t, dens,
+                                  (mu[0] / m, 1.0 - mu[-1] / m))
+    center = ds.moment_center(x)
+    assert abs(center - 0.7) < 0.01
+    assert abs(center - quadrature) <= 1e-11
+
+
+@pytest.mark.parametrize("m", [8, 40, 200])
+def test_moment_center_round_diagonal(m):
+    fs = make_fs_potential(window=default_window(m), grid_size=512)
+    ds = _DSpace(m, fs.quad)
+    x = gammaln(ds.j + 1) + gammaln(m - ds.j + 1) - gammaln(m + 1)
+    assert abs(ds.moment_center(x)) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [8, 40, 200])
+def test_gram_rows_from_softmax(m):
+    # rows p_j e^{x_j} give the Gram diagonal of the rows e^{jt - m Phi_x}
+    ds, x = _seeded(BUMP, m)
+    parts = ds.pieces(x)
+    G, E = ds.gram(x, parts)
+    Phi = parts[4]
+    ref = _gram(m, ds.quad, _rows(m, ds.t, Phi), parts[5],
+                ds._tail_factors(Phi), ds.tails)
+    assert np.max(np.abs(G / ref - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("m, steps", [(8, 4), (40, 5), (120, 5), (200, 5)])
+def test_newton_step_counts(m, steps):
+    P = make_perturbed_potential(BUMP, window=default_window(m), grid_size=512)
+    res = newton_balance(m, P)
+    assert res.converged
+    assert res.iterations == steps
