@@ -301,24 +301,22 @@ def _resample_tabulated(desc, knots, window):
     return make_interp_spline(t, v, k=5)(knots)
 
 
-def _from_knot_values(vals, window, grid_size, order=8, kind="perturbed",
-                      decay_tol=1e-8):
+def _from_knot_values(vals, window, grid_size, order=8):
     """Internal constructor for solver outputs.
 
     Positivity and shape validation still apply; the decay tolerance is
     relaxed because these potentials settle like e^{-|t|} by construction,
     with a genuinely nonzero (if tiny) tail at any finite window.
     """
-    return RadialPotential(kind, window, grid_size, vals, order=order,
-                           decay_tol=decay_tol)
+    return RadialPotential("perturbed", window, grid_size, vals, order=order,
+                           decay_tol=1e-8)
 
 
 def translate_potential(P, s):
     """Pull back the potential along t -> t - s (the torus flow by s)."""
     knots = P.quad.knots
     vals = P.Phi(knots - s) - fs_derivative(knots, 0)
-    return _from_knot_values(vals, P.window, P.grid_size, order=P.quad.order,
-                             kind="perturbed")
+    return _from_knot_values(vals, P.window, P.grid_size, order=P.quad.order)
 
 
 def grid_function(P, values, name="", **der):

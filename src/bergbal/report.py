@@ -51,15 +51,13 @@ def load_schema():
         return json.load(fh)
 
 
-def build_report(config_echo, versions_extra=None):
+def build_report(config_echo):
     """Skeleton report; callers fill outputs/tables/verdicts/timing."""
     versions = {"bergbal": __version__,
                 "python": sys.version.split()[0],
                 "numpy": np.__version__}
     import scipy
     versions["scipy"] = scipy.__version__
-    if versions_extra:
-        versions.update(versions_extra)
     return {
         "report_version": 1,
         "config": _plain(config_echo),

@@ -49,10 +49,10 @@ class BracketError(RuntimeError):
 
 
 class SolverOptions:
-    """tolerance on sup|B - C|; recentering in {none, even-symmetrize,
-    moment-center}; damping in (0, 1]."""
+    """tolerance on sup|B - C|; max_iterations, the most steps a solve
+    takes; recentering in {none, moment-center}; damping in (0, 1]."""
 
-    RECENTERINGS = ("none", "even-symmetrize", "moment-center")
+    RECENTERINGS = ("none", "moment-center")
 
     def __init__(self, tolerance=1e-8, max_iterations=500,
                  recentering="moment-center", damping=1.0):
@@ -170,14 +170,15 @@ class _DSpace:
         return G, E
 
     def residual(self, x, y):
-        """sup |B_{m,y} - C| at x, with C the exact constant at y = 0 and the
-        self-consistent weighted mean otherwise.  Also returns the Gram
-        diagonal, its rows and the softmax pieces of x."""
+        """The evaluation of x: sup |B_{m,y} - C| and the deviation B_{m,y} - C
+        at the nodes, with C the exact constant at y = 0 and the
+        self-consistent weighted mean otherwise; then the Gram diagonal, its
+        rows and the softmax pieces of x."""
         parts = self.pieces(x)
         G, E = self.gram(x, parts)
-        K = _kernel(self.m, E, G * np.exp(self.j * y))
-        C = c_of_m(self.m) if y == 0.0 else self._weighted_mean(x, y, G, parts)
-        return float(np.max(np.abs(K - C))), G, E, parts
+        dev = _kernel(self.m, E, G * np.exp(self.j * y))
+        dev -= c_of_m(self.m) if y == 0.0 else self._weighted_mean(x, y, G, parts)
+        return float(np.max(np.abs(dev))), dev, G, E, parts
 
     def _integral(self, vals, mu, dens):
         """Volume integral against Phi_x; the tail masses are Phi_x'(-T) =
@@ -203,13 +204,6 @@ class _DSpace:
         T = self.quad.window
         jT = self.j * T
         return (self.m * T - logsumexp(jT - x) + logsumexp(-jT - x)) / self.m
-
-    def recenter(self, x, mode):
-        if mode == "even-symmetrize":
-            return 0.5 * (x + x[::-1])
-        if mode == "moment-center":
-            return x - self.j * self.moment_center(x)
-        return x
 
     def jacobian(self, G, E, parts):
         """A_il = dG_i[psi_l]/G_i for the potential directions psi_l = dPhi/dx_l
@@ -300,8 +294,7 @@ class _DSpace:
             # both entries of x are gauge directions: every diagonal is round
             dphi = dx = 0.0
         else:
-            parts = self.pieces(x)
-            G, E = self.gram(x, parts)
+            _, _, G, E, parts = self.residual(x, 0.0)
             lam, V = np.linalg.eig(self.jacobian(G, E, parts))
             slow = np.argsort(-lam.real)[2]
             dphi = residual / ((m + 1) * (1.0 - lam[slow].real))
@@ -334,15 +327,40 @@ def _seed(m, P):
     return np.log((m + 1) * section_norms(m, P).entries)
 
 
-def _result(ds, x, y, hist, converged, k, t0, mode, **diagnostics):
-    """BalanceResult of a solve ending at x; the diagnostics gain the moment
-    center and the core curvature error of x."""
+def _iterate(ds, x, y, opts, step):
+    """The balancing loop of tk_iterate and _gauss_newton.
+
+    Evaluates x by ds.residual(x, y) and records its sup.  Returns at the
+    tolerance, after opts.max_iterations steps, or when step(x, hist,
+    evaluation) declines by returning None; otherwise moves to the step,
+    moment-centered unless recentering is "none".  So the returned iterate
+    is always the last evaluated one: returns (x, residual history, steps
+    taken, ds.residual's evaluation of x).
+    """
+    hist = []
+    for k in range(opts.max_iterations + 1):
+        ev = ds.residual(x, y)
+        hist.append(ev[0])
+        if ev[0] <= opts.tolerance or k == opts.max_iterations:
+            break
+        xn = step(x, hist, ev)
+        if xn is None:
+            break
+        x = (xn if opts.recentering == "none"
+             else xn - ds.j * ds.moment_center(xn))
+    return x, hist, k, ev
+
+
+def _result(ds, solve, y, opts, t0, mode, **diagnostics):
+    """BalanceResult of a solve returned by _iterate; the diagnostics gain
+    the moment center and the core curvature error of its iterate."""
+    x, hist, k, _ = solve
     P = ds.potential(x)
     wall_time = time.perf_counter() - t0
     diagnostics.update(moment_center=ds.moment_center(x),
                        sigma_core_err=ds.sigma_core_err(x))
-    return BalanceResult(ds.m, P, y, hist, converged, k, wall_time, mode,
-                         diagnostics)
+    return BalanceResult(ds.m, P, y, hist, hist[-1] <= opts.tolerance, k,
+                         wall_time, mode, diagnostics)
 
 
 def tk_iterate(m, P0, opts=None):
@@ -350,32 +368,27 @@ def tk_iterate(m, P0, opts=None):
 
     Starting from the Gram diagonal of P0, iterate x -> log((m+1) G(Phi_x))
     with the selected damping and recentering.  The residual history records
-    sup|B_m - C_m| per step.  Damping is halved automatically whenever the
-    residual increases.  Non-convergence within max_iterations returns
-    converged = False with the full history.
+    sup|B_m - C_m| of every iterate, the seed's included.  Damping is halved,
+    down to 1/16, whenever the residual exceeds twice its running minimum.
+    Non-convergence within max_iterations steps returns converged = False
+    with the full history; the returned potential is always the last
+    evaluated iterate.
     """
     opts = opts or SolverOptions()
     t0 = time.perf_counter()
     ds = _DSpace(m, P0.quad)
-    x = _seed(m, P0)
     damping = opts.damping
-    hist = []
-    converged = False
-    k = 0
-    for k in range(opts.max_iterations):
-        r, G, E, parts = ds.residual(x, 0.0)
-        hist.append(r)
-        if r <= opts.tolerance:
-            converged = True
-            break
+
+    def step(x, hist, ev):
+        nonlocal damping
         # transients legitimately plateau ~20% above the running minimum;
         # only a clear blow-up signals that the map needs damping
-        if r > 2.0 * min(hist):
+        if hist[-1] > 2.0 * min(hist):
             damping = max(0.5 * damping, _DAMPING_FLOOR)
-        xn = np.log((m + 1) * G)
-        x = x + damping * (xn - x)
-        x = ds.recenter(x, opts.recentering)
-    return _result(ds, x, None, hist, converged, k, t0, "fixed-point",
+        return x + damping * (np.log((m + 1) * ev[2]) - x)
+
+    solve = _iterate(ds, _seed(m, P0), 0.0, opts, step)
+    return _result(ds, solve, None, opts, t0, "fixed-point",
                    damping_final=damping)
 
 
@@ -385,26 +398,17 @@ def _gauss_newton(ds, x0, y, opts):
     The scale and torus null directions are deflated by the augmented rows
     1^T dx = 0 and j^T dx = 0 (the moment-centering constraint); with
     recentering="none" the singular torus direction is reported instead.
-    At y = 0 the roots are exactly the balanced diagonals.
+    At y = 0 the roots are exactly the balanced diagonals.  The solve stops
+    early once three steps in a row fail to halve the residual.  Returns
+    _iterate's (x, history, steps, evaluation of x).
     """
     m = ds.m
-    x = x0.copy()
-    hist = []
-    converged = False
-    k = 0
-    stalls = 0
-    for k in range(opts.max_iterations):
-        r, G, E, parts = ds.residual(x, y)
-        hist.append(r)
-        if r <= opts.tolerance:
-            converged = True
-            break
-        if len(hist) >= 2 and hist[-1] > 0.5 * hist[-2]:
-            stalls += 1
-            if stalls >= 3:
-                break
-        else:
-            stalls = 0
+
+    def step(x, hist, ev):
+        if len(hist) >= 4 and all(
+                b > 0.5 * a for a, b in zip(hist[-4:-1], hist[-3:])):
+            return None
+        _, _, G, E, parts = ev
         R = np.log((m + 1) * G) + ds.j * y - x
         J = ds.jacobian(G, E, parts) - np.eye(m + 1)
         if opts.recentering == "none":
@@ -417,9 +421,9 @@ def _gauss_newton(ds, x0, y, opts):
         Jaug = np.vstack([J, np.ones(m + 1), ds.j])
         rhs = np.concatenate([-R, [0.0, 0.0]])
         dx, *_ = np.linalg.lstsq(Jaug, rhs, rcond=None)
-        x = x + opts.damping * dx
-        x = ds.recenter(x, opts.recentering)
-    return x, hist, converged, k
+        return x + opts.damping * dx
+
+    return _iterate(ds, x0, y, opts, step)
 
 
 def _newton_orders(hist, floor=1e-13):
@@ -446,10 +450,11 @@ def newton_balance(m, P0, opts=None):
     opts = opts or SolverOptions()
     t0 = time.perf_counter()
     ds = _DSpace(m, P0.quad)
-    x, hist, converged, k = _gauss_newton(ds, _seed(m, P0), 0.0, opts)
-    monotone = bool(np.all(np.diff(hist) < 0)) if len(hist) > 1 else True
-    return _result(ds, x, None, hist, converged, k, t0, "newton-exact",
-                   orders=_newton_orders(hist), monotone_history=monotone)
+    solve = _gauss_newton(ds, _seed(m, P0), 0.0, opts)
+    hist = solve[1]
+    return _result(ds, solve, None, opts, t0, "newton-exact",
+                   orders=_newton_orders(hist),
+                   monotone_history=bool(np.all(np.diff(hist) < 0)))
 
 
 def _find_weight_bracket(moment, scan):
@@ -466,9 +471,11 @@ def t_balance(m, P0, opts=None, freeze_weight=None):
 
     Inner: Gauss-Newton at fixed weight y.  Outer: one-dimensional root find
     on the moment pairing M(y) = int (K_y - C_y) f_moment dmu of the inner
-    solution; y = 0 is accepted immediately when |M(0)| <= 1e-12.  Passing
-    freeze_weight pins y (freeze_weight = 0 reproduces newton_balance
-    exactly, same code path).
+    solution; y = 0 is accepted immediately when |M(0)| <= 1e-12.  M(y)
+    reads the deviation K_y - C_y of the inner solve's last evaluation, so
+    at y = 0 C is the exact C_m, as in the residual.  Passing freeze_weight
+    pins y (freeze_weight = 0 reproduces newton_balance exactly, same code
+    path).
 
     In this model the outer root is y = 0 for every seed: the moment-centered
     inner solution is the round metric, and M(y) changes sign only there
@@ -480,39 +487,26 @@ def t_balance(m, P0, opts=None, freeze_weight=None):
     t0 = time.perf_counter()
     ds = _DSpace(m, P0.quad)
     x0 = _seed(m, P0)
-    state = {}
-
-    def inner(y):
-        x, hist, converged, k = _gauss_newton(ds, x0, y, opts)
-        state[y] = (x, hist, converged, k)
-        return x
+    solve = None
 
     def moment(y):
-        x = inner(y)
-        parts = ds.pieces(x)
+        nonlocal solve
+        solve = _gauss_newton(ds, x0, y, opts)
+        _, dev, _, _, parts = solve[3]
         mu, dens = parts[1], parts[5]
-        G, E = ds.gram(x, parts)
-        K = _kernel(m, E, G * np.exp(ds.j * y), out=E)
-        C = ds._weighted_mean(x, y, G, parts)
         f1 = mu / m
         f = f1 - ds._integral(f1, mu, dens)
-        return ds._integral((K - C) * f, mu, dens)
+        return ds._integral(dev * f, mu, dens)
 
-    if freeze_weight is not None:
-        y = float(freeze_weight)
-        inner(y)
-    else:
-        M0 = moment(0.0)
-        if abs(M0) <= 1e-12:
-            y = 0.0
-        else:
-            scan = [-0.3, -0.1, -0.03, -0.01, -1e-3, 1e-3, 0.01, 0.03, 0.1, 0.3]
-            a, b = _find_weight_bracket(moment, scan)
-            y = brentq(moment, a, b, xtol=1e-12)
-            inner(y)
-    x, hist, converged, k = state[y]
-    return _result(ds, x, y, hist, converged, k, t0, "t-balance",
-                   orders=_newton_orders(hist))
+    y = 0.0 if freeze_weight is None else float(freeze_weight)
+    M = moment(y)
+    if freeze_weight is None and abs(M) > 1e-12:
+        scan = [-0.3, -0.1, -0.03, -0.01, -1e-3, 1e-3, 0.01, 0.03, 0.1, 0.3]
+        a, b = _find_weight_bracket(moment, scan)
+        y = brentq(moment, a, b, xtol=1e-12)
+        moment(y)
+    return _result(ds, solve, y, opts, t0, "t-balance",
+                   orders=_newton_orders(solve[1]))
 
 
 def _family_verdicts(d, s, d_floor, s_floor, all_converged):
@@ -559,10 +553,7 @@ def balanced_family(m_range, P_seed, opts=None):
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
     results = []
-    d_sup = []
-    sigma_sup = []
-    d_floor = []
-    sigma_floor = []
+    rows = []   # d_m, sup|sigma_m - 2| and their floors, per solved level
     failure_index = None
     P = P_seed
     for i, m in enumerate(levels):
@@ -572,16 +563,10 @@ def balanced_family(m_range, P_seed, opts=None):
             failure_index = i
             break
         P = res.potential
-        d_sup.append(float(np.max(np.abs(P.phi(P.quad.nodes)))))
-        sigma_sup.append(res.diagnostics["sigma_core_err"])
-        ds = _DSpace(m, P.quad)
-        floor = ds.round_floors(res.final_residual)
-        d_floor.append(floor[0])
-        sigma_floor.append(floor[1])
-    d = np.asarray(d_sup)
-    s = np.asarray(sigma_sup)
-    d_floor = np.asarray(d_floor)
-    sigma_floor = np.asarray(sigma_floor)
+        floors = _DSpace(m, P.quad).round_floors(res.final_residual)
+        rows.append((float(np.max(np.abs(P.phi(P.quad.nodes)))),
+                     res.diagnostics["sigma_core_err"]) + floors)
+    d, s, d_floor, sigma_floor = np.array(rows).reshape(-1, 4).T
     verdicts = _family_verdicts(d, s, d_floor, sigma_floor,
                                 failure_index is None)
     return FamilyReport(levels[:len(results)], results, d, s, d_floor,
@@ -594,25 +579,17 @@ def uniqueness_probe(m, seeds, opts=None):
     opts = opts or SolverOptions()
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
-    results = []
-    excluded = []
-    for i, seed in enumerate(seeds):
-        res = newton_balance(m, seed, opts)
-        results.append(res)
-        if not res.converged:
-            excluded.append(i)
-    kept = [i for i in range(len(results)) if i not in excluded]
+    results = [newton_balance(m, seed, opts) for seed in seeds]
+    kept = [i for i, res in enumerate(results) if res.converged]
+    excluded = [i for i, res in enumerate(results) if not res.converged]
     T = min(results[i].potential.window for i in kept) if kept else 0.0
     grid = np.linspace(-T, T, 4097)
+    phi = {i: results[i].potential.phi(grid) for i in kept}
     dist = np.zeros((len(results), len(results)))
-    for a in range(len(kept)):
-        for b in range(a + 1, len(kept)):
-            ia, ib = kept[a], kept[b]
-            da = results[ia].potential.phi(grid)
-            db = results[ib].potential.phi(grid)
-            dist[ia, ib] = dist[ib, ia] = float(np.max(np.abs(da - db)))
-    off = [dist[a, b] for a in kept for b in kept if a < b]
-    max_distance = float(max(off)) if off else 0.0
+    for a in kept:
+        for b in kept:
+            dist[a, b] = np.max(np.abs(phi[a] - phi[b]))
+    max_distance = float(dist.max())
     return UniquenessReport(results, dist, max_distance,
                             passed=bool(max_distance <= 1e-6 and kept),
                             excluded=excluded)

@@ -105,6 +105,23 @@ def test_profile_guard():
 def test_imaginary_bound(sample, partitions):
     with pytest.raises(ValueError, match="exceeds the bound"):
         entire_extension(sample, partitions[0], 60.0j)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        entire_extension(sample, partitions[0], np.array([1.0, -60.0j]))
+
+
+def test_extension_of_an_array(sample, partitions):
+    # one call over many frequencies agrees with the quadrature sum at each
+    xi = np.array([[-3.0, 0.5], [0.3 + 0.2j, 7.0 - 1.5j]])
+    for pair in partitions:
+        e = entire_extension(sample, pair, xi)
+        assert e.shape == xi.shape
+        for z, v in zip(xi.ravel(), e.ravel()):
+            ref = sum(np.sum(w * sample(th) * np.exp(-1j * z * th))
+                      for th, w in pair.quadrature())
+            assert abs(v - ref) <= 1e-14 * max(1.0, abs(ref))
+            scalar = entire_extension(sample, pair, z)
+            assert type(scalar) is complex
+            assert abs(scalar - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
 def test_report_guards(sample, partitions):

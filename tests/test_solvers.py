@@ -11,7 +11,7 @@ from bergbal.solvers import (
     _DSpace, _family_verdicts, _find_weight_bracket, _seed, balanced_family,
     newton_balance, t_balance, tk_iterate, uniqueness_probe,
 )
-from bergbal.bergman import WindowError, _gram, _rows
+from bergbal.bergman import WindowError, _gram, _rows, bergman_kernel
 
 BUMP = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.0}
 OFF = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.5}
@@ -45,6 +45,8 @@ def test_options_validation():
         SolverOptions(max_iterations=0)
     with pytest.raises(ValueError):
         SolverOptions(recentering="center-of-mass")
+    with pytest.raises(ValueError, match="moment-center"):
+        SolverOptions(recentering="even-symmetrize")
     with pytest.raises(ValueError):
         SolverOptions(damping=0.0)
     with pytest.raises(ValueError):
@@ -69,7 +71,7 @@ def test_tk_accepts_balanced_seed(fs):
 
 
 def test_tk_bump(bump):
-    res = tk_iterate(8, bump, SolverOptions(recentering="even-symmetrize"))
+    res = tk_iterate(8, bump)
     assert res.converged
     assert res.iterations <= 500
     assert res.final_residual <= 1e-8
@@ -127,6 +129,36 @@ def test_t_balance_frozen_weight_is_newton(bump, newton8):
     assert np.array_equal(res.potential.phi(GRID), newton8.potential.phi(GRID))
     assert res.torus_weight == 0.0
     assert res.mode == "t-balance"
+
+
+def test_t_balance_reuses_inner_evaluation(off, monkeypatch):
+    # the moment pairing reads the deviation of the inner solve's last
+    # evaluation, so t_balance makes no exponential pass beyond Newton's
+    calls = []
+    softmax = _DSpace.softmax
+
+    def counted(self, x, t):
+        calls.append(x)
+        return softmax(self, x, t)
+
+    monkeypatch.setattr(_DSpace, "softmax", counted)
+    newton_balance(8, off)
+    direct = len(calls)
+    calls.clear()
+    t_balance(8, off)
+    assert len(calls) == direct == 6
+
+
+@pytest.mark.parametrize("solve", [tk_iterate, newton_balance])
+@pytest.mark.parametrize("cap", [1, 3])
+def test_cap_returns_evaluated_iterate(bump, solve, cap):
+    # at the cap the last step is evaluated too: every step counts, and the
+    # final residual is the returned potential's own
+    res = solve(8, bump, SolverOptions(max_iterations=cap, tolerance=1e-14))
+    assert not res.converged
+    assert res.iterations == cap == len(res.residual_history) - 1
+    kernel = bergman_kernel(8, res.potential)
+    assert abs(kernel.sup_deviation - res.final_residual) <= 1e-8
 
 
 def test_t_balance_off_center(off):
@@ -222,6 +254,13 @@ def test_uniqueness(bump, off):
     assert rep.excluded == []
     assert rep.max_distance <= 1e-6
     assert np.allclose(rep.distances, rep.distances.T)
+
+
+def test_uniqueness_without_converged_seeds(bump, off):
+    rep = uniqueness_probe(8, [bump, off], SolverOptions(max_iterations=1))
+    assert rep.excluded == [0, 1]
+    assert rep.max_distance == 0.0 and not rep.passed
+    assert not np.any(rep.distances)
 
 
 def test_uniqueness_guard():
