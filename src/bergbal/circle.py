@@ -192,9 +192,9 @@ def integer_consistency_report(S, partitions, m_range):
     return ConsistencyReport(m_values, disc, shift, spread, at_half)
 
 
-def _mean_value_gap(S, pair, xi0, radius=0.5, n_points=24):
-    """|F(xi0) - mean of F on the circle of given radius|, a numerical
+def _mean_value_gap(S, pair, xi0):
+    """|F(xi0) - mean of F on the circle of radius 0.5 about it|, a numerical
     holomorphy check (exact mean-value property for entire functions)."""
-    angles = 2.0 * np.pi * np.arange(n_points) / n_points
-    ring = entire_extension(S, pair, xi0 + radius * np.exp(1j * angles))
+    angles = 2.0 * np.pi * np.arange(24) / 24
+    ring = entire_extension(S, pair, xi0 + 0.5 * np.exp(1j * angles))
     return abs(np.mean(ring) - entire_extension(S, pair, xi0))

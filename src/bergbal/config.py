@@ -4,20 +4,31 @@ Validation is whole-document: every problem found is collected and reported
 together, with dotted field paths, rather than stopping at the first.  In
 strict mode unknown keys are errors; otherwise they are returned as warnings.
 """
+import dataclasses
+
 import yaml
 
 from .bergman import MAX_LEVEL
+from .model import QUAD_ORDER
 from .solvers import SolverOptions
-
-COMMANDS = ("balance", "tbalance", "newton", "family", "expand", "beta",
-            "fourier", "probe")
 
 _POTENTIAL_COMMANDS = ("balance", "tbalance", "newton", "family", "expand",
                        "beta")
+COMMANDS = _POTENTIAL_COMMANDS + ("fourier", "probe")
 
-_TOP_KEYS = {"command", "potential", "levels", "solver", "quadrature",
-             "output", "weight", "freeze_weight", "seeds", "sample", "profiles",
-             "m_max"}
+# the `quadrature` keys and their defaults; the window's default grows with
+# the top level (model.default_window)
+QUADRATURE = {"window": None, "grid": 512, "order": QUAD_ORDER}
+
+# the `output` keys and the type each value must have
+_OUTPUT = {"directory": (str, "expected a path string"),
+           "tables": (bool, "expected true or false")}
+
+# commands that run an increasing sequence of levels, and its least length
+_SEQUENCES = {"family": 2, "expand": 3}
+
+# what a number field of each declared type is called in messages
+_NUMBER_NAMES = {float: "a number", int: "an integer"}
 
 
 class ConfigError(ValueError):
@@ -29,45 +40,58 @@ class ConfigError(ValueError):
                          "\n".join("  - " + e for e in self.errors))
 
 
+@dataclasses.dataclass
 class ExperimentConfig:
-    def __init__(self, command, potential=None, levels=None, solver=None,
-                 quadrature=None, output=None, weight=None, freeze_weight=None,
-                 seeds=None, sample=None, profiles=None, m_max=20,
-                 warnings=()):
-        self.command = command
-        self.potential = potential
-        self.levels = levels
-        self.solver = solver or SolverOptions()
-        self.quadrature = quadrature or {}
-        self.output = output or {}
-        self.weight = weight
-        self.freeze_weight = freeze_weight
-        self.seeds = seeds
-        self.sample = sample
-        self.profiles = profiles
-        self.m_max = m_max
-        self.warnings = list(warnings)
+    """A validated document.  Every field but `warnings` is a top-level key,
+    declared in the order the echo lists it."""
+
+    command: str
+    potential: dict = None
+    levels: list = None
+    solver: SolverOptions = SolverOptions()
+    quadrature: dict = dataclasses.field(default_factory=dict)
+    output: dict = dataclasses.field(default_factory=dict)
+    weight: float = None
+    freeze_weight: float = None
+    seeds: list = None
+    sample: dict = None
+    profiles: list = None
+    m_max: int = 20
+    warnings: list = dataclasses.field(default_factory=list)
 
     def echo(self):
-        """Plain dict for embedding in reports."""
-        out = {"command": self.command}
-        if self.potential is not None:
-            out["potential"] = self.potential
-        if self.levels is not None:
-            out["levels"] = self.levels
-        out["solver"] = {"tolerance": self.solver.tolerance,
-                         "max_iterations": self.solver.max_iterations,
-                         "recentering": self.solver.recentering,
-                         "damping": self.solver.damping}
-        if self.quadrature:
-            out["quadrature"] = self.quadrature
-        for key in ("weight", "freeze_weight", "seeds", "sample", "profiles"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        if self.command == "fourier":
-            out["m_max"] = self.m_max
-        return out
+        """Plain dict for embedding in reports: every set field but output
+        and warnings, all solver fields, and m_max only for fourier."""
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+               if f.name not in ("output", "warnings")}
+        out["solver"] = dataclasses.asdict(self.solver)
+        if self.command != "fourier":
+            del out["m_max"]
+        return {k: v for k, v in out.items() if v is not None and v != {}}
+
+
+_TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"warnings"}
+
+
+def _number(value, kind, path, errors):
+    """value as the number type kind (int or float), or None after an error
+    if it is not one; a boolean is no number."""
+    if isinstance(value, bool) or \
+            not isinstance(value, int if kind is int else (int, float)):
+        errors.append("%s: expected %s" % (path, _NUMBER_NAMES[kind]))
+        return None
+    return kind(value)
+
+
+def _check_mapping(doc, key, known, errors):
+    """doc[key] if it is a mapping, else None; unknown keys are errors."""
+    sub = doc[key]
+    if not isinstance(sub, dict):
+        errors.append("%s: expected a mapping" % key)
+        return None
+    for k in set(sub) - set(known):
+        errors.append("%s.%s: unknown option" % (key, k))
+    return sub
 
 
 def _check_potential(desc, path, errors):
@@ -79,7 +103,7 @@ def _check_potential(desc, path, errors):
         extra = set(desc) - {"type"}
         if extra:
             errors.append("%s: unexpected keys for fubini-study: %s"
-                          % (path, ", ".join(sorted(extra))))
+                          % (path, ", ".join(sorted(map(str, extra)))))
     elif kind == "gaussian-bump":
         for field in ("amplitude", "width"):
             if field not in desc:
@@ -94,7 +118,7 @@ def _check_potential(desc, path, errors):
         extra = set(desc) - {"type", "amplitude", "width", "center"}
         if extra:
             errors.append("%s: unexpected keys for gaussian-bump: %s"
-                          % (path, ", ".join(sorted(extra))))
+                          % (path, ", ".join(sorted(map(str, extra)))))
     elif kind == "tabulated":
         for field in ("t", "phi"):
             if field not in desc:
@@ -109,28 +133,33 @@ def _check_potential(desc, path, errors):
         errors.append("%s.type: unknown potential type %r" % (path, kind))
 
 
-def _check_levels(levels, path, errors, minimum=1):
+def _check_levels(levels, errors, minimum):
     if not isinstance(levels, list) or not levels:
-        errors.append("%s: expected a non-empty list of integers" % path)
+        errors.append("levels: expected a non-empty list of integers")
         return
     for i, m in enumerate(levels):
         if not isinstance(m, int) or isinstance(m, bool):
-            errors.append("%s[%d]: expected an integer" % (path, i))
+            errors.append("levels[%d]: expected an integer" % i)
         elif not 1 <= m <= MAX_LEVEL:
-            errors.append("%s[%d]: level %d outside [1, %d]"
-                          % (path, i, m, MAX_LEVEL))
+            errors.append("levels[%d]: level %d outside [1, %d]"
+                          % (i, m, MAX_LEVEL))
     if len(levels) < minimum:
-        errors.append("%s: need at least %d levels" % (path, minimum))
+        errors.append("levels: need at least %d levels" % minimum)
 
 
 def _check_solver(doc, errors):
-    known = {"tolerance", "max_iterations", "recentering", "damping"}
-    if not isinstance(doc, dict):
-        errors.append("solver: expected a mapping")
+    """SolverOptions from the `solver` mapping, each number field checked
+    against its declared type; None if they cannot be built."""
+    fields = {f.name: f.type for f in dataclasses.fields(SolverOptions)}
+    doc = _check_mapping(doc, "solver", fields, errors)
+    if doc is None:
         return None
-    for key in set(doc) - known:
-        errors.append("solver.%s: unknown option" % key)
-    kwargs = {k: doc[k] for k in known if k in doc}
+    n_errors = len(errors)
+    kwargs = {k: _number(doc[k], kind, "solver." + k, errors)
+              if kind in _NUMBER_NAMES else doc[k]
+              for k, kind in fields.items() if k in doc}
+    if len(errors) > n_errors:
+        return None
     try:
         return SolverOptions(**kwargs)
     except (ValueError, TypeError) as e:
@@ -156,10 +185,8 @@ def parse_config(document, strict=False):
 
     errors = []
     warnings = []
-    unknown = set(doc) - _TOP_KEYS
-    for key in sorted(unknown):
-        msg = "unknown key %r" % key
-        (errors if strict else warnings).append(msg)
+    for key in sorted(set(doc) - _TOP_KEYS, key=str):
+        (errors if strict else warnings).append("unknown key %r" % key)
 
     command = doc.get("command")
     if command not in COMMANDS:
@@ -175,17 +202,6 @@ def parse_config(document, strict=False):
         else:
             _check_potential(doc["potential"], "potential", errors)
             kwargs["potential"] = doc["potential"]
-        if "levels" not in doc:
-            errors.append("levels: required for command %r" % command)
-        else:
-            minimum = {"family": 2, "expand": 3}.get(command, 1)
-            _check_levels(doc["levels"], "levels", errors, minimum)
-            kwargs["levels"] = doc["levels"]
-        if command in ("family", "expand") and isinstance(doc.get("levels"), list):
-            ls = [m for m in doc["levels"] if isinstance(m, int)]
-            if ls and any(b <= a for a, b in zip(ls, ls[1:])):
-                errors.append("levels: must be strictly increasing for %r"
-                              % command)
 
     if command == "probe":
         if "seeds" not in doc:
@@ -197,11 +213,6 @@ def parse_config(document, strict=False):
             for i, s in enumerate(doc["seeds"]):
                 _check_potential(s, "seeds[%d]" % i, errors)
             kwargs["seeds"] = doc["seeds"]
-        if "levels" not in doc:
-            errors.append("levels: required for command 'probe'")
-        else:
-            _check_levels(doc["levels"], "levels", errors)
-            kwargs["levels"] = doc["levels"]
 
     if command == "fourier":
         sample = doc.get("sample")
@@ -222,53 +233,44 @@ def parse_config(document, strict=False):
                           "smoothing margins")
         else:
             kwargs["profiles"] = profiles
-        m_max = doc.get("m_max", 20)
+        m_max = doc.get("m_max", ExperimentConfig.m_max)
         if not isinstance(m_max, int) or m_max < 0:
             errors.append("m_max: expected a non-negative integer")
         else:
             kwargs["m_max"] = m_max
+    else:
+        if "levels" not in doc:
+            errors.append("levels: required for command %r" % command)
+        else:
+            _check_levels(doc["levels"], errors, _SEQUENCES.get(command, 1))
+            kwargs["levels"] = doc["levels"]
+        if command in _SEQUENCES and isinstance(doc.get("levels"), list):
+            ls = [m for m in doc["levels"] if isinstance(m, int)]
+            if ls and any(b <= a for a, b in zip(ls, ls[1:])):
+                errors.append("levels: must be strictly increasing for %r"
+                              % command)
 
+    # a section that fails its checks leaves an error, so no config is built
     if "solver" in doc:
-        solver = _check_solver(doc["solver"], errors)
-        if solver is not None:
-            kwargs["solver"] = solver
+        kwargs["solver"] = _check_solver(doc, errors)
 
     if "quadrature" in doc:
-        quad = doc["quadrature"]
-        if not isinstance(quad, dict):
-            errors.append("quadrature: expected a mapping")
-        else:
-            for key in set(quad) - {"window", "grid", "order"}:
-                errors.append("quadrature.%s: unknown option" % key)
-            for key in ("window", "grid", "order"):
-                if key in quad and not isinstance(quad[key], (int, float)):
-                    errors.append("quadrature.%s: expected a number" % key)
-            kwargs["quadrature"] = {k: quad[k] for k in ("window", "grid", "order")
-                                    if k in quad}
+        quad = _check_mapping(doc, "quadrature", QUADRATURE, errors) or {}
+        for key in QUADRATURE:
+            if key in quad:
+                _number(quad[key], float, "quadrature." + key, errors)
+        kwargs["quadrature"] = {k: quad[k] for k in QUADRATURE if k in quad}
 
     if "output" in doc:
-        out = doc["output"]
-        if not isinstance(out, dict):
-            errors.append("output: expected a mapping")
-        else:
-            for key in set(out) - {"directory", "tables"}:
-                errors.append("output.%s: unknown option" % key)
-            if "directory" in out and not isinstance(out["directory"], str):
-                errors.append("output.directory: expected a path string")
-            if "tables" in out and not isinstance(out["tables"], bool):
-                errors.append("output.tables: expected true or false")
-            kwargs["output"] = out
+        out = _check_mapping(doc, "output", _OUTPUT, errors) or {}
+        for key, (kind, message) in _OUTPUT.items():
+            if key in out and not isinstance(out[key], kind):
+                errors.append("output.%s: %s" % (key, message))
+        kwargs["output"] = out
 
-    if "weight" in doc:
-        if not isinstance(doc["weight"], (int, float)):
-            errors.append("weight: expected a number")
-        else:
-            kwargs["weight"] = float(doc["weight"])
-    if "freeze_weight" in doc:
-        if not isinstance(doc["freeze_weight"], (int, float)):
-            errors.append("freeze_weight: expected a number")
-        else:
-            kwargs["freeze_weight"] = float(doc["freeze_weight"])
+    for key in ("weight", "freeze_weight"):
+        if key in doc:
+            kwargs[key] = _number(doc[key], float, key, errors)
 
     if errors:
         raise ConfigError(errors)

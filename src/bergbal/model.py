@@ -21,6 +21,8 @@ from scipy.interpolate import make_interp_spline
 DECAY_TOL = 1e-10
 MIN_WINDOW = 10.0
 MIN_GRID = 64
+# Gauss-Legendre nodes per knot interval unless a caller sets the order
+QUAD_ORDER = 8
 # the spline's second derivative carries ~1e-11 of rounding noise, so a far
 # tail where the true density is ~e^{-T} can evaluate slightly below zero;
 # only dips beyond this budget signal a genuine positivity violation
@@ -79,7 +81,7 @@ class Quadrature:
     outside the window.
     """
 
-    def __init__(self, window, grid_size, order=8):
+    def __init__(self, window, grid_size, order):
         if order < 2:
             raise ValueError("quadrature order must be >= 2")
         self.window = float(window)
@@ -142,7 +144,7 @@ class RadialPotential:
     Immutable after construction; derived node arrays are cached.
     """
 
-    def __init__(self, kind, window, grid_size, phi_knot_values, order=8,
+    def __init__(self, kind, window, grid_size, phi_knot_values, order,
                  decay_tol=DECAY_TOL):
         self.kind = kind
         self.window = float(window)
@@ -230,7 +232,7 @@ class RadialPotential:
         return float(left), float(right)
 
 
-def make_fs_potential(window, grid_size, order=8):
+def make_fs_potential(window, grid_size, order=QUAD_ORDER):
     """The reference Fubini-Study potential (phi = 0).
 
     Rejects window < 10 or grid_size < 64 as unusable discretizations.
@@ -240,7 +242,7 @@ def make_fs_potential(window, grid_size, order=8):
                            np.zeros(grid_size), order=order)
 
 
-def make_perturbed_potential(desc, window, grid_size, order=8):
+def make_perturbed_potential(desc, window, grid_size, order=QUAD_ORDER):
     """Build a perturbed potential from a descriptor.
 
     desc is a mapping with desc["type"] in {"gaussian-bump", "tabulated"}:
@@ -301,7 +303,7 @@ def _resample_tabulated(desc, knots, window):
     return make_interp_spline(t, v, k=5)(knots)
 
 
-def _from_knot_values(vals, window, grid_size, order=8):
+def _from_knot_values(vals, window, grid_size, order=QUAD_ORDER):
     """Internal constructor for solver outputs.
 
     Positivity and shape validation still apply; the decay tolerance is

@@ -10,28 +10,30 @@ import numpy as np
 
 from .model import (default_window, make_fs_potential, make_perturbed_potential,
                     scalar_curvature)
-from .bergman import beta, beta_weighted, expansion_fit, TorusWeight
+from .bergman import beta_weighted, expansion_fit, TorusWeight
 from .solvers import tk_iterate, newton_balance, t_balance, balanced_family, \
     uniqueness_probe
 from .circle import CircleSample, make_partition, integer_consistency_report, \
     _mean_value_gap
 from .report import build_report
+from .config import QUADRATURE
 
 
-def _build_potential(desc, levels, quadrature):
-    window = quadrature.get("window")
-    if window is None:
-        window = default_window(max(levels))
-    grid = int(quadrature.get("grid", 512))
-    order = int(quadrature.get("order", 8))
+def _build_potential(desc, cfg):
+    q = dict(QUADRATURE, **cfg.quadrature)
+    window = float(default_window(max(cfg.levels)) if q["window"] is None
+                   else q["window"])
+    grid, order = int(q["grid"]), int(q["order"])
     if desc.get("type") == "fubini-study":
-        return make_fs_potential(float(window), grid, order)
-    return make_perturbed_potential(desc, float(window), grid, order)
+        return make_fs_potential(window, grid, order)
+    return make_perturbed_potential(desc, window, grid, order)
 
 
-def _quad_metadata(P):
-    return {"window": P.window, "grid_size": P.grid_size,
-            "order": P.quad.order, "n_nodes": P.quad.n_nodes}
+def _record_quadrature(report, P):
+    report["outputs"]["quadrature"] = {
+        "window": P.window, "grid_size": P.grid_size,
+        "order": P.quad.order, "n_nodes": P.quad.n_nodes}
+    return P
 
 
 def _history_table(name, history):
@@ -49,8 +51,7 @@ def _potential_table(name, P):
 
 
 def _solve_command(cfg, report):
-    P = _build_potential(cfg.potential, cfg.levels, cfg.quadrature)
-    report["outputs"]["quadrature"] = _quad_metadata(P)
+    P = _record_quadrature(report, _build_potential(cfg.potential, cfg))
     per_level = {}
     for m in cfg.levels:
         if cfg.command == "balance":
@@ -76,8 +77,7 @@ def _solve_command(cfg, report):
 
 
 def _family_command(cfg, report):
-    P = _build_potential(cfg.potential, cfg.levels, cfg.quadrature)
-    report["outputs"]["quadrature"] = _quad_metadata(P)
+    P = _record_quadrature(report, _build_potential(cfg.potential, cfg))
     fr = balanced_family(cfg.levels, P, cfg.solver)
     report["outputs"]["levels_solved"] = fr.levels
     report["outputs"]["d_sup"] = fr.d_sup
@@ -102,8 +102,7 @@ def _family_command(cfg, report):
 
 
 def _expand_command(cfg, report):
-    P = _build_potential(cfg.potential, cfg.levels, cfg.quadrature)
-    report["outputs"]["quadrature"] = _quad_metadata(P)
+    P = _record_quadrature(report, _build_potential(cfg.potential, cfg))
     fit = expansion_fit(P, cfg.levels)
     sig = scalar_curvature(P)
     report["outputs"]["a1"] = {"sup_error": fit.sup_a1_error}
@@ -123,14 +122,10 @@ def _expand_command(cfg, report):
 
 
 def _beta_command(cfg, report):
-    P = _build_potential(cfg.potential, cfg.levels, cfg.quadrature)
-    report["outputs"]["quadrature"] = _quad_metadata(P)
+    P = _record_quadrature(report, _build_potential(cfg.potential, cfg))
     sup = {}
     for m in cfg.levels:
-        if cfg.weight is not None and cfg.weight != 0.0:
-            b = beta_weighted(m, P, TorusWeight(cfg.weight))
-        else:
-            b = beta(m, P)
+        b = beta_weighted(m, P, TorusWeight(cfg.weight or 0.0))
         sup[str(m)] = float(np.max(np.abs(b.values)))
         report["tables"].append({
             "name": "beta_m%d" % m,
@@ -164,8 +159,8 @@ def _fourier_command(cfg, report):
 
 def _probe_command(cfg, report):
     m = max(cfg.levels)
-    seeds = [_build_potential(d, cfg.levels, cfg.quadrature) for d in cfg.seeds]
-    report["outputs"]["quadrature"] = _quad_metadata(seeds[0])
+    seeds = [_build_potential(d, cfg) for d in cfg.seeds]
+    _record_quadrature(report, seeds[0])
     rep = uniqueness_probe(m, seeds, cfg.solver)
     report["outputs"]["max_distance"] = rep.max_distance
     report["outputs"]["distances"] = rep.distances

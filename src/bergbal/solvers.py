@@ -21,6 +21,7 @@ is closed form in Phi_x at the window edges.  _DSpace hands the rows to the
 kernel engine of bergman.py for the Gram diagonal and the kernel, and
 integrates against the volume with model._volume_integral.
 """
+import dataclasses
 import time
 
 import numpy as np
@@ -48,26 +49,28 @@ class BracketError(RuntimeError):
                 ", ".join("%.3g" % v for v in self.values)))
 
 
+@dataclasses.dataclass(frozen=True)
 class SolverOptions:
     """tolerance on sup|B - C|; max_iterations, the most steps a solve
-    takes; recentering in {none, moment-center}; damping in (0, 1]."""
+    takes; recentering in {none, moment-center}; damping in (0, 1].
+    The fields are the config's `solver` keys; config.py derives them."""
 
     RECENTERINGS = ("none", "moment-center")
 
-    def __init__(self, tolerance=1e-8, max_iterations=500,
-                 recentering="moment-center", damping=1.0):
-        if not tolerance > 0:
+    tolerance: float = 1e-8
+    max_iterations: int = 500
+    recentering: str = "moment-center"
+    damping: float = 1.0
+
+    def __post_init__(self):
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if max_iterations < 1:
+        if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if recentering not in self.RECENTERINGS:
+        if self.recentering not in self.RECENTERINGS:
             raise ValueError("recentering must be one of %r" % (self.RECENTERINGS,))
-        if not 0.0 < damping <= 1.0:
+        if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must be in (0, 1]")
-        self.tolerance = float(tolerance)
-        self.max_iterations = int(max_iterations)
-        self.recentering = recentering
-        self.damping = float(damping)
 
 
 class BalanceResult:
@@ -363,7 +366,7 @@ def _result(ds, solve, y, opts, t0, mode, **diagnostics):
                          wall_time, mode, diagnostics)
 
 
-def tk_iterate(m, P0, opts=None):
+def tk_iterate(m, P0, opts=SolverOptions()):
     """Fixed-point iteration on the Gram diagonal (the classical self-map).
 
     Starting from the Gram diagonal of P0, iterate x -> log((m+1) G(Phi_x))
@@ -374,7 +377,6 @@ def tk_iterate(m, P0, opts=None):
     with the full history; the returned potential is always the last
     evaluated iterate.
     """
-    opts = opts or SolverOptions()
     t0 = time.perf_counter()
     ds = _DSpace(m, P0.quad)
     damping = opts.damping
@@ -441,13 +443,12 @@ def _newton_orders(hist, floor=1e-13):
     return orders
 
 
-def newton_balance(m, P0, opts=None):
+def newton_balance(m, P0, opts=SolverOptions()):
     """Newton's method for the balanced equation at level m.
 
     Assembles the exact Jacobian of the Gram self-map and shows quadratic
     convergence; the result's mode is "newton-exact".
     """
-    opts = opts or SolverOptions()
     t0 = time.perf_counter()
     ds = _DSpace(m, P0.quad)
     solve = _gauss_newton(ds, _seed(m, P0), 0.0, opts)
@@ -466,7 +467,7 @@ def _find_weight_bracket(moment, scan):
     raise BracketError(scan, vals)
 
 
-def t_balance(m, P0, opts=None, freeze_weight=None):
+def t_balance(m, P0, opts=SolverOptions(), freeze_weight=None):
     """Simultaneous solve for (phi, y) making the weighted kernel constant.
 
     Inner: Gauss-Newton at fixed weight y.  Outer: one-dimensional root find
@@ -483,7 +484,6 @@ def t_balance(m, P0, opts=None, freeze_weight=None):
     torus direction that moment-centering removes, so the inner solve stalls
     at a residual of about 4.5 |y| and returns converged=False.
     """
-    opts = opts or SolverOptions()
     t0 = time.perf_counter()
     ds = _DSpace(m, P0.quad)
     x0 = _seed(m, P0)
@@ -525,7 +525,7 @@ def _family_verdicts(d, s, d_floor, s_floor, all_converged):
     }
 
 
-def balanced_family(m_range, P_seed, opts=None):
+def balanced_family(m_range, P_seed, opts=SolverOptions()):
     """Continuation over increasing levels, warm-started from the previous
     solution; reports the distance curve d_m = sup|phi_m| to the constant
     scalar curvature reference (phi = 0) and the curve sup|sigma_m - 2|.
@@ -548,7 +548,6 @@ def balanced_family(m_range, P_seed, opts=None):
     * sigma_decreasing: each sup|sigma_m - 2| is at its floor or strictly
       below the previous level's.
     """
-    opts = opts or SolverOptions()
     levels = [int(m) for m in m_range]
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
@@ -573,10 +572,9 @@ def balanced_family(m_range, P_seed, opts=None):
                         sigma_floor, verdicts, failure_index)
 
 
-def uniqueness_probe(m, seeds, opts=None):
+def uniqueness_probe(m, seeds, opts=SolverOptions()):
     """Balanced solves from several seeds; pairwise sup-distances of the
     moment-centered solutions.  Passes when all distances are <= 1e-6."""
-    opts = opts or SolverOptions()
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
     results = [newton_balance(m, seed, opts) for seed in seeds]

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import jsonschema
 import numpy as np
 import pytest
 
+from bergbal import config
 from bergbal.config import COMMANDS, ConfigError, parse_config
+from bergbal.solvers import SolverOptions
 from bergbal.report import (
     ReportWriteError, _plain, build_report, load_report, load_schema,
     validate_report, write_report,
@@ -49,6 +52,55 @@ solver: {tolerance: 1.0e-10, damping: 0.5}
     assert "m_max" not in echo        # fourier-only field
 
 
+DEFAULT_SOLVER = {"tolerance": 1e-08, "max_iterations": 500,
+                  "recentering": "moment-center", "damping": 1.0}
+
+# every optional field set; seeds, sample, profiles and m_max belong to
+# other commands and are left out of a tbalance echo, as output always is
+FULL = {"command": "tbalance", "potential": BUMP, "levels": [8, 12],
+        "solver": {"tolerance": 1e-9, "max_iterations": 40,
+                   "recentering": "none", "damping": 1},
+        "quadrature": {"window": 24, "grid": 768, "order": 6},
+        "output": {"directory": "runs/full", "tables": False},
+        "weight": 2, "freeze_weight": 0, "seeds": [FS, BUMP],
+        "sample": {"cos": [1.0]}, "profiles": [0.1, 0.2], "m_max": 5}
+
+GOLDEN_ECHO = {
+    "balance": {"command": "balance", "potential": FS, "levels": [4],
+                "solver": DEFAULT_SOLVER},
+    "tbalance": {"command": "tbalance", "potential": BUMP, "levels": [8],
+                 "solver": DEFAULT_SOLVER},
+    "newton": {"command": "newton", "potential": BUMP, "levels": [8],
+               "solver": DEFAULT_SOLVER},
+    "family": {"command": "family", "potential": BUMP, "levels": [5, 10],
+               "solver": DEFAULT_SOLVER},
+    "expand": {"command": "expand", "potential": BUMP, "levels": [10, 20, 40],
+               "solver": DEFAULT_SOLVER},
+    "beta": {"command": "beta", "potential": BUMP, "levels": [10, 20],
+             "solver": DEFAULT_SOLVER},
+    "fourier": {"command": "fourier", "solver": DEFAULT_SOLVER,
+                "sample": {"cos": [1.0, 1.0], "sin": [0.0, 0.3]},
+                "profiles": [0.15, 0.3], "m_max": 10},
+    "probe": {"command": "probe", "levels": [8], "solver": DEFAULT_SOLVER,
+              "seeds": [BUMP, FS]},
+    "full": {"command": "tbalance", "potential": BUMP, "levels": [8, 12],
+             "solver": {"tolerance": 1e-09, "max_iterations": 40,
+                        "recentering": "none", "damping": 1.0},
+             "quadrature": {"window": 24, "grid": 768, "order": 6},
+             "weight": 2.0, "freeze_weight": 0.0},
+}
+
+
+def test_golden_echo():
+    # json text pins key order and int/float types, i.e. the report bytes
+    docs = dict(MINIMAL, full=FULL)
+    for name, expected in GOLDEN_ECHO.items():
+        assert json.dumps(parse_config(docs[name]).echo()) == \
+            json.dumps(expected), name
+    no_m_max = {k: v for k, v in MINIMAL["fourier"].items() if k != "m_max"}
+    assert parse_config(no_m_max).echo()["m_max"] == 20
+
+
 def test_malformed_yaml():
     with pytest.raises(ConfigError, match="not well-formed"):
         parse_config("command: [unclosed")
@@ -70,6 +122,9 @@ def test_unknown_key_warning_vs_strict():
     assert any("unknown key" in w for w in cfg.warnings)
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(doc, strict=True)
+    # YAML keys need not be strings; unknown ones sort by their text
+    cfg = parse_config({**MINIMAL["balance"], "foo": 1, 1: "a"})
+    assert cfg.warnings == ["unknown key 1", "unknown key 'foo'"]
 
 
 def test_errors_are_collected_with_paths():
@@ -92,6 +147,55 @@ def test_errors_are_collected_with_paths():
     assert len(exc.value.errors) >= 6
 
 
+def test_solver_fields_are_typed():
+    # YAML reads 1e-10 (no decimal point) as a string
+    doc = dict(MINIMAL["newton"], solver={"tolerance": "1e-10",
+                                          "max_iterations": "7"})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.errors == ["solver.tolerance: expected a number",
+                                "solver.max_iterations: expected an integer"]
+    text = "command: newton\npotential: {type: fubini-study}\nlevels: [4]\n"
+    with pytest.raises(ConfigError, match="solver.tolerance: expected a number"):
+        parse_config(text + "solver: {tolerance: 1e-10}\n")
+    # no silent truncation to 2, no boolean read as 1.0
+    for key, value, expected in (("max_iterations", 2.5, "an integer"),
+                                 ("max_iterations", True, "an integer"),
+                                 ("damping", True, "a number"),
+                                 ("tolerance", False, "a number")):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(dict(MINIMAL["newton"], solver={key: value}))
+        assert exc.value.errors == ["solver.%s: expected %s" % (key, expected)]
+    for key in ("weight", "freeze_weight"):
+        with pytest.raises(ConfigError, match="%s: expected a number" % key):
+            parse_config(dict(MINIMAL["tbalance"], **{key: True}))
+    with pytest.raises(ConfigError, match="quadrature.grid: expected a number"):
+        parse_config(dict(MINIMAL["balance"], quadrature={"grid": True}))
+    # integers are numbers, stored as the declared float
+    cfg = parse_config(dict(MINIMAL["newton"],
+                            solver={"tolerance": 1, "damping": 1}))
+    assert type(cfg.solver.tolerance) is float
+    assert cfg.echo()["solver"]["damping"] == 1.0
+
+
+def test_new_solver_field_needs_no_config_edit(monkeypatch):
+    @dataclasses.dataclass(frozen=True)
+    class Accelerated(SolverOptions):
+        acceleration: str = "none"
+
+    monkeypatch.setattr(config, "SolverOptions", Accelerated)
+    cfg = parse_config(dict(MINIMAL["balance"],
+                            solver={"acceleration": "anderson",
+                                    "damping": 0.5}))
+    assert cfg.solver == Accelerated(acceleration="anderson", damping=0.5)
+    assert cfg.echo()["solver"] == {"tolerance": 1e-8, "max_iterations": 500,
+                                    "recentering": "moment-center",
+                                    "damping": 0.5,
+                                    "acceleration": "anderson"}
+    with pytest.raises(ConfigError, match="solver.accel: unknown option"):
+        parse_config(dict(MINIMAL["balance"], solver={"accel": "anderson"}))
+
+
 def test_mode_is_unknown_key():
     # mode is not a config key: exact Newton is the only Newton mode
     doc = dict(MINIMAL["newton"], mode="exact")
@@ -105,6 +209,10 @@ def test_potential_validation():
     with pytest.raises(ConfigError, match="unexpected keys for fubini-study"):
         parse_config({"command": "balance", "levels": [4],
                       "potential": {"type": "fubini-study", "width": 1}})
+    with pytest.raises(ConfigError,
+                       match="unexpected keys for fubini-study: 1, width"):
+        parse_config({"command": "balance", "levels": [4],
+                      "potential": {"type": "fubini-study", "width": 1, 1: 2}})
     with pytest.raises(ConfigError, match="unknown potential type"):
         parse_config({"command": "balance", "levels": [4],
                       "potential": {"type": "round"}})
