@@ -13,9 +13,8 @@ from .bergman import (
     gram_derivative, bergman_derivative,
 )
 from .solvers import (
-    SolverOptions, BalanceResult, FamilyReport, SingularJacobianError,
-    BracketError, tk_iterate, newton_balance, t_balance, balanced_family,
-    uniqueness_probe,
+    SolverOptions, BalanceResult, FamilyReport, BracketError, tk_iterate,
+    newton_balance, t_balance, balanced_family, uniqueness_probe,
 )
 from .circle import (
     CircleSample, PartitionPair, fourier_coefficient, make_partition,

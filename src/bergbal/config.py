@@ -5,6 +5,7 @@ together, with dotted field paths, rather than stopping at the first.  In
 strict mode unknown keys are errors; otherwise they are returned as warnings.
 """
 import dataclasses
+import math
 
 import yaml
 
@@ -19,6 +20,8 @@ COMMANDS = _POTENTIAL_COMMANDS + ("fourier", "probe")
 # the `quadrature` keys and their defaults; the window's default grows with
 # the top level (model.default_window)
 QUADRATURE = {"window": None, "grid": 512, "order": QUAD_ORDER}
+# their number types; model._check_discretization holds the lower bounds
+_QUADRATURE_KINDS = {"window": float, "grid": int, "order": int}
 
 # the `output` keys and the type each value must have
 _OUTPUT = {"directory": (str, "expected a path string"),
@@ -75,12 +78,21 @@ _TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"warnings"
 
 def _number(value, kind, path, errors):
     """value as the number type kind (int or float), or None after an error
-    if it is not one; a boolean is no number."""
+    if it is not a finite one; a boolean is no number."""
     if isinstance(value, bool) or \
             not isinstance(value, int if kind is int else (int, float)):
         errors.append("%s: expected %s" % (path, _NUMBER_NAMES[kind]))
         return None
+    if isinstance(value, float) and not math.isfinite(value):
+        errors.append("%s: expected a finite number" % path)
+        return None
     return kind(value)
+
+
+def _numbers(values, path, errors):
+    """Each entry of the list values checked by _number as a float."""
+    for i, v in enumerate(values):
+        _number(v, float, "%s[%d]" % (path, i), errors)
 
 
 def _check_mapping(doc, key, known, errors):
@@ -108,13 +120,10 @@ def _check_potential(desc, path, errors):
         for field in ("amplitude", "width"):
             if field not in desc:
                 errors.append("%s.%s: required for gaussian-bump" % (path, field))
-            elif not isinstance(desc[field], (int, float)):
-                errors.append("%s.%s: expected a number" % (path, field))
-        if "width" in desc and isinstance(desc["width"], (int, float)) \
-                and desc["width"] <= 0:
+        values = {f: _number(desc[f], float, "%s.%s" % (path, f), errors)
+                  for f in ("amplitude", "width", "center") if f in desc}
+        if values.get("width") is not None and values["width"] <= 0:
             errors.append("%s.width: must be positive" % path)
-        if "center" in desc and not isinstance(desc["center"], (int, float)):
-            errors.append("%s.center: expected a number" % path)
         extra = set(desc) - {"type", "amplitude", "width", "center"}
         if extra:
             errors.append("%s: unexpected keys for gaussian-bump: %s"
@@ -123,9 +132,10 @@ def _check_potential(desc, path, errors):
         for field in ("t", "phi"):
             if field not in desc:
                 errors.append("%s.%s: required for tabulated" % (path, field))
-            elif not (isinstance(desc[field], list) and
-                      all(isinstance(v, (int, float)) for v in desc[field])):
+            elif not isinstance(desc[field], list):
                 errors.append("%s.%s: expected a list of numbers" % (path, field))
+            else:
+                _numbers(desc[field], "%s.%s" % (path, field), errors)
     elif kind is None:
         errors.append("%s.type: required (fubini-study, gaussian-bump or "
                       "tabulated)" % path)
@@ -138,9 +148,8 @@ def _check_levels(levels, errors, minimum):
         errors.append("levels: expected a non-empty list of integers")
         return
     for i, m in enumerate(levels):
-        if not isinstance(m, int) or isinstance(m, bool):
-            errors.append("levels[%d]: expected an integer" % i)
-        elif not 1 <= m <= MAX_LEVEL:
+        m = _number(m, int, "levels[%d]" % i, errors)
+        if m is not None and not 1 <= m <= MAX_LEVEL:
             errors.append("levels[%d]: level %d outside [1, %d]"
                           % (i, m, MAX_LEVEL))
     if len(levels) < minimum:
@@ -219,25 +228,28 @@ def parse_config(document, strict=False):
         if sample is None:
             errors.append("sample: required for command 'fourier'")
         elif not isinstance(sample, dict) or \
-                not isinstance(sample.get("cos"), list):
+                not isinstance(sample.get("cos"), list) or \
+                not isinstance(sample.get("sin", []), list):
             errors.append("sample: expected {cos: [...], sin: [...]} "
                           "trigonometric coefficients")
         else:
+            for key in ("cos", "sin"):
+                _numbers(sample.get(key, []), "sample." + key, errors)
             kwargs["sample"] = sample
         profiles = doc.get("profiles")
         if profiles is None:
             errors.append("profiles: required for command 'fourier'")
-        elif not isinstance(profiles, list) or len(profiles) < 2 or \
-                not all(isinstance(p, (int, float)) for p in profiles):
+        elif not isinstance(profiles, list) or len(profiles) < 2:
             errors.append("profiles: expected a list of at least two "
                           "smoothing margins")
         else:
+            _numbers(profiles, "profiles", errors)
             kwargs["profiles"] = profiles
-        m_max = doc.get("m_max", ExperimentConfig.m_max)
-        if not isinstance(m_max, int) or m_max < 0:
+        m_max = _number(doc.get("m_max", ExperimentConfig.m_max), int,
+                        "m_max", errors)
+        if m_max is not None and m_max < 0:
             errors.append("m_max: expected a non-negative integer")
-        else:
-            kwargs["m_max"] = m_max
+        kwargs["m_max"] = m_max
     else:
         if "levels" not in doc:
             errors.append("levels: required for command %r" % command)
@@ -256,9 +268,9 @@ def parse_config(document, strict=False):
 
     if "quadrature" in doc:
         quad = _check_mapping(doc, "quadrature", QUADRATURE, errors) or {}
-        for key in QUADRATURE:
+        for key, kind in _QUADRATURE_KINDS.items():
             if key in quad:
-                _number(quad[key], float, "quadrature." + key, errors)
+                _number(quad[key], kind, "quadrature." + key, errors)
         kwargs["quadrature"] = {k: quad[k] for k in QUADRATURE if k in quad}
 
     if "output" in doc:

@@ -7,10 +7,10 @@ D is the Gram diagonal: every candidate metric is
 
 and balance is the fixed-point condition x = log((m+1) G(Phi_x)) up to the
 neutral scale and translation directions.  The (m+1) factor pins the scale
-gauge so the Fubini-Study diagonal is an exact fixed point; the translation
-(torus) direction is handled by the selected recentering.  Solving in x
-rather than in spline space keeps the problem exactly finite dimensional, so
-Newton can reach residuals at the floating-point floor.
+gauge so the Fubini-Study diagonal is an exact fixed point; every iterate is
+moved along the translation (torus) direction to moment center 0.  Solving
+in x rather than in spline space keeps the problem exactly finite
+dimensional, so Newton can reach residuals at the floating-point floor.
 
 Each evaluation at x makes one exponential pass over an (m+1) x N array,
 N the number of nodes: the softmax p_jt = e^{jt - x_j - m Phi_x(t)},
@@ -31,12 +31,6 @@ from scipy.optimize import brentq
 from .model import fs_derivative, _from_knot_values, _volume_integral
 from .bergman import section_norms, fs_tails, c_of_m, _gram, _kernel
 
-_DAMPING_FLOOR = 1.0 / 16.0
-
-
-class SingularJacobianError(RuntimeError):
-    """Newton system singular along the torus (translation) direction."""
-
 
 class BracketError(RuntimeError):
     def __init__(self, scanned, values):
@@ -51,26 +45,17 @@ class BracketError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class SolverOptions:
-    """tolerance on sup|B - C|; max_iterations, the most steps a solve
-    takes; recentering in {none, moment-center}; damping in (0, 1].
-    The fields are the config's `solver` keys; config.py derives them."""
-
-    RECENTERINGS = ("none", "moment-center")
+    """tolerance on sup|B - C| and max_iterations, the most steps a solve
+    takes: the config's `solver` keys, which config.py derives from here."""
 
     tolerance: float = 1e-8
     max_iterations: int = 500
-    recentering: str = "moment-center"
-    damping: float = 1.0
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.recentering not in self.RECENTERINGS:
-            raise ValueError("recentering must be one of %r" % (self.RECENTERINGS,))
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must be in (0, 1]")
 
 
 class BalanceResult:
@@ -330,28 +315,31 @@ def _seed(m, P):
     return np.log((m + 1) * section_norms(m, P).entries)
 
 
+def _centered(ds, x, y):
+    """x moved along the torus to moment center 0, and ds.residual's
+    evaluation of it."""
+    x = x - ds.j * ds.moment_center(x)
+    return x, ds.residual(x, y)
+
+
 def _iterate(ds, x, y, opts, step):
     """The balancing loop of tk_iterate and _gauss_newton.
 
-    Evaluates x by ds.residual(x, y) and records its sup.  Returns at the
-    tolerance, after opts.max_iterations steps, or when step(x, hist,
-    evaluation) declines by returning None; otherwise moves to the step,
-    moment-centered unless recentering is "none".  So the returned iterate
-    is always the last evaluated one: returns (x, residual history, steps
-    taken, ds.residual's evaluation of x).
+    Evaluates the seed x by ds.residual(x, y) and records its sup.  Each
+    step(x, hist, evaluation) returns the next iterate and its evaluation
+    (see _centered), or None to decline.  Stops at the tolerance, after
+    opts.max_iterations steps or at a declined step, and returns the last
+    evaluated iterate: (x, residual history, steps taken, evaluation of x).
     """
-    hist = []
-    for k in range(opts.max_iterations + 1):
-        ev = ds.residual(x, y)
+    ev = ds.residual(x, y)
+    hist = [ev[0]]
+    while hist[-1] > opts.tolerance and len(hist) <= opts.max_iterations:
+        nxt = step(x, hist, ev)
+        if nxt is None:
+            break
+        x, ev = nxt
         hist.append(ev[0])
-        if ev[0] <= opts.tolerance or k == opts.max_iterations:
-            break
-        xn = step(x, hist, ev)
-        if xn is None:
-            break
-        x = (xn if opts.recentering == "none"
-             else xn - ds.j * ds.moment_center(xn))
-    return x, hist, k, ev
+    return x, hist, len(hist) - 1, ev
 
 
 def _result(ds, solve, y, opts, t0, mode, **diagnostics):
@@ -369,25 +357,25 @@ def _result(ds, solve, y, opts, t0, mode, **diagnostics):
 def tk_iterate(m, P0, opts=SolverOptions()):
     """Fixed-point iteration on the Gram diagonal (the classical self-map).
 
-    Starting from the Gram diagonal of P0, iterate x -> log((m+1) G(Phi_x))
-    with the selected damping and recentering.  The residual history records
-    sup|B_m - C_m| of every iterate, the seed's included.  Damping is halved,
-    down to 1/16, whenever the residual exceeds twice its running minimum.
-    Non-convergence within max_iterations steps returns converged = False
-    with the full history; the returned potential is always the last
-    evaluated iterate.
+    Starting from the Gram diagonal of P0, iterate x -> log((m+1) G(Phi_x)),
+    each iterate moment-centered.  The residual history records sup|B_m -
+    C_m| of every iterate, the seed's included.  The step fraction starts at
+    1 and is halved, down to 1/16, whenever the residual exceeds twice its
+    running minimum.  Non-convergence within max_iterations steps returns
+    converged = False with the full history; the returned potential is
+    always the last evaluated iterate.
     """
     t0 = time.perf_counter()
     ds = _DSpace(m, P0.quad)
-    damping = opts.damping
+    damping = 1.0
 
     def step(x, hist, ev):
         nonlocal damping
         # transients legitimately plateau ~20% above the running minimum;
         # only a clear blow-up signals that the map needs damping
         if hist[-1] > 2.0 * min(hist):
-            damping = max(0.5 * damping, _DAMPING_FLOOR)
-        return x + damping * (np.log((m + 1) * ev[2]) - x)
+            damping = max(0.5 * damping, 1.0 / 16.0)
+        return _centered(ds, x + damping * (np.log((m + 1) * ev[2]) - x), 0.0)
 
     solve = _iterate(ds, _seed(m, P0), 0.0, opts, step)
     return _result(ds, solve, None, opts, t0, "fixed-point",
@@ -398,11 +386,14 @@ def _gauss_newton(ds, x0, y, opts):
     """Newton (exact Jacobian) on R(x) = log((m+1) G(Phi_x)) + j y - x.
 
     The scale and torus null directions are deflated by the augmented rows
-    1^T dx = 0 and j^T dx = 0 (the moment-centering constraint); with
-    recentering="none" the singular torus direction is reported instead.
-    At y = 0 the roots are exactly the balanced diagonals.  The solve stops
-    early once three steps in a row fail to halve the residual.  Returns
-    _iterate's (x, history, steps, evaluation of x).
+    1^T dx = 0 and j^T dx = 0 (the moment-centering constraint).  At y = 0
+    the roots are exactly the balanced diagonals.  The step length is
+    measured, not set: the trials x + a dx, a = 1, 1/2, ..., 1/64, are
+    moment-centered and evaluated in turn, and the first whose residual is
+    below (1 - 1e-4 a) times the last one is taken (Dennis & Schnabel 1983,
+    ch. 6); if none is, the step declines.  The solve also stops early once
+    three steps in a row fail to halve the residual.  Returns _iterate's (x,
+    history, steps, evaluation of x).
     """
     m = ds.m
 
@@ -413,17 +404,14 @@ def _gauss_newton(ds, x0, y, opts):
         _, _, G, E, parts = ev
         R = np.log((m + 1) * G) + ds.j * y - x
         J = ds.jacobian(G, E, parts) - np.eye(m + 1)
-        if opts.recentering == "none":
-            sv = np.linalg.svd(J, compute_uv=False)
-            if sv[-1] < 1e-8 * sv[0]:
-                raise SingularJacobianError(
-                    "Newton system singular on the mean-zero subspace: the "
-                    "torus (translation) direction x_j ~ j is in the kernel; "
-                    "project it out with moment-center recentering")
         Jaug = np.vstack([J, np.ones(m + 1), ds.j])
         rhs = np.concatenate([-R, [0.0, 0.0]])
         dx, *_ = np.linalg.lstsq(Jaug, rhs, rcond=None)
-        return x + opts.damping * dx
+        for a in 0.5 ** np.arange(7):
+            trial = _centered(ds, x + a * dx, y)
+            if trial[1][0] < (1.0 - 1e-4 * a) * hist[-1]:
+                return trial
+        return None
 
     return _iterate(ds, x0, y, opts, step)
 
@@ -452,10 +440,8 @@ def newton_balance(m, P0, opts=SolverOptions()):
     t0 = time.perf_counter()
     ds = _DSpace(m, P0.quad)
     solve = _gauss_newton(ds, _seed(m, P0), 0.0, opts)
-    hist = solve[1]
     return _result(ds, solve, None, opts, t0, "newton-exact",
-                   orders=_newton_orders(hist),
-                   monotone_history=bool(np.all(np.diff(hist) < 0)))
+                   orders=_newton_orders(solve[1]))
 
 
 def _find_weight_bracket(moment, scan):

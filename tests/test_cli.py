@@ -1,10 +1,14 @@
 import json
 import os
+import re
 
 import pytest
 
 from bergbal.cli import main
+from bergbal.config import parse_config
 from bergbal.report import load_report
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 FS_BALANCE = """
 command: balance
@@ -167,3 +171,19 @@ levels: [6]
     del ra["timing"], rb["timing"]
     assert ra == rb
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+
+
+def test_readme_example_config(tmp_path, capsys):
+    # the README's example config parses strictly and runs: a key removed
+    # from the program but left in the docs fails here
+    with open(README) as f:
+        blocks = re.findall(r"```yaml\n(.*?)```", f.read(), re.S)
+    assert len(blocks) == 1
+    cfg = parse_config(blocks[0], strict=True)
+    assert cfg.warnings == []
+    path = _write(tmp_path, blocks[0])
+    out_dir = tmp_path / "out"
+    code = main([cfg.command, "--config", path, "--out", str(out_dir),
+                 "--strict"])
+    assert code == 0
+    assert "verdict m4_converged: PASS" in capsys.readouterr().out

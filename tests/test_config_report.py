@@ -42,24 +42,22 @@ def test_yaml_text_and_echo():
 command: newton
 potential: {type: fubini-study}
 levels: [6]
-solver: {tolerance: 1.0e-10, damping: 0.5}
+solver: {tolerance: 1.0e-10, max_iterations: 40}
 """)
     assert cfg.solver.tolerance == 1e-10
-    assert cfg.solver.damping == 0.5
+    assert cfg.solver.max_iterations == 40
     echo = cfg.echo()
     assert "mode" not in echo
-    assert echo["solver"]["recentering"] == "moment-center"
+    assert echo["solver"] == {"tolerance": 1e-10, "max_iterations": 40}
     assert "m_max" not in echo        # fourier-only field
 
 
-DEFAULT_SOLVER = {"tolerance": 1e-08, "max_iterations": 500,
-                  "recentering": "moment-center", "damping": 1.0}
+DEFAULT_SOLVER = {"tolerance": 1e-08, "max_iterations": 500}
 
 # every optional field set; seeds, sample, profiles and m_max belong to
 # other commands and are left out of a tbalance echo, as output always is
 FULL = {"command": "tbalance", "potential": BUMP, "levels": [8, 12],
-        "solver": {"tolerance": 1e-9, "max_iterations": 40,
-                   "recentering": "none", "damping": 1},
+        "solver": {"tolerance": 1e-9, "max_iterations": 40},
         "quadrature": {"window": 24, "grid": 768, "order": 6},
         "output": {"directory": "runs/full", "tables": False},
         "weight": 2, "freeze_weight": 0, "seeds": [FS, BUMP],
@@ -84,8 +82,7 @@ GOLDEN_ECHO = {
     "probe": {"command": "probe", "levels": [8], "solver": DEFAULT_SOLVER,
               "seeds": [BUMP, FS]},
     "full": {"command": "tbalance", "potential": BUMP, "levels": [8, 12],
-             "solver": {"tolerance": 1e-09, "max_iterations": 40,
-                        "recentering": "none", "damping": 1.0},
+             "solver": {"tolerance": 1e-09, "max_iterations": 40},
              "quadrature": {"window": 24, "grid": 768, "order": 6},
              "weight": 2.0, "freeze_weight": 0.0},
 }
@@ -132,7 +129,7 @@ def test_errors_are_collected_with_paths():
         "command": "newton",
         "potential": {"type": "gaussian-bump", "width": -1.0},
         "levels": [4, "eight", 500],
-        "solver": {"damping": 2.0},
+        "solver": {"tolerance": -1.0},
         "freeze_weight": "zero",
     }
     with pytest.raises(ConfigError) as exc:
@@ -142,7 +139,7 @@ def test_errors_are_collected_with_paths():
     assert "potential.width: must be positive" in text
     assert "levels[1]" in text
     assert "levels[2]" in text
-    assert "solver: damping" in text
+    assert "solver: tolerance must be positive" in text
     assert "freeze_weight: expected a number" in text
     assert len(exc.value.errors) >= 6
 
@@ -161,7 +158,6 @@ def test_solver_fields_are_typed():
     # no silent truncation to 2, no boolean read as 1.0
     for key, value, expected in (("max_iterations", 2.5, "an integer"),
                                  ("max_iterations", True, "an integer"),
-                                 ("damping", True, "a number"),
                                  ("tolerance", False, "a number")):
         with pytest.raises(ConfigError) as exc:
             parse_config(dict(MINIMAL["newton"], solver={key: value}))
@@ -169,13 +165,49 @@ def test_solver_fields_are_typed():
     for key in ("weight", "freeze_weight"):
         with pytest.raises(ConfigError, match="%s: expected a number" % key):
             parse_config(dict(MINIMAL["tbalance"], **{key: True}))
-    with pytest.raises(ConfigError, match="quadrature.grid: expected a number"):
+    with pytest.raises(ConfigError, match="quadrature.grid: expected an integer"):
         parse_config(dict(MINIMAL["balance"], quadrature={"grid": True}))
     # integers are numbers, stored as the declared float
-    cfg = parse_config(dict(MINIMAL["newton"],
-                            solver={"tolerance": 1, "damping": 1}))
+    cfg = parse_config(dict(MINIMAL["newton"], solver={"tolerance": 1}))
     assert type(cfg.solver.tolerance) is float
-    assert cfg.echo()["solver"]["damping"] == 1.0
+    assert json.dumps(cfg.echo()["solver"]["tolerance"]) == "1.0"
+
+
+TABULATED = {"type": "tabulated", "t": [-1.0, 0.0, 1.0], "phi": [0.0, 0.1, 0.0]}
+
+
+@pytest.mark.parametrize("command, fields, error", [
+    ("fourier", {"m_max": True}, "m_max: expected an integer"),
+    ("fourier", {"profiles": [True, 0.2]}, "profiles[0]: expected a number"),
+    ("fourier", {"sample": {"cos": [1.0, False]}},
+     "sample.cos[1]: expected a number"),
+    ("fourier", {"sample": {"cos": [1.0], "sin": ["a"]}},
+     "sample.sin[0]: expected a number"),
+    ("newton", {"potential": dict(BUMP, amplitude=True)},
+     "potential.amplitude: expected a number"),
+    ("newton", {"potential": dict(BUMP, width=True)},
+     "potential.width: expected a number"),
+    ("newton", {"potential": dict(BUMP, center=True)},
+     "potential.center: expected a number"),
+    ("newton", {"potential": dict(TABULATED, t=[-1.0, True, 1.0])},
+     "potential.t[1]: expected a number"),
+    ("newton", {"potential": dict(TABULATED, phi=["0", 0.1, 0.0])},
+     "potential.phi[0]: expected a number"),
+    ("newton", {"quadrature": {"window": float("inf")}},
+     "quadrature.window: expected a finite number"),
+    ("newton", {"quadrature": {"window": float("nan")}},
+     "quadrature.window: expected a finite number"),
+    ("newton", {"quadrature": {"grid": 100.7}},
+     "quadrature.grid: expected an integer"),
+    ("newton", {"quadrature": {"order": 2.5}},
+     "quadrature.order: expected an integer"),
+])
+def test_number_fields_are_checked(command, fields, error):
+    # no boolean or string is read as a number, no float truncated to an
+    # integer, and no infinity or NaN reaches the build
+    with pytest.raises(ConfigError) as exc:
+        parse_config(dict(MINIMAL[command], **fields))
+    assert exc.value.errors == [error]
 
 
 def test_new_solver_field_needs_no_config_edit(monkeypatch):
@@ -186,11 +218,10 @@ def test_new_solver_field_needs_no_config_edit(monkeypatch):
     monkeypatch.setattr(config, "SolverOptions", Accelerated)
     cfg = parse_config(dict(MINIMAL["balance"],
                             solver={"acceleration": "anderson",
-                                    "damping": 0.5}))
-    assert cfg.solver == Accelerated(acceleration="anderson", damping=0.5)
-    assert cfg.echo()["solver"] == {"tolerance": 1e-8, "max_iterations": 500,
-                                    "recentering": "moment-center",
-                                    "damping": 0.5,
+                                    "max_iterations": 40}))
+    assert cfg.solver == Accelerated(acceleration="anderson",
+                                     max_iterations=40)
+    assert cfg.echo()["solver"] == {"tolerance": 1e-8, "max_iterations": 40,
                                     "acceleration": "anderson"}
     with pytest.raises(ConfigError, match="solver.accel: unknown option"):
         parse_config(dict(MINIMAL["balance"], solver={"accel": "anderson"}))
@@ -203,6 +234,18 @@ def test_mode_is_unknown_key():
     assert cfg.warnings == ["unknown key 'mode'"]
     with pytest.raises(ConfigError, match="unknown key 'mode'"):
         parse_config(doc, strict=True)
+
+
+@pytest.mark.parametrize("key, value", [("damping", 0.5),
+                                        ("recentering", "none")])
+def test_removed_solver_knob_is_unknown_option(key, value):
+    # Newton measures its step and every solve moment-centers, so neither
+    # is a solver option; unknown solver options are errors, strict or not
+    doc = dict(MINIMAL["newton"], solver={key: value})
+    for strict in (False, True):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc, strict=strict)
+        assert exc.value.errors == ["solver.%s: unknown option" % key]
 
 
 def test_potential_validation():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -7,9 +9,8 @@ from bergbal.model import (
     make_perturbed_potential,
 )
 from bergbal.solvers import (
-    BalanceResult, BracketError, SingularJacobianError, SolverOptions,
-    _DSpace, _family_verdicts, _find_weight_bracket, _seed, balanced_family,
-    newton_balance, t_balance, tk_iterate, uniqueness_probe,
+    BalanceResult, BracketError, SolverOptions, _DSpace, _family_verdicts,
+    _find_weight_bracket, _seed, balanced_family, newton_balance, t_balance, tk_iterate, uniqueness_probe,
 )
 from bergbal.bergman import WindowError, _gram, _rows, bergman_kernel
 
@@ -43,14 +44,8 @@ def test_options_validation():
         SolverOptions(tolerance=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverOptions(recentering="center-of-mass")
-    with pytest.raises(ValueError, match="moment-center"):
-        SolverOptions(recentering="even-symmetrize")
-    with pytest.raises(ValueError):
-        SolverOptions(damping=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(damping=1.5)
+    assert [f.name for f in dataclasses.fields(SolverOptions)] == \
+        ["tolerance", "max_iterations"]
 
 
 def test_result_validation(bump):
@@ -84,7 +79,7 @@ def test_newton_quadratic(newton8):
     assert newton8.iterations <= 10
     orders = newton8.diagnostics["orders"]
     assert len(orders) >= 2 and max(orders) >= 1.8
-    assert newton8.diagnostics["monotone_history"]
+    assert np.all(np.diff(newton8.residual_history) < 0)
     assert newton8.mode == "newton-exact"
 
 
@@ -92,29 +87,6 @@ def test_tk_matches_newton(bump, newton8):
     tk = tk_iterate(8, bump, SolverOptions(tolerance=1e-10))
     gap = np.max(np.abs(tk.potential.phi(GRID) - newton8.potential.phi(GRID)))
     assert gap < 1e-6
-
-
-def test_recentering_pins_gauge(off):
-    """Without recentering the fixed point wanders along the torus orbit
-    (damping changes where it lands); moment-centering makes the landing
-    spot well defined."""
-    drift = []
-    for mode in ("none", "moment-center"):
-        a = tk_iterate(8, off, SolverOptions(recentering=mode))
-        b = tk_iterate(8, off, SolverOptions(recentering=mode, damping=0.5))
-        assert a.converged and b.converged
-        drift.append(np.max(np.abs(a.potential.phi(GRID) - b.potential.phi(GRID))))
-        if mode == "none":
-            assert abs(a.diagnostics["moment_center"]) > 1e-3
-        else:
-            assert abs(a.diagnostics["moment_center"]) < 1e-12
-    assert drift[0] > 1e-6
-    assert drift[1] < 1e-8
-
-
-def test_newton_singular_without_recentering(off):
-    with pytest.raises(SingularJacobianError, match="torus"):
-        newton_balance(8, off, SolverOptions(recentering="none"))
 
 
 def test_newton_converges_at_level_40(bump):
@@ -318,9 +290,26 @@ def test_gram_rows_from_softmax(m):
     assert np.max(np.abs(G / ref - 1.0)) <= 1e-13
 
 
-@pytest.mark.parametrize("m, steps", [(8, 4), (40, 5), (120, 5), (200, 5)])
+@pytest.mark.parametrize("m, steps", [(8, 4), (40, 5), (120, 4), (200, 4)])
 def test_newton_step_counts(m, steps):
+    # at m = 120 and 200 the full first step raises the residual and the
+    # half step is taken
     P = make_perturbed_potential(BUMP, window=default_window(m), grid_size=512)
     res = newton_balance(m, P)
     assert res.converged
     assert res.iterations == steps
+
+
+@pytest.mark.parametrize("m, amplitude, width, center", [
+    (200, 0.11, 1.0, 1.0), (200, 0.11, 1.0, -1.0), (200, 0.115, 0.97, -0.84),
+    (200, 0.109, 0.91, 0.57), (200, 0.12, 1.0, 0.0), (120, 0.119, 0.96, -0.98),
+    (120, 0.38, 1.29, -0.26)])
+def test_newton_strong_bumps(m, amplitude, width, center):
+    # a full Newton step from these seeds overshoots into a non-convex
+    # iterate or a rising residual; the backtracking line search converges
+    desc = {"type": "gaussian-bump", "amplitude": amplitude, "width": width,
+            "center": center}
+    P = make_perturbed_potential(desc, window=default_window(m), grid_size=512)
+    res = newton_balance(m, P, SolverOptions(tolerance=1e-9))
+    assert res.converged and res.final_residual <= 1e-9
+    assert np.all(np.diff(res.residual_history) < 0)
