@@ -22,6 +22,10 @@ COMMANDS = _POTENTIAL_COMMANDS + ("fourier", "probe")
 QUADRATURE = {"window": None, "grid": 512, "order": QUAD_ORDER}
 # their number types; model._check_discretization holds the lower bounds
 _QUADRATURE_KINDS = {"window": float, "grid": int, "order": int}
+# the upper bounds: leggauss(order) diagonalizes an order x order matrix,
+# and a run holds (top level + 1) x n_nodes float64 arrays
+MAX_ORDER = 64
+MAX_ARRAY_BYTES = 1 << 30
 
 # the `output` keys and the type each value must have
 _OUTPUT = {"directory": (str, "expected a path string"),
@@ -93,6 +97,25 @@ def _numbers(values, path, errors):
     """Each entry of the list values checked by _number as a float."""
     for i, v in enumerate(values):
         _number(v, float, "%s[%d]" % (path, i), errors)
+
+
+def _check_quadrature_size(grid, order, levels, errors):
+    """Errors for an order above MAX_ORDER or a (top level + 1) x n_nodes
+    float64 array above MAX_ARRAY_BYTES, n_nodes as model.Quadrature has
+    it; the top level is the largest valid entry of levels, else 0."""
+    if grid is None or order is None:
+        return
+    if order > MAX_ORDER:
+        errors.append("quadrature.order: %d above the maximum %d"
+                      % (order, MAX_ORDER))
+        return
+    top = max((m for m in levels if type(m) is int and 1 <= m <= MAX_LEVEL),
+              default=0)
+    size = 8 * (top + 1) * ((grid - 1) * order + 2)
+    if size > MAX_ARRAY_BYTES:
+        errors.append("quadrature.grid: %d at order %d and level %d needs "
+                      "%d bytes per array, above the maximum %d"
+                      % (grid, order, top, size, MAX_ARRAY_BYTES))
 
 
 def _check_mapping(doc, key, known, errors):
@@ -268,9 +291,15 @@ def parse_config(document, strict=False):
 
     if "quadrature" in doc:
         quad = _check_mapping(doc, "quadrature", QUADRATURE, errors) or {}
+        sizes = dict(QUADRATURE)
         for key, kind in _QUADRATURE_KINDS.items():
             if key in quad:
-                _number(quad[key], kind, "quadrature." + key, errors)
+                sizes[key] = _number(quad[key], kind, "quadrature." + key,
+                                     errors)
+        levels = doc.get("levels")
+        _check_quadrature_size(sizes["grid"], sizes["order"],
+                               levels if isinstance(levels, list) else [],
+                               errors)
         kwargs["quadrature"] = {k: quad[k] for k in QUADRATURE if k in quad}
 
     if "output" in doc:

@@ -1,15 +1,19 @@
 """Report serialization: one nested JSON document plus flat CSV tables.
 
 The JSON document validates against the schema shipped with the package and
-round-trips exactly (floats serialize with full precision).  Tables are
-plot-ready: one row per quadrature node for sampled functions, one row per
-iteration for residual histories, 17 significant digits.
+round-trips exactly.  report.json is the text of
+json.dump(report, indent=1, sort_keys=True) plus a newline: floats in their
+shortest round-trip form (float.__repr__), NaN and infinities spelled NaN,
+Infinity and -Infinity.  Tables are plot-ready: one row per quadrature node
+for sampled functions, one row per iteration for residual histories; a CSV
+cell writes a float as %.17g, a bool as 1 or 0 and anything else as str().
 """
 import functools
 import json
 import os
 import sys
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 import jsonschema
@@ -24,6 +28,11 @@ class ReportWriteError(RuntimeError):
 
 
 _JSON_SCALARS = frozenset((float, int, str, bool, type(None)))
+# the CSV format of each number type, as _cell writes it
+_CELL_FORMATS = {float: "%.17g", int: "%d", bool: "%d"}
+_NUMBER_TYPES = frozenset(_CELL_FORMATS)
+# without an indent, JSONEncoder.encode runs the C encoder
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def _plain(obj):
@@ -105,10 +114,10 @@ def write_report(report, out_dir, tables=True):
         raise ReportWriteError(out_dir, e)
     paths = []
     jpath = os.path.join(out_dir, "report.json")
+    text = _json_text(report) + "\n"
     try:
         with open(jpath, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     except OSError as e:
         raise ReportWriteError(jpath, e)
     paths.append(jpath)
@@ -118,15 +127,55 @@ def write_report(report, out_dir, tables=True):
             cols = table["columns"]
             names = list(cols)
             rows = len(cols[names[0]]) if names else 0
+            template = _row_template(cols.values(), rows)
             try:
                 with open(cpath, "w") as fh:
                     fh.write(",".join(names) + "\n")
-                    for r in range(rows):
-                        fh.write(",".join(_cell(cols[n][r]) for n in names) + "\n")
+                    if template is not None:
+                        fh.write(template * rows % tuple(
+                            chain.from_iterable(zip(*cols.values()))))
+                    else:
+                        for r in range(rows):
+                            fh.write(",".join(_cell(cols[n][r]) for n in names)
+                                     + "\n")
             except OSError as e:
                 raise ReportWriteError(cpath, e)
             paths.append(cpath)
     return paths
+
+
+def _json_text(obj, indent=""):
+    """The text json.dumps(obj, indent=1, sort_keys=True) gives for the plain
+    tree obj; each list of numbers alone is one call of the C encoder."""
+    inner = indent + " "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_ENCODER.encode(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(obj.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) <= _NUMBER_TYPES:
+            # "[a, b]": numbers hold no ", ", so the separators are the items'
+            body = _ENCODER.encode(obj)[1:-1].replace(", ", ",\n" + inner)
+        else:
+            body = (",\n" + inner).join(_json_text(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return _ENCODER.encode(obj)
+
+
+def _row_template(columns, rows):
+    """One CSV row format with a %-field per column, or None unless every
+    column has rows entries of one type among float, int and bool."""
+    formats = []
+    for col in columns:
+        kinds = set(map(type, col))
+        if len(col) != rows or len(kinds) != 1 or not kinds <= _NUMBER_TYPES:
+            return None
+        formats.append(_CELL_FORMATS[kinds.pop()])
+    return ",".join(formats) + "\n"
 
 
 def _cell(v):

@@ -85,11 +85,15 @@ def _family_command(cfg, report):
     report["outputs"]["d_floor"] = fr.d_floor
     report["outputs"]["sigma_floor"] = fr.sigma_floor
     report["outputs"]["failure_index"] = fr.failure_index
+    # Newton steps per level: after the first, the warm start may need none
+    steps = [r.iterations for r in fr.results]
+    report["outputs"]["iterations"] = steps
     report["verdicts"].update({("family_" + k): v for k, v in fr.verdicts.items()})
     n = len(fr.d_sup)
     report["tables"].append({
         "name": "family",
         "columns": {"m": fr.levels[:n],
+                    "iterations": steps[:n],
                     "residual": [r.final_residual for r in fr.results[:n]],
                     "d_m": fr.d_sup.tolist(),
                     "d_floor": fr.d_floor.tolist(),

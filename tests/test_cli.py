@@ -58,6 +58,23 @@ levels: [5, 10, 20]
                                       outputs["sigma_floor"]))
 
 
+def test_family_newton_steps(tmp_path, capsys):
+    cfg = _write(tmp_path, """
+command: family
+potential: {type: gaussian-bump, amplitude: 0.1, width: 1.0}
+levels: [5, 10, 20]
+""")
+    out_dir = tmp_path / "out"
+    assert main(["family", "--config", cfg, "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    steps = load_report(str(out_dir / "report.json"))["outputs"]["iterations"]
+    # the warm start from the previous level is already balanced
+    assert steps[0] > 0 and steps[1:] == [0, 0]
+    rows = (out_dir / "family.csv").read_text().splitlines()
+    assert rows[0].split(",")[:2] == ["m", "iterations"]
+    assert [r.split(",")[1] for r in rows[1:]] == [str(s) for s in steps]
+
+
 def test_verdict_failure_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, """
 command: balance

@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import math
+import os
 
 import jsonschema
 import numpy as np
 import pytest
 
 from bergbal import config
-from bergbal.config import COMMANDS, ConfigError, parse_config
+from bergbal.config import (COMMANDS, MAX_ARRAY_BYTES, MAX_ORDER,
+                            ConfigError, parse_config)
+from bergbal.runner import run_experiment
 from bergbal.solvers import SolverOptions
 from bergbal.report import (
     ReportWriteError, _plain, build_report, load_report, load_schema,
@@ -306,6 +310,37 @@ def test_quadrature_and_output_validation():
     assert cfg.output["tables"] is False
 
 
+def _grid_error(grid, order=8, levels=(200,)):
+    """The quadrature errors parse_config finds for a beta document."""
+    doc = {"command": "beta", "potential": FS, "levels": list(levels),
+           "quadrature": {"grid": grid, "order": order}}
+    try:
+        parse_config(doc)
+    except ConfigError as e:
+        return [m for m in e.errors if m.startswith("quadrature.")]
+    return []
+
+
+def test_quadrature_upper_bounds():
+    # the largest grid whose (200 + 1) x n_nodes float64 array fits,
+    # n_nodes = (grid - 1) * order + 2
+    n_nodes = MAX_ARRAY_BYTES // (8 * 201)
+    grid = (n_nodes - 2) // 8 + 1
+    assert _grid_error(grid) == []
+    assert _grid_error(grid + 1)[0].startswith("quadrature.grid: %d at order "
+                                               "8 and level 200" % (grid + 1))
+    # the bound follows the largest level
+    assert _grid_error(grid + 1, levels=[10, 100]) == []
+    assert _grid_error(10 ** 9, levels=[4])[0].startswith("quadrature.grid")
+    assert _grid_error(512, order=MAX_ORDER) == []
+    assert _grid_error(512, order=MAX_ORDER + 1) == \
+        ["quadrature.order: 65 above the maximum 64"]
+    # a command without levels is bounded as level 0
+    with pytest.raises(ConfigError, match="quadrature.grid: 1000000000 at "
+                                          "order 8 and level 0"):
+        parse_config(dict(MINIMAL["fourier"], quadrature={"grid": 10 ** 9}))
+
+
 def test_weight_fields():
     cfg = parse_config(dict(MINIMAL["tbalance"], freeze_weight=0))
     assert cfg.freeze_weight == 0.0
@@ -364,7 +399,8 @@ def test_write_and_load_round_trip(tmp_path):
     loaded = load_report(paths[0])
     assert loaded["outputs"]["levels"]["4"]["final_residual"] == 1.25e-13
     assert loaded["tables"][0]["columns"]["residual"][1] == 1.0 / 3.0
-    csv = open(paths[1]).read().splitlines()
+    with open(paths[1]) as fh:
+        csv = fh.read().splitlines()
     assert csv[0] == "iteration,residual"
     assert csv[2].startswith("1,0.33333333333333331")
 
@@ -382,3 +418,103 @@ def test_write_error(tmp_path):
     rep = build_report({"command": "balance"})
     with pytest.raises(ReportWriteError, match="cannot write"):
         write_report(rep, str(blocker))
+
+
+def _reference_cell(v):
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return "%.17g" % v
+    return str(v)
+
+
+def _reference_write(rep, out_dir):
+    """The writer the byte format is pinned to: json.dump and a row loop."""
+    rep = _plain(rep)
+    os.makedirs(out_dir)
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        json.dump(rep, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    for table in rep["tables"]:
+        cols = table["columns"]
+        names = list(cols)
+        rows = len(cols[names[0]]) if names else 0
+        with open(os.path.join(out_dir, table["name"] + ".csv"), "w") as fh:
+            fh.write(",".join(names) + "\n")
+            for r in range(rows):
+                fh.write(",".join(_reference_cell(cols[n][r]) for n in names)
+                         + "\n")
+
+
+def _outcome(write, rep, out_dir):
+    """The exception type write raises, or the bytes of each file written."""
+    try:
+        write(rep, str(out_dir))
+    except Exception as e:
+        return type(e)
+    return {name: (out_dir / name).read_bytes()
+            for name in sorted(os.listdir(out_dir))}
+
+
+def _assert_reference_bytes(rep, tmp_path):
+    new = _outcome(write_report, rep, tmp_path / "new")
+    assert new == _outcome(_reference_write, rep, tmp_path / "reference")
+    return new
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_writer_bytes_on_minimal_runs(command, tmp_path):
+    rep = run_experiment(parse_config(MINIMAL[command]))
+    files = _assert_reference_bytes(rep, tmp_path)
+    assert len(files) == 1 + len(rep["tables"])
+
+
+def _edge_report():
+    nan, inf = float("nan"), float("inf")
+    rep = build_report({"command": "balance"})
+    rep["outputs"] = {
+        "specials": [nan, inf, -inf, -0.0, 5e-324, 1e308, 0.1],
+        "nan": nan, "inf": inf, "neg_inf": -inf, "neg_zero": -0.0,
+        "none": None, "empty_dict": {}, "empty_list": [],
+        "ints": [0, -3, 10 ** 20, True, False],
+        "numpy": np.array([nan, 1.5, -inf]),
+        "mixed": [1, "a, b", None, [2.5, [], {}], {"z": [], "a": [nan]}],
+        "nested": {"b": {"c": [[1, 2.0], [True]]}, "a": []},
+    }
+    rep["warnings"] = ["Größe ≠ ∞, naïve"]
+    rep["tables"] = [
+        {"name": "specials",
+         "columns": {"f": [nan, inf, -inf, -0.0, 5e-324],
+                     "i": [0, -1, 2, 10 ** 20, 7],
+                     "b": [True, False, True, True, False],
+                     "np": np.array([nan, -0.0, 5e-324, inf, 1.0 / 3.0])}},
+        {"name": "mixed",
+         "columns": {"int_float": [1, 2.5, -0.0], "int_bool": [1, True, 0]}},
+        {"name": "empty_column", "columns": {"e": []}},
+        {"name": "no_columns", "columns": {}},
+    ]
+    return rep
+
+
+def test_writer_bytes_on_edge_values(tmp_path):
+    rep = _edge_report()
+    files = _assert_reference_bytes(rep, tmp_path)
+    assert set(files) == {"report.json", "specials.csv", "mixed.csv",
+                          "empty_column.csv", "no_columns.csv"}
+    loaded = json.loads(files["report.json"])
+    assert math.isnan(loaded["outputs"]["nan"])
+    assert loaded["warnings"] == rep["warnings"]
+    assert files["specials.csv"].splitlines()[1] == b"nan,0,1,nan"
+    assert files["no_columns.csv"] == b"\n"
+
+
+@pytest.mark.parametrize("columns", [
+    {"short_last": [1.0, 2.0], "b": [1.0]},
+    {"long_last": [1.0], "b": [1.0, 2.0]},
+    {"empty_first": [], "b": [1, 2]},
+    {"mixed_short": [1, 2.0], "b": [True]},
+])
+def test_writer_ragged_tables(columns, tmp_path):
+    rep = build_report({"command": "balance"})
+    rep["tables"] = [{"name": "ragged", "columns": columns}]
+    _assert_reference_bytes(rep, tmp_path)
