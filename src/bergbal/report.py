@@ -7,6 +7,8 @@ shortest round-trip form (float.__repr__), NaN and infinities spelled NaN,
 Infinity and -Infinity.  Tables are plot-ready: one row per quadrature node
 for sampled functions, one row per iteration for residual histories; a CSV
 cell writes a float as %.17g, a bool as 1 or 0 and anything else as str().
+A table whose columns differ in length raises ReportWriteError before its
+CSV is opened.
 """
 import functools
 import json
@@ -126,8 +128,13 @@ def write_report(report, out_dir, tables=True):
             cpath = os.path.join(out_dir, table["name"] + ".csv")
             cols = table["columns"]
             names = list(cols)
-            rows = len(cols[names[0]]) if names else 0
-            template = _row_template(cols.values(), rows)
+            lengths = {len(col) for col in cols.values()}
+            if len(lengths) > 1:
+                sizes = ", ".join("%s %d" % (n, len(cols[n])) for n in names)
+                raise ReportWriteError(cpath, "table %r has columns of unequal "
+                                       "lengths: %s" % (table["name"], sizes))
+            rows = lengths.pop() if lengths else 0
+            template = _row_template(cols.values())
             try:
                 with open(cpath, "w") as fh:
                     fh.write(",".join(names) + "\n")
@@ -166,13 +173,13 @@ def _json_text(obj, indent=""):
     return _ENCODER.encode(obj)
 
 
-def _row_template(columns, rows):
+def _row_template(columns):
     """One CSV row format with a %-field per column, or None unless every
-    column has rows entries of one type among float, int and bool."""
+    column has entries of one type among float, int and bool."""
     formats = []
     for col in columns:
         kinds = set(map(type, col))
-        if len(col) != rows or len(kinds) != 1 or not kinds <= _NUMBER_TYPES:
+        if len(kinds) != 1 or not kinds <= _NUMBER_TYPES:
             return None
         formats.append(_CELL_FORMATS[kinds.pop()])
     return ",".join(formats) + "\n"

@@ -20,6 +20,14 @@ the volume density is the softmax variance over m, and the moment center
 is closed form in Phi_x at the window edges.  _DSpace hands the rows to the
 kernel engine of bergman.py for the Gram diagonal and the kernel, and
 integrates against the volume with model._volume_integral.
+
+Newton's Jacobian is Hankel up to known factors: p_i p_l = e^{x_a + x_b -
+x_i - x_l} p_a p_b whenever a + b = i + l, so its interior integrals are
+gathered from 2m + 1 weighted row sums of q_k = p_a p_b, a = floor(k/2),
+b = k - a, instead of an (m+1) x N x (m+1) product.  The squared offset
+e^2 = (k/2 - mu)^2 in those sums comes from the deviations d2 = (j - mu)^2:
+e^2 = d2_a at even k = 2a and (d2_a + d2_{a+1})/2 - 1/4 at odd k = 2a + 1
+(see _DSpace.jacobian).
 """
 import dataclasses
 import time
@@ -160,13 +168,13 @@ class _DSpace:
     def residual(self, x, y):
         """The evaluation of x: sup |B_{m,y} - C| and the deviation B_{m,y} - C
         at the nodes, with C the exact constant at y = 0 and the
-        self-consistent weighted mean otherwise; then the Gram diagonal, its
-        rows and the softmax pieces of x."""
+        self-consistent weighted mean otherwise; then the Gram diagonal and
+        the softmax pieces of x.  The kernel divides the rows in place."""
         parts = self.pieces(x)
         G, E = self.gram(x, parts)
-        dev = _kernel(self.m, E, G * np.exp(self.j * y))
+        dev = _kernel(self.m, E, G * np.exp(self.j * y), out=E)
         dev -= c_of_m(self.m) if y == 0.0 else self._weighted_mean(x, y, G, parts)
-        return float(np.max(np.abs(dev))), dev, G, E, parts
+        return float(np.max(np.abs(dev))), dev, G, parts
 
     def _integral(self, vals, mu, dens):
         """Volume integral against Phi_x; the tail masses are Phi_x'(-T) =
@@ -191,22 +199,58 @@ class _DSpace:
         """
         T = self.quad.window
         jT = self.j * T
-        return (self.m * T - logsumexp(jT - x) + logsumexp(-jT - x)) / self.m
+        return (self.m * T - _lse(jT - x) + _lse(-jT - x)) / self.m
 
-    def jacobian(self, G, E, parts):
+    def jacobian(self, x, G, parts):
         """A_il = dG_i[psi_l]/G_i for the potential directions psi_l = dPhi/dx_l
         = -p_l/m, including the constant-tail contributions.  The interior
         integrand -m psi_l Phi'' + psi_l'' is p_l (2 k2 - d2_l) / m, since
-        p_l'' = p_l (d2_l - k2)."""
+        p_l'' = p_l (d2_l - k2), and the row i is p_i e^{x_i}.
+
+        The interior sum is Hankel up to known factors.  With k = i + l,
+        a = floor(k/2), b = k - a and q_k = p_a p_b, p_i p_l = e^{x_a + x_b
+        - x_i - x_l} q_k; with L = l - k/2 and e = k/2 - mu = (d_a + d_b)/2,
+        d_l = L + e, so
+
+            sum_t w p_i p_l (2 k2 - d2_l)
+                = e^{x_a + x_b - x_i - x_l} (hK_k - L^2 h1_k - 2 L e1_k - e2_k),
+
+        where h1, hK, e1 and e2 are the sums of w q_k times 1, 2 k2, e and
+        e^2.  So 2m + 1 weighted row sums, O(mN), replace an O(m^2 N)
+        product, and A is a gather from them.  e1 = (k/2) h1 - sum w q_k mu
+        enters only as 2 L e1; e^2 is taken from d2, which keeps it exact
+        where e is small: d2_a at even k = 2a, (d2_a + d2_{a+1})/2 - 1/4 at
+        odd k = 2a + 1.  (Expanded in raw moments of mu, e2 cancels by a factor
+        of up to 6e6 at k = 2m, m = 200.)
+        """
         p, mu, d2, k2, Phi, dens = parts
-        M = np.subtract(2.0 * k2[1:-1], d2[:, 1:-1])
-        M *= p[:, 1:-1]
-        M *= self.quad.inner_weights / self.m
-        A = E[:, 1:-1] @ M.T
+        m = self.m
+        w = self.quad.inner_weights
+        P, D2 = p[:, 1:-1], d2[:, 1:-1]
+        W = np.stack([np.ones_like(w), mu[1:-1], 2.0 * k2[1:-1]])
+        h = np.empty((3, 2 * m + 1))    # h1, sum w q mu, hK by k
+        e2 = np.empty(2 * m + 1)
+        # one buffer: q_k = p_i^2 at k = 2i, then p_i p_{i+1} at k = 2i + 1
+        q = np.multiply(P, P)
+        q *= w
+        h[:, 0::2] = W @ q.T
+        e2[0::2] = np.einsum("jt,jt->j", q, D2)
+        q = np.multiply(P[:-1], P[1:], out=q[:-1])
+        q *= w
+        h[:, 1::2] = W @ q.T
+        e2[1::2] = 0.5 * (np.einsum("jt,jt->j", q, D2[:-1])
+                          + np.einsum("jt,jt->j", q, D2[1:])) - 0.25 * h[0, 1::2]
+        h1, hmu, hK = h
+        k = np.arange(2 * m + 1)
+        e1 = 0.5 * k * h1 - hmu
+        K = np.add.outer(k[:m + 1], k[:m + 1])
+        L = 0.5 * (self.j - self.j[:, None])
+        A = (hK - e2)[K] - L * (L * h1[K] + 2.0 * e1[K])
+        A *= np.exp((x[k // 2] + x[k - k // 2])[K] - x - np.log(G)[:, None])
+        A /= m
         cL, cR = self._tail_factors(Phi)
-        A += np.outer(cL * self.tails[0], p[:, 0])
-        A += np.outer(cR * self.tails[1], p[:, -1])
-        A /= G[:, None]
+        A += (np.outer(cL * self.tails[0], p[:, 0])
+              + np.outer(cR * self.tails[1], p[:, -1])) / G[:, None]
         return A
 
     def potential(self, x):
@@ -282,8 +326,8 @@ class _DSpace:
             # both entries of x are gauge directions: every diagonal is round
             dphi = dx = 0.0
         else:
-            _, _, G, E, parts = self.residual(x, 0.0)
-            lam, V = np.linalg.eig(self.jacobian(G, E, parts))
+            _, _, G, parts = self.residual(x, 0.0)
+            lam, V = np.linalg.eig(self.jacobian(x, G, parts))
             slow = np.argsort(-lam.real)[2]
             dphi = residual / ((m + 1) * (1.0 - lam[slow].real))
             v = V[:, slow].real
@@ -309,6 +353,16 @@ class _DSpace:
             + float(np.max(dx * slope + rounding))
         phi_rounding = np.finfo(float).eps * np.max(np.abs(self.fs0))
         return d_round + 2.0 * (dphi + phi_rounding), sigma_floor
+
+
+def _lse(v):
+    """scipy.special.logsumexp of a finite 1-D array v, bit for bit, without
+    its dispatch: the tied maxima leave the sum and enter as log(n)."""
+    top = v.max()
+    tied = v == top
+    n = np.count_nonzero(tied)
+    s = np.exp(np.where(tied, -np.inf, v - top)).sum() / n
+    return np.log1p(s) + np.log(n) + top
 
 
 def _seed(m, P):
@@ -401,9 +455,9 @@ def _gauss_newton(ds, x0, y, opts):
         if len(hist) >= 4 and all(
                 b > 0.5 * a for a, b in zip(hist[-4:-1], hist[-3:])):
             return None
-        _, _, G, E, parts = ev
+        _, _, G, parts = ev
         R = np.log((m + 1) * G) + ds.j * y - x
-        J = ds.jacobian(G, E, parts) - np.eye(m + 1)
+        J = ds.jacobian(x, G, parts) - np.eye(m + 1)
         Jaug = np.vstack([J, np.ones(m + 1), ds.j])
         rhs = np.concatenate([-R, [0.0, 0.0]])
         dx, *_ = np.linalg.lstsq(Jaug, rhs, rcond=None)
@@ -411,6 +465,7 @@ def _gauss_newton(ds, x0, y, opts):
             trial = _centered(ds, x + a * dx, y)
             if trial[1][0] < (1.0 - 1e-4 * a) * hist[-1]:
                 return trial
+            del trial   # free a declined trial before the next is evaluated
         return None
 
     return _iterate(ds, x0, y, opts, step)
@@ -478,7 +533,7 @@ def t_balance(m, P0, opts=SolverOptions(), freeze_weight=None):
     def moment(y):
         nonlocal solve
         solve = _gauss_newton(ds, x0, y, opts)
-        _, dev, _, _, parts = solve[3]
+        _, dev, _, parts = solve[3]
         mu, dens = parts[1], parts[5]
         f1 = mu / m
         f = f1 - ds._integral(f1, mu, dens)

@@ -335,10 +335,23 @@ def test_quadrature_upper_bounds():
     assert _grid_error(512, order=MAX_ORDER) == []
     assert _grid_error(512, order=MAX_ORDER + 1) == \
         ["quadrature.order: 65 above the maximum 64"]
-    # a command without levels is bounded as level 0
-    with pytest.raises(ConfigError, match="quadrature.grid: 1000000000 at "
-                                          "order 8 and level 0"):
-        parse_config(dict(MINIMAL["fourier"], quadrature={"grid": 10 ** 9}))
+    # without a valid level the bound is taken at level 0
+    assert _grid_error(10 ** 9, levels=[0])[0].startswith(
+        "quadrature.grid: 1000000000 at order 8 and level 0")
+
+
+@pytest.mark.parametrize("quadrature", [{"grid": 768}, {"grid": 10 ** 9},
+                                        {"shape": 1}, "not a mapping"])
+def test_fourier_quadrature_is_an_unread_key(quadrature):
+    # fourier builds no quadrature: the section warns like an unknown key
+    # and is neither checked nor echoed
+    doc = dict(MINIMAL["fourier"], quadrature=quadrature)
+    cfg = parse_config(doc)
+    assert cfg.warnings == ["unknown key 'quadrature'"]
+    assert cfg.quadrature == {} and "quadrature" not in cfg.echo()
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc, strict=True)
+    assert err.value.errors == ["unknown key 'quadrature'"]
 
 
 def test_weight_fields():
@@ -515,6 +528,10 @@ def test_writer_bytes_on_edge_values(tmp_path):
     {"mixed_short": [1, 2.0], "b": [True]},
 ])
 def test_writer_ragged_tables(columns, tmp_path):
+    # columns of unequal length fail before the CSV is opened
     rep = build_report({"command": "balance"})
     rep["tables"] = [{"name": "ragged", "columns": columns}]
-    _assert_reference_bytes(rep, tmp_path)
+    with pytest.raises(ReportWriteError, match="table 'ragged' has columns "
+                                               "of unequal lengths"):
+        write_report(rep, str(tmp_path))
+    assert not (tmp_path / "ragged.csv").exists()

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from bergbal.model import (
     _volume_integral, default_window, make_fs_potential,
@@ -10,8 +10,10 @@ from bergbal.model import (
 )
 from bergbal.solvers import (
     BalanceResult, BracketError, SolverOptions, _DSpace, _family_verdicts,
-    _find_weight_bracket, _seed, balanced_family, newton_balance, t_balance, tk_iterate, uniqueness_probe,
+    _find_weight_bracket, _lse, _seed, balanced_family, newton_balance,
+    t_balance, tk_iterate, uniqueness_probe,
 )
+from bergbal import solvers
 from bergbal.bergman import WindowError, _gram, _rows, bergman_kernel
 
 BUMP = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.0}
@@ -313,3 +315,87 @@ def test_newton_strong_bumps(m, amplitude, width, center):
     res = newton_balance(m, P, SolverOptions(tolerance=1e-9))
     assert res.converged and res.final_residual <= 1e-9
     assert np.all(np.diff(res.residual_history) < 0)
+
+
+def test_lse_is_scipy_logsumexp():
+    # bit for bit, tied maxima included
+    rng = np.random.default_rng(0)
+    for n in range(2000):
+        v = rng.normal(scale=rng.choice([1e-3, 1.0, 50.0]), size=2 + n % 200)
+        if n % 3 == 0:
+            v = np.round(v, 1)
+        if n % 5 == 0:
+            v[rng.integers(v.size, size=3)] = v.max()
+        assert _lse(v).tobytes() == np.float64(logsumexp(v)).tobytes()
+
+
+def _gemm_jacobian(ds, x, G, parts):
+    """The Jacobian as the (m+1) x N by N x (m+1) product of the rows
+    p_i e^{x_i} with the integrands p_l (2 k2 - d2_l) / m, plus the tails:
+    the form the Hankel gather replaces."""
+    p, mu, d2, k2, Phi, dens = parts
+    M = np.subtract(2.0 * k2[1:-1], d2[:, 1:-1])
+    M *= p[:, 1:-1]
+    M *= ds.quad.inner_weights / ds.m
+    A = (p[:, 1:-1] * np.exp(x)[:, None]) @ M.T
+    cL, cR = ds._tail_factors(Phi)
+    A += np.outer(cL * ds.tails[0], p[:, 0])
+    A += np.outer(cR * ds.tails[1], p[:, -1])
+    return A / G[:, None]
+
+
+def _jacobian_gap(ds, x):
+    """max |A - A_gemm| / max |A_gemm| at x."""
+    parts = ds.pieces(x)
+    G = ds.gram(x, parts)[0]
+    ref = _gemm_jacobian(ds, x, G, parts)
+    return np.max(np.abs(ds.jacobian(x, G, parts) - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("m", [8, 40])
+def test_jacobian_is_gram_derivative(m):
+    # A_il = (dG_i / dx_l) / G_i against central differences of the Gram
+    # diagonal
+    ds, x = _seeded(BUMP, m)
+    parts = ds.pieces(x)
+    G = ds.gram(x, parts)[0]
+    h = 1e-5
+    fd = np.empty((m + 1, m + 1))
+    for l in range(m + 1):
+        e = h * (ds.j == l)
+        fd[:, l] = ds.gram(x + e, ds.pieces(x + e))[0] \
+            - ds.gram(x - e, ds.pieces(x - e))[0]
+    fd /= 2.0 * h * G[:, None]
+    A = ds.jacobian(x, G, parts)
+    assert np.max(np.abs(A - fd)) <= 1e-8 * np.max(np.abs(A))
+
+
+@pytest.mark.parametrize("m", [8, 40, 120, 200])
+def test_jacobian_matches_gemm_form(m):
+    # on the test bump's seed and on the round diagonal
+    ds, x = _seeded(BUMP, m)
+    assert _jacobian_gap(ds, x) <= 1e-12
+    x = gammaln(ds.j + 1) + gammaln(m - ds.j + 1) - gammaln(m + 1)
+    assert _jacobian_gap(ds, x) <= 1e-12
+
+
+def test_jacobian_matches_gemm_form_on_overshoot(monkeypatch):
+    # the first trial iterate of a strong bump, a full Newton step that
+    # raises the residual
+    desc = {"type": "gaussian-bump", "amplitude": 0.11, "width": 1.0,
+            "center": 1.0}
+    P = make_perturbed_potential(desc, window=default_window(200),
+                                 grid_size=512)
+    trials = []
+    centered = solvers._centered
+
+    def recorded(ds, x, y):
+        trials.append(x)
+        return centered(ds, x, y)
+
+    monkeypatch.setattr(solvers, "_centered", recorded)
+    res = newton_balance(200, P, SolverOptions(max_iterations=1))
+    ds = _DSpace(200, P.quad)
+    x = trials[0] - ds.j * ds.moment_center(trials[0])
+    assert ds.residual(x, 0.0)[0] > res.residual_history[0]
+    assert _jacobian_gap(ds, x) <= 1e-12
