@@ -185,20 +185,7 @@ def c_of_m(xi):
 
 def bergman_kernel(m, P):
     """Level-m Bergman kernel report; constant iff the metric is balanced."""
-    m = _check_level(m)
-    _, K, K2 = _kernel_d2(m, P, 0.0)
-    kern = grid_function(P, K, name="B_%d" % m, d2=K2)
-    expected = c_of_m(m)
-    return BergmanReport(m, kern, expected,
-                         float(np.max(np.abs(K - expected))),
-                         integrate(P, kern), weight=0.0)
-
-
-def _beta_from_report(m, P, rep, name):
-    dev = rep.kernel.values - rep.expected_constant
-    dens = P.node_values("dens")
-    lap = -rep.kernel.d2 / dens
-    return grid_function(P, 2.0 * m * dev + (4.0 / 3.0) * lap, name=name)
+    return weighted_bergman(m, P, 0.0)
 
 
 def beta(m, P):
@@ -206,30 +193,33 @@ def beta(m, P):
 
     Vanishes exactly iff B_m is constant; tends to sigma - 2 as m grows.
     """
-    m = _check_level(m)
-    return _beta_from_report(m, P, bergman_kernel(m, P), "beta_%d" % m)
+    return beta_weighted(m, P, 0.0)
+
+
+def _check_weight(m, y):
+    if abs(y) * m > 700.0:
+        raise ValueError("weight scaling exp(m y) exceeds floating range: "
+                         "|y| m = %.3g" % (abs(y) * m))
 
 
 def weighted_bergman(m, P, y):
     """Torus-weighted kernel: the j-th monomial line is scaled by e^{j y}.
 
-    y = 0 reduces to bergman_kernel exactly (same code path, same arrays).
+    y = 0 is the Bergman kernel, whose expected constant is c_of_m(m).
     """
     m = _check_level(m)
     y = float(y)
-    if y == 0.0:
-        return bergman_kernel(m, P)
-    if abs(y) * m > 700.0:
-        raise ValueError("weight scaling exp(m y) exceeds floating range: "
-                         "|y| m = %.3g" % (abs(y) * m))
+    _check_weight(m, y)
     weights, K, K2 = _kernel_d2(m, P, y)
-    kern = grid_function(P, K, name="B_%d_weighted" % m, d2=K2)
-    expected = _c_weighted_from(m, P, weights, y)
+    kern = grid_function(P, K, name="B_%d%s" % (m, "_weighted" if y else ""),
+                         d2=K2)
+    expected = c_of_m(m) if y == 0.0 else _c_weighted_from(m, P, weights, y)
     # self-consistency mean: same integral realized with the density pulled
     # back instead of the kernel shifted
     masses = (float(P.Phi_d(-P.window - y, 1)),
               float(1.0 - P.Phi_d(P.window - y, 1)))
-    mean = _volume_integral(P.quad, K, P.density(P.quad.nodes - y), masses)
+    dens = P.node_values("dens") if y == 0.0 else P.density(P.quad.nodes - y)
+    mean = _volume_integral(P.quad, K, dens, masses)
     return BergmanReport(m, kern, expected,
                          float(np.max(np.abs(K - expected))), mean, weight=y)
 
@@ -245,8 +235,7 @@ def c_weighted(m, P, y):
     pulled back by the torus element (density Phi''(t - y))."""
     m = _check_level(m)
     y = float(y)
-    if abs(y) * m > 700.0:
-        raise ValueError("weight scaling exp(m y) exceeds floating range")
+    _check_weight(m, y)
     if y == 0.0:
         return c_of_m(m)
     G = section_norms(m, P)
@@ -257,15 +246,15 @@ def c_weighted(m, P, y):
 def beta_weighted(m, P, W):
     """Weighted modified kernel with torus weight W (coefficient w, y = w/m^2).
 
-    w = 0 reduces to beta(m, P) exactly.
+    w = 0 is beta(m, P).
     """
     m = _check_level(m)
     w = W.w if isinstance(W, TorusWeight) else float(W)
-    if w == 0.0:
-        return beta(m, P)
-    y = w / float(m) ** 2
-    rep = weighted_bergman(m, P, y)
-    return _beta_from_report(m, P, rep, "beta_%d_weighted" % m)
+    rep = weighted_bergman(m, P, w / float(m) ** 2)
+    dev = rep.kernel.values - rep.expected_constant
+    lap = -rep.kernel.d2 / P.node_values("dens")
+    return grid_function(P, 2.0 * m * dev + (4.0 / 3.0) * lap,
+                         name="beta_%d%s" % (m, "_weighted" if w else ""))
 
 
 class FitReport:

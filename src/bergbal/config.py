@@ -1,8 +1,9 @@
 """Experiment configuration: YAML documents validated into typed configs.
 
 Validation is whole-document: every problem found is collected and reported
-together, with dotted field paths, rather than stopping at the first.  In
-strict mode unknown keys are errors; otherwise they are returned as warnings.
+together, with dotted field paths, rather than stopping at the first.  A
+top-level key the command does not read (COMMAND_KEYS) is unknown: in strict
+mode an error, otherwise a warning.
 """
 import dataclasses
 import math
@@ -13,9 +14,23 @@ from .bergman import MAX_LEVEL
 from .model import QUAD_ORDER
 from .solvers import SolverOptions
 
-_POTENTIAL_COMMANDS = ("balance", "tbalance", "newton", "family", "expand",
-                       "beta")
-COMMANDS = _POTENTIAL_COMMANDS + ("fourier", "probe")
+# the top-level keys each command reads besides `command` and `output`; any
+# other key is unknown to the command: a warning, or an error under strict,
+# and neither checked nor echoed
+_SOLVE_KEYS = ("potential", "levels", "solver", "quadrature")
+COMMAND_KEYS = {
+    "balance": _SOLVE_KEYS,
+    "tbalance": _SOLVE_KEYS + ("freeze_weight",),
+    "newton": _SOLVE_KEYS,
+    "family": _SOLVE_KEYS,
+    "expand": ("potential", "levels", "quadrature"),
+    "beta": ("potential", "levels", "quadrature", "weight"),
+    "fourier": ("sample", "profiles", "m_max"),
+    "probe": ("seeds", "levels", "solver", "quadrature"),
+}
+COMMANDS = tuple(COMMAND_KEYS)
+# the keys a command that reads them cannot do without
+_REQUIRED = ("potential", "levels", "seeds", "sample", "profiles")
 
 # the `quadrature` keys and their defaults; the window's default grows with
 # the top level (model.default_window)
@@ -67,17 +82,11 @@ class ExperimentConfig:
     warnings: list = dataclasses.field(default_factory=list)
 
     def echo(self):
-        """Plain dict for embedding in reports: every set field but output
-        and warnings, all solver fields, and m_max only for fourier."""
-        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
-               if f.name not in ("output", "warnings")}
-        out["solver"] = dataclasses.asdict(self.solver)
-        if self.command != "fourier":
-            del out["m_max"]
-        return {k: v for k, v in out.items() if v is not None and v != {}}
-
-
-_TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"warnings"}
+        """Plain dict for embedding in reports: the command and each set key
+        it reads, the solver with all its fields."""
+        keys = ("command",) + COMMAND_KEYS[self.command]
+        return {k: v for k, v in dataclasses.asdict(self).items()
+                if k in keys and v is not None and v != {}}
 
 
 def _number(value, kind, path, errors):
@@ -215,35 +224,28 @@ def parse_config(document, strict=False):
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be a mapping"])
 
-    errors = []
-    warnings = []
-    unknown = set(doc) - _TOP_KEYS
-    if doc.get("command") == "fourier" and "quadrature" in doc:
-        # fourier builds no quadrature: the section is a key it does not read
-        unknown.add("quadrature")
-        doc = {k: v for k, v in doc.items() if k != "quadrature"}
-    for key in sorted(unknown, key=str):
-        (errors if strict else warnings).append("unknown key %r" % key)
-
     command = doc.get("command")
     if command not in COMMANDS:
-        errors.append("command: expected one of %s, got %r"
-                      % (", ".join(COMMANDS), command))
-        raise ConfigError(errors)
+        raise ConfigError(["command: expected one of %s, got %r"
+                           % (", ".join(COMMANDS), command)])
+    errors = []
+    warnings = []
+    read = COMMAND_KEYS[command] + ("command", "output")
+    for key in sorted(set(doc) - set(read), key=str):
+        (errors if strict else warnings).append("unknown key %r" % key)
+    doc = {k: v for k, v in doc.items() if k in read}
+    for key in _REQUIRED:
+        if key in read and key not in doc:
+            errors.append("%s: required for command %r" % (key, command))
 
     kwargs = {"command": command, "warnings": warnings}
 
-    if command in _POTENTIAL_COMMANDS:
-        if "potential" not in doc:
-            errors.append("potential: required for command %r" % command)
-        else:
-            _check_potential(doc["potential"], "potential", errors)
-            kwargs["potential"] = doc["potential"]
+    if "potential" in doc:
+        _check_potential(doc["potential"], "potential", errors)
+        kwargs["potential"] = doc["potential"]
 
-    if command == "probe":
-        if "seeds" not in doc:
-            errors.append("seeds: required for command 'probe'")
-        elif not isinstance(doc["seeds"], list) or len(doc["seeds"]) < 2:
+    if "seeds" in doc:
+        if not isinstance(doc["seeds"], list) or len(doc["seeds"]) < 2:
             errors.append("seeds: expected a list of at least two potential "
                           "descriptors")
         else:
@@ -251,11 +253,9 @@ def parse_config(document, strict=False):
                 _check_potential(s, "seeds[%d]" % i, errors)
             kwargs["seeds"] = doc["seeds"]
 
-    if command == "fourier":
-        sample = doc.get("sample")
-        if sample is None:
-            errors.append("sample: required for command 'fourier'")
-        elif not isinstance(sample, dict) or \
+    if "sample" in doc:
+        sample = doc["sample"]
+        if not isinstance(sample, dict) or \
                 not isinstance(sample.get("cos"), list) or \
                 not isinstance(sample.get("sin", []), list):
             errors.append("sample: expected {cos: [...], sin: [...]} "
@@ -264,27 +264,26 @@ def parse_config(document, strict=False):
             for key in ("cos", "sin"):
                 _numbers(sample.get(key, []), "sample." + key, errors)
             kwargs["sample"] = sample
-        profiles = doc.get("profiles")
-        if profiles is None:
-            errors.append("profiles: required for command 'fourier'")
-        elif not isinstance(profiles, list) or len(profiles) < 2:
+
+    if "profiles" in doc:
+        profiles = doc["profiles"]
+        if not isinstance(profiles, list) or len(profiles) < 2:
             errors.append("profiles: expected a list of at least two "
                           "smoothing margins")
         else:
             _numbers(profiles, "profiles", errors)
             kwargs["profiles"] = profiles
-        m_max = _number(doc.get("m_max", ExperimentConfig.m_max), int,
-                        "m_max", errors)
+
+    if "m_max" in doc:
+        m_max = _number(doc["m_max"], int, "m_max", errors)
         if m_max is not None and m_max < 0:
             errors.append("m_max: expected a non-negative integer")
         kwargs["m_max"] = m_max
-    else:
-        if "levels" not in doc:
-            errors.append("levels: required for command %r" % command)
-        else:
-            _check_levels(doc["levels"], errors, _SEQUENCES.get(command, 1))
-            kwargs["levels"] = doc["levels"]
-        if command in _SEQUENCES and isinstance(doc.get("levels"), list):
+
+    if "levels" in doc:
+        _check_levels(doc["levels"], errors, _SEQUENCES.get(command, 1))
+        kwargs["levels"] = doc["levels"]
+        if command in _SEQUENCES and isinstance(doc["levels"], list):
             ls = [m for m in doc["levels"] if isinstance(m, int)]
             if ls and any(b <= a for a, b in zip(ls, ls[1:])):
                 errors.append("levels: must be strictly increasing for %r"

@@ -134,17 +134,12 @@ def write_report(report, out_dir, tables=True):
                 raise ReportWriteError(cpath, "table %r has columns of unequal "
                                        "lengths: %s" % (table["name"], sizes))
             rows = lengths.pop() if lengths else 0
-            template = _row_template(cols.values())
+            template, columns = _row_template(cols.values())
             try:
                 with open(cpath, "w") as fh:
                     fh.write(",".join(names) + "\n")
-                    if template is not None:
-                        fh.write(template * rows % tuple(
-                            chain.from_iterable(zip(*cols.values()))))
-                    else:
-                        for r in range(rows):
-                            fh.write(",".join(_cell(cols[n][r]) for n in names)
-                                     + "\n")
+                    fh.write(template * rows % tuple(
+                        chain.from_iterable(zip(*columns))))
             except OSError as e:
                 raise ReportWriteError(cpath, e)
             paths.append(cpath)
@@ -174,15 +169,19 @@ def _json_text(obj, indent=""):
 
 
 def _row_template(columns):
-    """One CSV row format with a %-field per column, or None unless every
-    column has entries of one type among float, int and bool."""
-    formats = []
+    """One CSV row format with a %-field per column, and the columns it
+    formats: a column whose entries are all one type among float, int and
+    bool gets that type's field, any other column %s over its _cell text."""
+    formats, values = [], []
     for col in columns:
         kinds = set(map(type, col))
-        if len(kinds) != 1 or not kinds <= _NUMBER_TYPES:
-            return None
-        formats.append(_CELL_FORMATS[kinds.pop()])
-    return ",".join(formats) + "\n"
+        if len(kinds) == 1 and kinds <= _NUMBER_TYPES:
+            formats.append(_CELL_FORMATS[kinds.pop()])
+            values.append(col)
+        else:
+            formats.append("%s")
+            values.append([_cell(v) for v in col])
+    return ",".join(formats) + "\n", values
 
 
 def _cell(v):

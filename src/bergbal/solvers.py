@@ -277,9 +277,7 @@ class _DSpace:
         cumulants of Phi_x.  The tail nodes are excluded: there the density
         is ~e^{-T} and evaluating sigma of a near-reference iterate divides
         rounding noise by it."""
-        k2, k3, k4 = self._core_cumulants(x)[4:]
-        sigma = -self.m * (k4 * k2 - k3 * k3) / k2 ** 3
-        return float(np.max(np.abs(sigma - 2.0)))
+        return _sigma_err(self.m, *self._core_cumulants(x)[4:])
 
     def round_floors(self, residual):
         """Floors of the family curves d_m and sup|sigma_m - 2| at this level.
@@ -349,10 +347,16 @@ class _DSpace:
         rounding = np.sum(np.abs(g) * p * eps, axis=0)
         # sum_l |d sigma / d x_l|, with d sigma / d x_l = -p_l (g_l - <g>)
         slope = np.sum(p * np.abs(g - np.sum(p * g, axis=0)), axis=0)
-        sigma_floor = self.sigma_core_err(x) \
+        sigma_floor = _sigma_err(m, k2, k3, k4) \
             + float(np.max(dx * slope + rounding))
         phi_rounding = np.finfo(float).eps * np.max(np.abs(self.fs0))
         return d_round + 2.0 * (dphi + phi_rounding), sigma_floor
+
+
+def _sigma_err(m, k2, k3, k4):
+    """sup |sigma - 2| from the cumulants k2, k3, k4 of a level-m softmax."""
+    sigma = -m * (k4 * k2 - k3 * k3) / k2 ** 3
+    return float(np.max(np.abs(sigma - 2.0)))
 
 
 def _lse(v):

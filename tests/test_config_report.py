@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from bergbal import config
-from bergbal.config import (COMMANDS, MAX_ARRAY_BYTES, MAX_ORDER,
-                            ConfigError, parse_config)
-from bergbal.runner import run_experiment
+from bergbal.config import (COMMAND_KEYS, COMMANDS, MAX_ARRAY_BYTES,
+                            MAX_ORDER, ConfigError, ExperimentConfig,
+                            parse_config)
+from bergbal.runner import _DISPATCH, run_experiment
 from bergbal.solvers import SolverOptions
 from bergbal.report import (
     ReportWriteError, _plain, build_report, load_report, load_schema,
@@ -58,8 +59,8 @@ solver: {tolerance: 1.0e-10, max_iterations: 40}
 
 DEFAULT_SOLVER = {"tolerance": 1e-08, "max_iterations": 500}
 
-# every optional field set; seeds, sample, profiles and m_max belong to
-# other commands and are left out of a tbalance echo, as output always is
+# every optional field set; weight, seeds, sample, profiles and m_max belong
+# to other commands and are left out of a tbalance echo, as output always is
 FULL = {"command": "tbalance", "potential": BUMP, "levels": [8, 12],
         "solver": {"tolerance": 1e-9, "max_iterations": 40},
         "quadrature": {"window": 24, "grid": 768, "order": 6},
@@ -76,11 +77,9 @@ GOLDEN_ECHO = {
                "solver": DEFAULT_SOLVER},
     "family": {"command": "family", "potential": BUMP, "levels": [5, 10],
                "solver": DEFAULT_SOLVER},
-    "expand": {"command": "expand", "potential": BUMP, "levels": [10, 20, 40],
-               "solver": DEFAULT_SOLVER},
-    "beta": {"command": "beta", "potential": BUMP, "levels": [10, 20],
-             "solver": DEFAULT_SOLVER},
-    "fourier": {"command": "fourier", "solver": DEFAULT_SOLVER,
+    "expand": {"command": "expand", "potential": BUMP, "levels": [10, 20, 40]},
+    "beta": {"command": "beta", "potential": BUMP, "levels": [10, 20]},
+    "fourier": {"command": "fourier",
                 "sample": {"cos": [1.0, 1.0], "sin": [0.0, 0.3]},
                 "profiles": [0.15, 0.3], "m_max": 10},
     "probe": {"command": "probe", "levels": [8], "solver": DEFAULT_SOLVER,
@@ -88,7 +87,7 @@ GOLDEN_ECHO = {
     "full": {"command": "tbalance", "potential": BUMP, "levels": [8, 12],
              "solver": {"tolerance": 1e-09, "max_iterations": 40},
              "quadrature": {"window": 24, "grid": 768, "order": 6},
-             "weight": 2.0, "freeze_weight": 0.0},
+             "freeze_weight": 0.0},
 }
 
 
@@ -130,7 +129,7 @@ def test_unknown_key_warning_vs_strict():
 
 def test_errors_are_collected_with_paths():
     doc = {
-        "command": "newton",
+        "command": "tbalance",
         "potential": {"type": "gaussian-bump", "width": -1.0},
         "levels": [4, "eight", 500],
         "solver": {"tolerance": -1.0},
@@ -166,9 +165,9 @@ def test_solver_fields_are_typed():
         with pytest.raises(ConfigError) as exc:
             parse_config(dict(MINIMAL["newton"], solver={key: value}))
         assert exc.value.errors == ["solver.%s: expected %s" % (key, expected)]
-    for key in ("weight", "freeze_weight"):
+    for command, key in (("beta", "weight"), ("tbalance", "freeze_weight")):
         with pytest.raises(ConfigError, match="%s: expected a number" % key):
-            parse_config(dict(MINIMAL["tbalance"], **{key: True}))
+            parse_config(dict(MINIMAL[command], **{key: True}))
     with pytest.raises(ConfigError, match="quadrature.grid: expected an integer"):
         parse_config(dict(MINIMAL["balance"], quadrature={"grid": True}))
     # integers are numbers, stored as the declared float
@@ -354,13 +353,57 @@ def test_fourier_quadrature_is_an_unread_key(quadrature):
     assert err.value.errors == ["unknown key 'quadrature'"]
 
 
+# a value for each top-level key that its checks reject
+INVALID = {"potential": {"type": "blob"}, "levels": [0],
+           "solver": {"tolerance": -1.0}, "quadrature": {"grid": 10 ** 9},
+           "weight": "heavy", "freeze_weight": "none",
+           "seeds": [{"type": "blob"}], "sample": {"cos": [True]},
+           "profiles": [0.1], "m_max": -3}
+UNREAD = [(command, f.name) for command in COMMANDS
+          for f in dataclasses.fields(ExperimentConfig)
+          if f.name not in COMMAND_KEYS[command] + ("command", "output",
+                                                     "warnings")]
+
+
+@pytest.mark.parametrize("command, key", UNREAD)
+def test_unread_key_is_unknown(command, key):
+    # a key the command does not read warns, is an error under strict, and
+    # is neither checked (its invalid value raises nothing) nor echoed
+    doc = dict(MINIMAL[command], **{key: INVALID[key]})
+    cfg = parse_config(doc)
+    assert cfg.warnings == ["unknown key %r" % key]
+    assert key not in cfg.echo()
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc, strict=True)
+    assert err.value.errors == ["unknown key %r" % key]
+
+
+class _Recording:
+    """A config that records the names of the fields read from it."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.cfg, name)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_keys_are_the_fields_the_runner_reads(command):
+    cfg = _Recording(parse_config(MINIMAL[command]))
+    _DISPATCH[command](cfg, build_report(cfg.cfg.echo()))
+    assert cfg.read - {"command"} == set(COMMAND_KEYS[command])
+
+
 def test_weight_fields():
     cfg = parse_config(dict(MINIMAL["tbalance"], freeze_weight=0))
     assert cfg.freeze_weight == 0.0
     with pytest.raises(ConfigError, match="freeze_weight"):
         parse_config(dict(MINIMAL["tbalance"], freeze_weight="none"))
     with pytest.raises(ConfigError, match="weight: expected a number"):
-        parse_config(dict(MINIMAL["balance"], weight="heavy"))
+        parse_config(dict(MINIMAL["beta"], weight="heavy"))
 
 
 def test_plain_conversion():
@@ -502,7 +545,8 @@ def _edge_report():
                      "b": [True, False, True, True, False],
                      "np": np.array([nan, -0.0, 5e-324, inf, 1.0 / 3.0])}},
         {"name": "mixed",
-         "columns": {"int_float": [1, 2.5, -0.0], "int_bool": [1, True, 0]}},
+         "columns": {"int_float": [1, 2.5, -0.0], "int_bool": [1, True, 0],
+                     "str_none": ["a", None, "b, c"]}},
         {"name": "empty_column", "columns": {"e": []}},
         {"name": "no_columns", "columns": {}},
     ]
