@@ -156,19 +156,19 @@ def section_norms(m, P):
 
 
 def _kernel_d2(m, P, y):
-    """Weights G_jj e^{jy}, and the weighted kernel and its second derivative
-    at the nodes.  d2 attaches through a_j = j - m Phi': E'' = (a^2 - m Phi'') E.
+    """The rows divided by their weights G_jj e^{jy}, and the weighted kernel
+    and its second derivative at the nodes.  d2 attaches through a_j = j -
+    m Phi': E'' = (a^2 - m Phi'') E.
     """
     G, E = _norms_and_rows(m, P)
     j = np.arange(m + 1)
-    weights = G.entries * np.exp(j * y)
-    K = _kernel(m, E, weights, out=E)
+    K = _kernel(m, E, G.entries * np.exp(j * y), out=E)
     # (a^2 - m Phi'') E built in place: one (m+1) x N array besides E
     a = j[:, None] - m * P.Phi_d(P.quad.nodes, 1)[None, :]
     a *= a
     a -= m * P.node_values("dens")[None, :]
     a *= E
-    return weights, K, a.sum(axis=0) / m
+    return E, K, a.sum(axis=0) / m
 
 
 def c_of_m(xi):
@@ -196,51 +196,43 @@ def beta(m, P):
     return beta_weighted(m, P, 0.0)
 
 
-def _check_weight(m, y):
-    if abs(y) * m > 700.0:
-        raise ValueError("weight scaling exp(m y) exceeds floating range: "
-                         "|y| m = %.3g" % (abs(y) * m))
-
-
 def weighted_bergman(m, P, y):
     """Torus-weighted kernel: the j-th monomial line is scaled by e^{j y}.
 
-    y = 0 is the Bergman kernel, whose expected constant is c_of_m(m).
+    y = 0 is the Bergman kernel, whose expected constant is c_of_m(m);
+    otherwise it is c_weighted, int K_y(u + y) dmu(u), read from the rows
+    formed once: K_y(u + y) = K_0(u) e^{m (Phi(u) - Phi(u + y))}, and K_0 =
+    (1/m) sum_j e^{jy} (E_j / G_jj e^{jy}) from the divided rows.
     """
     m = _check_level(m)
     y = float(y)
-    _check_weight(m, y)
-    weights, K, K2 = _kernel_d2(m, P, y)
+    if not abs(y) * m <= 700.0:
+        raise ValueError("weight scaling exp(m y) exceeds floating range: "
+                         "|y| m = %.3g" % (abs(y) * m))
+    E, K, K2 = _kernel_d2(m, P, y)
     kern = grid_function(P, K, name="B_%d%s" % (m, "_weighted" if y else ""),
                          d2=K2)
-    expected = c_of_m(m) if y == 0.0 else _c_weighted_from(m, P, weights, y)
+    t = P.quad.nodes
+    if y == 0.0:
+        expected, dens = c_of_m(m), P.node_values("dens")
+    else:
+        K0 = np.exp(np.arange(m + 1) * y) @ E / m
+        shift = np.exp(m * (P.node_values("Phi") - P.Phi(t + y)))
+        expected, dens = integrate(P, K0 * shift), P.density(t - y)
     # self-consistency mean: same integral realized with the density pulled
     # back instead of the kernel shifted
     masses = (float(P.Phi_d(-P.window - y, 1)),
               float(1.0 - P.Phi_d(P.window - y, 1)))
-    dens = P.node_values("dens") if y == 0.0 else P.density(P.quad.nodes - y)
     mean = _volume_integral(P.quad, K, dens, masses)
     return BergmanReport(m, kern, expected,
                          float(np.max(np.abs(K - expected))), mean, weight=y)
 
 
-def _c_weighted_from(m, P, weights, y):
-    t = P.quad.nodes + y
-    E = _rows(m, t, P.Phi(t))
-    return integrate(P, _kernel(m, E, weights, out=E))
-
-
 def c_weighted(m, P, y):
     """Weighted constant: mean of the weighted kernel against the volume
-    pulled back by the torus element (density Phi''(t - y))."""
-    m = _check_level(m)
-    y = float(y)
-    _check_weight(m, y)
-    if y == 0.0:
-        return c_of_m(m)
-    G = section_norms(m, P)
-    j = np.arange(m + 1)
-    return _c_weighted_from(m, P, G.entries * np.exp(j * y), y)
+    pulled back by the torus element (density Phi''(t - y)), equal to int
+    K_y(u + y) dmu(u); see weighted_bergman."""
+    return weighted_bergman(m, P, y).expected_constant
 
 
 def beta_weighted(m, P, W):
@@ -318,8 +310,7 @@ def gram_derivative(m, P, psi):
     """
     m = _check_level(m)
     _check_mean_zero(P, psi)
-    return _gram_derivative(m, P, psi,
-                            _rows(m, P.quad.nodes, P.node_values("Phi")))
+    return _gram_derivative(m, P, psi, _norms_and_rows(m, P)[1])
 
 
 def _check_mean_zero(P, psi):

@@ -21,6 +21,10 @@ is closed form in Phi_x at the window edges.  _DSpace hands the rows to the
 kernel engine of bergman.py for the Gram diagonal and the kernel, and
 integrates against the volume with model._volume_integral.
 
+Off the nodes Phi_x = S/m comes from the same softmax (at the window edges
+for the moment center, at the knots for emission), and a torus shift needs
+no pass: m Phi_x(t + y) = m Phi_x(t) + log sum_j p_jt e^{jy}.
+
 Newton's Jacobian is Hankel up to known factors: p_i p_l = e^{x_a + x_b -
 x_i - x_l} p_a p_b whenever a + b = i + l, so its interior integrals are
 gathered from 2m + 1 weighted row sums of q_k = p_a p_b, a = floor(k/2),
@@ -33,7 +37,7 @@ import dataclasses
 import time
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 from scipy.optimize import brentq
 
 from .model import fs_derivative, _from_knot_values, _volume_integral
@@ -183,10 +187,12 @@ class _DSpace:
                                 (mu[0] / self.m, 1.0 - mu[-1] / self.m))
 
     def _weighted_mean(self, x, y, G, parts):
-        """int K_y(u + y) dmu, the weighted constant of the current iterate."""
-        E = self.softmax(x, self.t + y)[0]
-        E *= np.exp(x)[:, None]
-        Ks = _kernel(self.m, E, G * np.exp(self.j * y), out=E)
+        """int K_y(u + y) dmu, the weighted constant of the current iterate.
+        As m Phi_x(u + y) = m Phi_x(u) + log sum_j p_j e^{jy}, K_y(u + y) is
+        the unweighted kernel (1/m) sum_j p_j e^{x_j} / G_j divided by
+        sum_j p_j e^{jy}: no softmax at u + y."""
+        p = parts[0]
+        Ks = (np.exp(x) / G) @ p / (self.m * (np.exp(self.j * y) @ p))
         return self._integral(Ks, parts[1], parts[5])
 
     def moment_center(self, x):
@@ -194,12 +200,12 @@ class _DSpace:
 
         By parts, int_{-T}^{T} t Phi_x'' dt = T Phi_x'(T) + T Phi_x'(-T)
         - Phi_x(T) + Phi_x(-T), and the tail masses add -T Phi_x'(-T) and
-        T (1 - Phi_x'(T)); the center is T - Phi_x(T) + Phi_x(-T), two
-        log-sum-exps over the m + 1 entries of x.
+        T (1 - Phi_x'(T)); the center is T - Phi_x(T) + Phi_x(-T), read off
+        the softmax's S = m Phi_x at the two window edges.
         """
         T = self.quad.window
-        jT = self.j * T
-        return (self.m * T - _lse(jT - x) + _lse(-jT - x)) / self.m
+        S = self.softmax(x, np.array([-T, T]))[1]
+        return (self.m * T - S[1] + S[0]) / self.m
 
     def jacobian(self, x, G, parts):
         """A_il = dG_i[psi_l]/G_i for the potential directions psi_l = dPhi/dx_l
@@ -257,8 +263,7 @@ class _DSpace:
         # emit on the seed's own grid: a finer one would only amplify the
         # float noise of the knot values in the spline's edge derivatives
         q = self.quad
-        Phi = logsumexp(self.j[:, None] * q.knots[None, :] - x[:, None],
-                        axis=0) / self.m
+        Phi = self.softmax(x, q.knots)[1] / self.m
         vals = Phi - fs_derivative(q.knots, 0)
         return _from_knot_values(vals, q.window, q.grid_size, order=q.order)
 
@@ -359,16 +364,6 @@ def _sigma_err(m, k2, k3, k4):
     return float(np.max(np.abs(sigma - 2.0)))
 
 
-def _lse(v):
-    """scipy.special.logsumexp of a finite 1-D array v, bit for bit, without
-    its dispatch: the tied maxima leave the sum and enter as log(n)."""
-    top = v.max()
-    tied = v == top
-    n = np.count_nonzero(tied)
-    s = np.exp(np.where(tied, -np.inf, v - top)).sum() / n
-    return np.log1p(s) + np.log(n) + top
-
-
 def _seed(m, P):
     return np.log((m + 1) * section_norms(m, P).entries)
 
@@ -416,28 +411,20 @@ def tk_iterate(m, P0, opts=SolverOptions()):
     """Fixed-point iteration on the Gram diagonal (the classical self-map).
 
     Starting from the Gram diagonal of P0, iterate x -> log((m+1) G(Phi_x)),
-    each iterate moment-centered.  The residual history records sup|B_m -
-    C_m| of every iterate, the seed's included.  The step fraction starts at
-    1 and is halved, down to 1/16, whenever the residual exceeds twice its
-    running minimum.  Non-convergence within max_iterations steps returns
+    each iterate moment-centered; the step is the full map, undamped.  The
+    residual history records sup|B_m - C_m| of every iterate, the seed's
+    included.  Non-convergence within max_iterations steps returns
     converged = False with the full history; the returned potential is
     always the last evaluated iterate.
     """
     t0 = time.perf_counter()
     ds = _DSpace(m, P0.quad)
-    damping = 1.0
 
     def step(x, hist, ev):
-        nonlocal damping
-        # transients legitimately plateau ~20% above the running minimum;
-        # only a clear blow-up signals that the map needs damping
-        if hist[-1] > 2.0 * min(hist):
-            damping = max(0.5 * damping, 1.0 / 16.0)
-        return _centered(ds, x + damping * (np.log((m + 1) * ev[2]) - x), 0.0)
+        return _centered(ds, np.log((m + 1) * ev[2]), 0.0)
 
     solve = _iterate(ds, _seed(m, P0), 0.0, opts, step)
-    return _result(ds, solve, None, opts, t0, "fixed-point",
-                   damping_final=damping)
+    return _result(ds, solve, None, opts, t0, "fixed-point")
 
 
 def _gauss_newton(ds, x0, y, opts):
@@ -517,11 +504,12 @@ def t_balance(m, P0, opts=SolverOptions(), freeze_weight=None):
 
     Inner: Gauss-Newton at fixed weight y.  Outer: one-dimensional root find
     on the moment pairing M(y) = int (K_y - C_y) f_moment dmu of the inner
-    solution; y = 0 is accepted immediately when |M(0)| <= 1e-12.  M(y)
-    reads the deviation K_y - C_y of the inner solve's last evaluation, so
-    at y = 0 C is the exact C_m, as in the residual.  Passing freeze_weight
-    pins y (freeze_weight = 0 reproduces newton_balance exactly, same code
-    path).
+    solution.  y = 0 is accepted immediately when |M(0)| <= 1e-12 or when
+    the y = 0 solve did not converge (at y != 0 it can only stall, see
+    below); otherwise a bracket scan and brentq find the root.  M(y) reads the
+    deviation K_y - C_y of the inner solve's last evaluation, so at y = 0 C
+    is the exact C_m, as in the residual.  Passing freeze_weight pins y
+    (freeze_weight = 0 reproduces newton_balance exactly, same code path).
 
     In this model the outer root is y = 0 for every seed: the moment-centered
     inner solution is the round metric, and M(y) changes sign only there
@@ -545,7 +533,8 @@ def t_balance(m, P0, opts=SolverOptions(), freeze_weight=None):
 
     y = 0.0 if freeze_weight is None else float(freeze_weight)
     M = moment(y)
-    if freeze_weight is None and abs(M) > 1e-12:
+    if freeze_weight is None and abs(M) > 1e-12 \
+            and solve[1][-1] <= opts.tolerance:
         scan = [-0.3, -0.1, -0.03, -0.01, -1e-3, 1e-3, 0.01, 0.03, 0.1, 0.3]
         a, b = _find_weight_bracket(moment, scan)
         y = brentq(moment, a, b, xtol=1e-12)

@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import betaln
 
-from bergbal import model
+from bergbal import bergman, model
 from bergbal.model import (
-    grid_function, hamiltonian_moment, integrate, make_fs_potential,
-    make_perturbed_potential, scalar_curvature, translate_potential,
+    default_window, grid_function, hamiltonian_moment, integrate,
+    make_fs_potential, make_perturbed_potential, scalar_curvature,
+    translate_potential,
 )
 from bergbal.bergman import (
     DegenerateFitError, GramDiagonal, TorusWeight, WindowError, bergman_derivative,
     bergman_kernel, beta, beta_weighted, c_of_m, c_weighted, expansion_fit,
-    fs_tails, gram_derivative, section_norms, weighted_bergman,
+    fs_tails, gram_derivative, section_norms, weighted_bergman, _kernel,
+    _rows,
 )
 
 BUMP = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.0}
@@ -82,8 +84,13 @@ def test_level_guards(fs):
 
 def test_window_guard():
     P = make_perturbed_potential(BUMP, window=16.0, grid_size=256)
-    with pytest.raises(WindowError, match="too small for level"):
-        section_norms(40, P)
+    v = np.tanh(P.quad.nodes)
+    psi = grid_function(P, v - integrate(P, v))
+    for call in (lambda: section_norms(40, P),
+                 lambda: gram_derivative(40, P, psi),
+                 lambda: bergman_derivative(40, P, psi)):
+        with pytest.raises(WindowError, match="too small for level"):
+            call()
 
 
 def test_gram_diagonal_validation(fs):
@@ -168,10 +175,45 @@ def test_weighted_reduces_at_zero(bump):
 
 
 def test_weight_range_guard(fs):
+    for y in (8.0, np.nan):
+        with pytest.raises(ValueError, match="floating range"):
+            weighted_bergman(100, fs, y)
+        with pytest.raises(ValueError, match="floating range"):
+            c_weighted(100, fs, y)
     with pytest.raises(ValueError, match="floating range"):
-        weighted_bergman(100, fs, 8.0)
-    with pytest.raises(ValueError, match="floating range"):
-        c_weighted(100, fs, 8.0)
+        beta_weighted(8, fs, np.nan)
+
+
+def _c_weighted_shifted_rows(m, P, y):
+    """c_weighted from rows formed at the shifted nodes t + y, the second
+    row pass that the identity K_y(u + y) = K_0(u) e^{m (Phi(u) - Phi(u +
+    y))} replaces."""
+    weights = section_norms(m, P).entries * np.exp(np.arange(m + 1) * y)
+    t = P.quad.nodes + y
+    return integrate(P, _kernel(m, _rows(m, t, P.Phi(t)), weights))
+
+
+@pytest.mark.parametrize("m", [2, 8, 40, 200])
+@pytest.mark.parametrize("y", [-0.01, 1e-3, 0.3])
+def test_c_weighted_matches_shifted_rows(m, y):
+    T = default_window(m)
+    for P in (make_fs_potential(window=T, grid_size=512),
+              make_perturbed_potential(BUMP, window=T, grid_size=512)):
+        ref = _c_weighted_shifted_rows(m, P, y)
+        assert abs(c_weighted(m, P, y) / ref - 1.0) <= 1e-13
+
+
+def test_weighted_kernel_forms_rows_once(bump, monkeypatch):
+    calls = []
+    rows = bergman._rows
+
+    def counted(m, t, Phi):
+        calls.append(t)
+        return rows(m, t, Phi)
+
+    monkeypatch.setattr(bergman, "_rows", counted)
+    weighted_bergman(40, bump, 1e-3)
+    assert len(calls) == 1
 
 
 def test_torus_weight():

@@ -10,7 +10,7 @@ from bergbal.model import (
 )
 from bergbal.solvers import (
     BalanceResult, BracketError, SolverOptions, _DSpace, _family_verdicts,
-    _find_weight_bracket, _lse, _seed, balanced_family, newton_balance,
+    _find_weight_bracket, _seed, balanced_family, newton_balance,
     t_balance, tk_iterate, uniqueness_probe,
 )
 from bergbal import solvers
@@ -72,7 +72,6 @@ def test_tk_bump(bump):
     assert res.converged
     assert res.iterations <= 500
     assert res.final_residual <= 1e-8
-    assert "damping_final" in res.diagnostics
     assert abs(res.diagnostics["moment_center"]) < 1e-10
 
 
@@ -105,22 +104,48 @@ def test_t_balance_frozen_weight_is_newton(bump, newton8):
     assert res.mode == "t-balance"
 
 
-def test_t_balance_reuses_inner_evaluation(off, monkeypatch):
-    # the moment pairing reads the deviation of the inner solve's last
-    # evaluation, so t_balance makes no exponential pass beyond Newton's
+def _softmax_columns(monkeypatch):
+    """The list that records the column count of every softmax call."""
     calls = []
     softmax = _DSpace.softmax
 
     def counted(self, x, t):
-        calls.append(x)
+        calls.append(t.size)
         return softmax(self, x, t)
 
     monkeypatch.setattr(_DSpace, "softmax", counted)
+    return calls
+
+
+def test_t_balance_reuses_inner_evaluation(off, monkeypatch):
+    # the moment pairing reads the deviation of the inner solve's last
+    # evaluation, so t_balance makes no exponential pass beyond Newton's;
+    # the moment center's 2-column softmax is not a pass
+    calls = _softmax_columns(monkeypatch)
     newton_balance(8, off)
-    direct = len(calls)
+    direct = sum(n > 2 for n in calls)
     calls.clear()
     t_balance(8, off)
-    assert len(calls) == direct == 6
+    assert sum(n > 2 for n in calls) == direct == 7
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_t_balance_searches_only_from_converged_solve(off, monkeypatch, cap):
+    # a y = 0 solve stopped by the cap gives no weight search: one inner
+    # solve, y = 0, and Newton's own final residual
+    calls = []
+    gauss_newton = solvers._gauss_newton
+
+    def counted(ds, x0, y, opts):
+        calls.append(y)
+        return gauss_newton(ds, x0, y, opts)
+
+    monkeypatch.setattr(solvers, "_gauss_newton", counted)
+    opts = SolverOptions(max_iterations=cap)
+    res = t_balance(8, off, opts)
+    assert calls == [0.0]
+    assert res.torus_weight == 0.0 and not res.converged
+    assert res.final_residual == newton_balance(8, off, opts).final_residual
 
 
 @pytest.mark.parametrize("solve", [tk_iterate, newton_balance])
@@ -317,16 +342,42 @@ def test_newton_strong_bumps(m, amplitude, width, center):
     assert np.all(np.diff(res.residual_history) < 0)
 
 
-def test_lse_is_scipy_logsumexp():
-    # bit for bit, tied maxima included
-    rng = np.random.default_rng(0)
-    for n in range(2000):
-        v = rng.normal(scale=rng.choice([1e-3, 1.0, 50.0]), size=2 + n % 200)
-        if n % 3 == 0:
-            v = np.round(v, 1)
-        if n % 5 == 0:
-            v[rng.integers(v.size, size=3)] = v.max()
-        assert _lse(v).tobytes() == np.float64(logsumexp(v)).tobytes()
+@pytest.mark.parametrize("m", [8, 40, 200])
+def test_softmax_S_is_scipy_logsumexp(m):
+    # S = m Phi_x at the knots (emission) and at -T, T (moment center), on
+    # the seed diagonal and on the round one, against scipy's log-sum-exp:
+    # within a few ulp of |S| (of 1 where S is near 0; measured <= 2.3)
+    ds, x0 = _seeded(OFF, m)
+    T = ds.quad.window
+    x1 = gammaln(ds.j + 1) + gammaln(m - ds.j + 1) - gammaln(m + 1)
+    for x in (x0, x1):
+        for t in (ds.quad.knots, np.array([-T, T])):
+            S = ds.softmax(x, t)[1]
+            ref = logsumexp(np.multiply.outer(ds.j, t) - x[:, None], axis=0)
+            ulp = np.finfo(float).eps * np.maximum(np.abs(ref), 1.0)
+            assert np.all(np.abs(S - ref) <= 4.0 * ulp)
+
+
+def _weighted_mean_shifted(ds, x, y, G, parts):
+    """int K_y(u + y) dmu from a second softmax at the shifted nodes t + y,
+    the pass that the identity m Phi_x(u + y) = m Phi_x(u) + log sum_j p_j
+    e^{jy} replaces."""
+    E = ds.softmax(x, ds.t + y)[0] * np.exp(x)[:, None]
+    Ks = (E / (G * np.exp(ds.j * y))[:, None]).sum(axis=0) / ds.m
+    return ds._integral(Ks, parts[1], parts[5])
+
+
+@pytest.mark.parametrize("m", [6, 40, 120, 200])
+def test_weighted_mean_from_held_softmax(m, monkeypatch):
+    ds, x = _seeded(OFF, m)
+    parts = ds.pieces(x)
+    G = ds.gram(x, parts)[0]
+    for y in (-0.01, 1e-3, 0.3 / m):
+        ref = _weighted_mean_shifted(ds, x, y, G, parts)
+        assert abs(ds._weighted_mean(x, y, G, parts) / ref - 1.0) <= 1e-13
+    calls = _softmax_columns(monkeypatch)
+    ds._weighted_mean(x, 1e-3, G, parts)
+    assert calls == []
 
 
 def _gemm_jacobian(ds, x, G, parts):
