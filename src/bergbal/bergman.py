@@ -24,10 +24,12 @@ through model._volume_integral.
 import numpy as np
 from scipy.special import expit, betaln, betainc
 
-from .model import (grid_function, integrate, scalar_curvature,
-                    _volume_integral)
+from .model import (discretization_errors, grid_function, integrate,
+                    scalar_curvature, _volume_integral)
 
 MAX_LEVEL = 200
+# largest |y| m for the weights e^{jy}, j <= m (e^709 overflows float64)
+MAX_EXPONENT = 700.0
 
 
 class WindowError(ValueError):
@@ -132,12 +134,8 @@ def _kernel(m, E, weights, out=None):
 def _norms_and_rows(m, P):
     """section_norms(m, P) and the rows it integrates, at all nodes."""
     m = _check_level(m)
-    T = P.window
-    required = 15.0 + np.log(m)
-    if T < required:
-        raise WindowError(
-            "window %.2f too small for level %d: need at least %.2f "
-            "(default is %.2f)" % (T, m, required, 20.0 + np.log(m)))
+    for _, message in discretization_errors(P.window, None, None, m):
+        raise WindowError("window " + message)
     factors = (np.exp(-m * P.c_minus), np.exp(-m * P.c_plus))
     E = _rows(m, P.quad.nodes, P.node_values("Phi"))
     G = _gram(m, P.quad, E, P.node_values("dens"), factors)
@@ -206,7 +204,7 @@ def weighted_bergman(m, P, y):
     """
     m = _check_level(m)
     y = float(y)
-    if not abs(y) * m <= 700.0:
+    if not abs(y) * m <= MAX_EXPONENT:
         raise ValueError("weight scaling exp(m y) exceeds floating range: "
                          "|y| m = %.3g" % (abs(y) * m))
     E, K, K2 = _kernel_d2(m, P, y)
@@ -270,15 +268,13 @@ def expansion_fit(P, m_list):
     after the first-order model; decays faster than 1/m), and
     sup|a1 - sigma/2|.
     """
-    m_list = [int(m) for m in m_list]
+    m_list = [_check_level(m) for m in m_list]
     if len(set(m_list)) != len(m_list):
         raise DegenerateFitError("duplicated levels in %r" % (m_list,))
     if len(m_list) < 3:
         raise ValueError("need at least 3 levels, got %r" % (m_list,))
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("levels must be strictly increasing")
-    if m_list[-1] > MAX_LEVEL:
-        raise ValueError("max level %d exceeds %d" % (m_list[-1], MAX_LEVEL))
     q = 1.0 / np.asarray(m_list, dtype=float)
     V = np.stack([q, q * q], axis=1)
     cond = np.linalg.cond(V)

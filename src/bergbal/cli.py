@@ -23,7 +23,8 @@ EXIT_INTERNAL = 3
 def _parser():
     p = argparse.ArgumentParser(
         prog="bergbal",
-        description="balanced-metric laboratory on the projective line")
+        description="balanced-metric laboratory on the projective line",
+        epilog=__doc__.split("\n\n")[2])
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", required=True, help="YAML experiment config")
     p.add_argument("--out", help="output directory (default: config, then "

@@ -10,8 +10,10 @@ import math
 
 import yaml
 
-from .bergman import MAX_LEVEL
-from .model import QUAD_ORDER
+from .bergman import MAX_EXPONENT, MAX_LEVEL, TorusWeight
+# MAX_ORDER and MAX_ARRAY_BYTES are re-exported with the rule they bound
+from .model import (MAX_ARRAY_BYTES, MAX_ORDER, POTENTIAL_FIELDS,
+                    QUADRATURE, discretization_errors)
 from .solvers import SolverOptions
 
 # the top-level keys each command reads besides `command` and `output`; any
@@ -32,15 +34,8 @@ COMMANDS = tuple(COMMAND_KEYS)
 # the keys a command that reads them cannot do without
 _REQUIRED = ("potential", "levels", "seeds", "sample", "profiles")
 
-# the `quadrature` keys and their defaults; the window's default grows with
-# the top level (model.default_window)
-QUADRATURE = {"window": None, "grid": 512, "order": QUAD_ORDER}
-# their number types; model._check_discretization holds the lower bounds
+# the number types of the `quadrature` keys (model.QUADRATURE)
 _QUADRATURE_KINDS = {"window": float, "grid": int, "order": int}
-# the upper bounds: leggauss(order) diagonalizes an order x order matrix,
-# and a run holds (top level + 1) x n_nodes float64 arrays
-MAX_ORDER = 64
-MAX_ARRAY_BYTES = 1 << 30
 
 # the `output` keys and the type each value must have
 _OUTPUT = {"directory": (str, "expected a path string"),
@@ -108,25 +103,6 @@ def _numbers(values, path, errors):
         _number(v, float, "%s[%d]" % (path, i), errors)
 
 
-def _check_quadrature_size(grid, order, levels, errors):
-    """Errors for an order above MAX_ORDER or a (top level + 1) x n_nodes
-    float64 array above MAX_ARRAY_BYTES, n_nodes as model.Quadrature has
-    it; the top level is the largest valid entry of levels, else 0."""
-    if grid is None or order is None:
-        return
-    if order > MAX_ORDER:
-        errors.append("quadrature.order: %d above the maximum %d"
-                      % (order, MAX_ORDER))
-        return
-    top = max((m for m in levels if type(m) is int and 1 <= m <= MAX_LEVEL),
-              default=0)
-    size = 8 * (top + 1) * ((grid - 1) * order + 2)
-    if size > MAX_ARRAY_BYTES:
-        errors.append("quadrature.grid: %d at order %d and level %d needs "
-                      "%d bytes per array, above the maximum %d"
-                      % (grid, order, top, size, MAX_ARRAY_BYTES))
-
-
 def _check_mapping(doc, key, known, errors):
     """doc[key] if it is a mapping, else None; unknown keys are errors."""
     sub = doc[key]
@@ -142,50 +118,49 @@ def _check_potential(desc, path, errors):
     if not isinstance(desc, dict):
         errors.append("%s: expected a mapping, got %s" % (path, type(desc).__name__))
         return
-    kind = desc.get("type")
-    if kind == "fubini-study":
-        extra = set(desc) - {"type"}
-        if extra:
-            errors.append("%s: unexpected keys for fubini-study: %s"
-                          % (path, ", ".join(sorted(map(str, extra)))))
-    elif kind == "gaussian-bump":
-        for field in ("amplitude", "width"):
-            if field not in desc:
-                errors.append("%s.%s: required for gaussian-bump" % (path, field))
-        values = {f: _number(desc[f], float, "%s.%s" % (path, f), errors)
-                  for f in ("amplitude", "width", "center") if f in desc}
-        if values.get("width") is not None and values["width"] <= 0:
-            errors.append("%s.width: must be positive" % path)
-        extra = set(desc) - {"type", "amplitude", "width", "center"}
-        if extra:
-            errors.append("%s: unexpected keys for gaussian-bump: %s"
-                          % (path, ", ".join(sorted(map(str, extra)))))
-    elif kind == "tabulated":
-        for field in ("t", "phi"):
-            if field not in desc:
-                errors.append("%s.%s: required for tabulated" % (path, field))
-            elif not isinstance(desc[field], list):
-                errors.append("%s.%s: expected a list of numbers" % (path, field))
-            else:
-                _numbers(desc[field], "%s.%s" % (path, field), errors)
-    elif kind is None:
-        errors.append("%s.type: required (fubini-study, gaussian-bump or "
-                      "tabulated)" % path)
-    else:
-        errors.append("%s.type: unknown potential type %r" % (path, kind))
+    kind, kinds = desc.get("type"), list(POTENTIAL_FIELDS)
+    if kind not in kinds:
+        errors.append("%s.type: required (%s or %s)" % (
+            path, ", ".join(kinds[:-1]), kinds[-1]) if kind is None else
+            "%s.type: unknown potential type %r" % (path, kind))
+        return
+    required, optional = POTENTIAL_FIELDS[kind]
+    errors.extend("%s.%s: required for %s" % (path, field, kind)
+                  for field in required if field not in desc)
+    for field in [f for f in required + optional if f in desc]:
+        where = "%s.%s" % (path, field)
+        if kind != "tabulated":
+            value = _number(desc[field], float, where, errors)
+            if field == "width" and value is not None and value <= 0:
+                errors.append("%s: must be positive" % where)
+        elif not isinstance(desc[field], list):
+            errors.append("%s: expected a list of numbers" % where)
+        else:
+            _numbers(desc[field], where, errors)
+    extra = set(desc) - {"type"} - set(required + optional)
+    if extra:
+        errors.append("%s: unexpected keys for %s: %s"
+                      % (path, kind, ", ".join(sorted(map(str, extra)))))
 
 
 def _check_levels(levels, errors, minimum):
+    """The valid entries of levels, each distinct and in [1, MAX_LEVEL]."""
     if not isinstance(levels, list) or not levels:
         errors.append("levels: expected a non-empty list of integers")
-        return
+        return []
+    valid = []
     for i, m in enumerate(levels):
         m = _number(m, int, "levels[%d]" % i, errors)
         if m is not None and not 1 <= m <= MAX_LEVEL:
             errors.append("levels[%d]: level %d outside [1, %d]"
                           % (i, m, MAX_LEVEL))
+        elif m is not None:
+            if m in valid:
+                errors.append("levels: level %d repeated" % m)
+            valid.append(m)
     if len(levels) < minimum:
         errors.append("levels: need at least %d levels" % minimum)
+    return valid
 
 
 def _check_solver(doc, errors):
@@ -280,14 +255,14 @@ def parse_config(document, strict=False):
             errors.append("m_max: expected a non-negative integer")
         kwargs["m_max"] = m_max
 
+    levels = []
     if "levels" in doc:
-        _check_levels(doc["levels"], errors, _SEQUENCES.get(command, 1))
+        levels = _check_levels(doc["levels"], errors,
+                               _SEQUENCES.get(command, 1))
         kwargs["levels"] = doc["levels"]
-        if command in _SEQUENCES and isinstance(doc["levels"], list):
-            ls = [m for m in doc["levels"] if isinstance(m, int)]
-            if ls and any(b <= a for a, b in zip(ls, ls[1:])):
-                errors.append("levels: must be strictly increasing for %r"
-                              % command)
+        if command in _SEQUENCES and levels != sorted(levels):
+            errors.append("levels: must be strictly increasing for %r"
+                          % command)
 
     # a section that fails its checks leaves an error, so no config is built
     if "solver" in doc:
@@ -295,15 +270,11 @@ def parse_config(document, strict=False):
 
     if "quadrature" in doc:
         quad = _check_mapping(doc, "quadrature", QUADRATURE, errors) or {}
-        sizes = dict(QUADRATURE)
-        for key, kind in _QUADRATURE_KINDS.items():
-            if key in quad:
-                sizes[key] = _number(quad[key], kind, "quadrature." + key,
-                                     errors)
-        levels = doc.get("levels")
-        _check_quadrature_size(sizes["grid"], sizes["order"],
-                               levels if isinstance(levels, list) else [],
-                               errors)
+        sizes = {k: _number(quad[k], kind, "quadrature." + k, errors)
+                 if k in quad else QUADRATURE[k]
+                 for k, kind in _QUADRATURE_KINDS.items()}
+        errors.extend("quadrature.%s: %s" % e for e in discretization_errors(
+            top=max(levels, default=0), **sizes))
         kwargs["quadrature"] = {k: quad[k] for k in QUADRATURE if k in quad}
 
     if "output" in doc:
@@ -316,6 +287,11 @@ def parse_config(document, strict=False):
     for key in ("weight", "freeze_weight"):
         if key in doc:
             kwargs[key] = _number(doc[key], float, key, errors)
+    # |y| m = |w| / m at y = w / m^2: widest at the least level
+    w, m = kwargs.get("weight"), min(levels, default=0)
+    if w is not None and m and abs(TorusWeight(w).y(m)) * m > MAX_EXPONENT:
+        errors.append("weight: %g out of floating range at level %d: |w| / m "
+                      "above %g" % (w, m, MAX_EXPONENT))
 
     if errors:
         raise ConfigError(errors)

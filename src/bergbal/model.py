@@ -19,10 +19,19 @@ from scipy.special import expit
 from scipy.interpolate import make_interp_spline
 
 DECAY_TOL = 1e-10
+# the bounds of discretization_errors: leggauss(order) diagonalizes an order
+# x order matrix, and a run at top level m holds (m + 1) x n_nodes arrays
 MIN_WINDOW = 10.0
 MIN_GRID = 64
-# Gauss-Legendre nodes per knot interval unless a caller sets the order
-QUAD_ORDER = 8
+MAX_ORDER = 64
+MAX_ARRAY_BYTES = 1 << 30
+# the `quadrature` keys and their defaults: window None is default_window of
+# the top level, and order counts Gauss-Legendre nodes per knot interval
+QUADRATURE = {"window": None, "grid": 512, "order": 8}
+# potential descriptor types: (required fields, optional fields)
+POTENTIAL_FIELDS = {"fubini-study": ((), ()),
+                    "gaussian-bump": (("amplitude", "width"), ("center",)),
+                    "tabulated": (("t", "phi"), ())}
 # the spline's second derivative carries ~1e-11 of rounding noise, so a far
 # tail where the true density is ~e^{-T} can evaluate slightly below zero;
 # only dips beyond this budget signal a genuine positivity violation
@@ -42,6 +51,37 @@ class PositivityError(ValueError):
 def default_window(m):
     """Default truncation half-width for Bergman computations at level m."""
     return 20.0 + np.log(m)
+
+
+def min_window(m):
+    """Least half-width at which the rows e^{jt - m Phi} of level m decay."""
+    return 15.0 + np.log(m)
+
+
+def discretization_errors(window, grid, order, top):
+    """A (key, message) pair for each bound that the discretization (window,
+    grid, order) breaks when it carries the levels up to top (0: no level).
+    A None value is not checked; a None window is default_window(top)."""
+    errors = []
+    need = min_window(top) if top else MIN_WINDOW
+    if window is not None and window < need:
+        errors.append(("window", "%.2f too small for level %d: need at least "
+                       "%.2f (default is %.2f)"
+                       % (window, top, need, default_window(top)) if top
+                       else "%.2f below the minimum %g" % (window, need)))
+    if grid is not None and grid < MIN_GRID:
+        errors.append(("grid", "%d below the minimum %d" % (grid, MIN_GRID)))
+    if order is not None and not 2 <= order <= MAX_ORDER:
+        errors.append(("order", "%d below the minimum 2" % order if order < 2
+                       else "%d above the maximum %d" % (order, MAX_ORDER)))
+    if grid is not None and order is not None:
+        # n_nodes as Quadrature has it: order per knot interval, two ends
+        size = 8 * (top + 1) * ((grid - 1) * order + 2)
+        if size > MAX_ARRAY_BYTES:
+            errors.append(("grid", "%d at order %d and level %d needs %d "
+                           "bytes per array, above the maximum %d"
+                           % (grid, order, top, size, MAX_ARRAY_BYTES)))
+    return errors
 
 
 def _fs_pieces(t):
@@ -82,8 +122,8 @@ class Quadrature:
     """
 
     def __init__(self, window, grid_size, order):
-        if order < 2:
-            raise ValueError("quadrature order must be >= 2")
+        for error in discretization_errors(window, grid_size, order, 0):
+            raise ValueError("%s %s" % error)
         self.window = float(window)
         self.grid_size = int(grid_size)
         self.order = int(order)
@@ -232,27 +272,25 @@ class RadialPotential:
         return float(left), float(right)
 
 
-def make_fs_potential(window, grid_size, order=QUAD_ORDER):
-    """The reference Fubini-Study potential (phi = 0).
-
-    Rejects window < 10 or grid_size < 64 as unusable discretizations.
-    """
-    window, grid_size = _check_discretization(window, grid_size)
+def make_fs_potential(window, grid_size, order=QUADRATURE["order"]):
+    """The reference Fubini-Study potential (phi = 0)."""
     return RadialPotential("fs", window, grid_size,
                            np.zeros(grid_size), order=order)
 
 
-def make_perturbed_potential(desc, window, grid_size, order=QUAD_ORDER):
-    """Build a perturbed potential from a descriptor.
+def make_perturbed_potential(desc, window, grid_size, order=QUADRATURE["order"]):
+    """Build a potential from a descriptor.
 
-    desc is a mapping with desc["type"] in {"gaussian-bump", "tabulated"}:
+    desc is a mapping whose "type" is a key of POTENTIAL_FIELDS:
+      fubini-study: make_fs_potential
       gaussian-bump: amplitude, width, center
       tabulated: t (increasing array covering [-window, window]), phi
     The perturbation is mean-zero normalized; positivity Phi'' > 0 and decay
     at the window are enforced at construction.
     """
-    window, grid_size = _check_discretization(window, grid_size)
     kind = desc.get("type")
+    if kind == "fubini-study":
+        return make_fs_potential(window, grid_size, order)
     knots = np.linspace(-window, window, grid_size)
     if kind == "gaussian-bump":
         a = float(desc["amplitude"])
@@ -266,16 +304,6 @@ def make_perturbed_potential(desc, window, grid_size, order=QUAD_ORDER):
     else:
         raise ValueError("unknown perturbation type: %r" % (kind,))
     return RadialPotential("perturbed", window, grid_size, vals, order=order)
-
-
-def _check_discretization(window, grid_size):
-    window = float(window)
-    grid_size = int(grid_size)
-    if window < MIN_WINDOW:
-        raise ValueError("window %.3g below minimum %.3g" % (window, MIN_WINDOW))
-    if grid_size < MIN_GRID:
-        raise ValueError("grid_size %d below minimum %d" % (grid_size, MIN_GRID))
-    return window, grid_size
 
 
 def _resample_tabulated(desc, knots, window):
@@ -303,7 +331,7 @@ def _resample_tabulated(desc, knots, window):
     return make_interp_spline(t, v, k=5)(knots)
 
 
-def _from_knot_values(vals, window, grid_size, order=QUAD_ORDER):
+def _from_knot_values(vals, window, grid_size, order=QUADRATURE["order"]):
     """Internal constructor for solver outputs.
 
     Positivity and shape validation still apply; the decay tolerance is

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from .model import (default_window, make_fs_potential, make_perturbed_potential,
+from .model import (QUADRATURE, default_window, make_perturbed_potential,
                     scalar_curvature)
 from .bergman import beta_weighted, expansion_fit, TorusWeight
 from .solvers import tk_iterate, newton_balance, t_balance, balanced_family, \
@@ -16,17 +16,14 @@ from .solvers import tk_iterate, newton_balance, t_balance, balanced_family, \
 from .circle import CircleSample, make_partition, integer_consistency_report, \
     _mean_value_gap
 from .report import build_report
-from .config import QUADRATURE
 
 
 def _build_potential(desc, cfg):
     q = dict(QUADRATURE, **cfg.quadrature)
     window = float(default_window(max(cfg.levels)) if q["window"] is None
                    else q["window"])
-    grid, order = int(q["grid"]), int(q["order"])
-    if desc.get("type") == "fubini-study":
-        return make_fs_potential(window, grid, order)
-    return make_perturbed_potential(desc, window, grid, order)
+    return make_perturbed_potential(desc, window, int(q["grid"]),
+                                    int(q["order"]))
 
 
 def _record_quadrature(report, P):

@@ -101,6 +101,30 @@ levels: [0]
     assert not (tmp_path / "out").exists()
 
 
+def test_run_time_failure_is_config_error(tmp_path, capsys):
+    # a window too small for the top level used to fail in the run (exit 3,
+    # with a report); it is a config error, and nothing is written
+    cfg = _write(tmp_path, """
+command: newton
+potential: {type: fubini-study}
+levels: [8, 200]
+quadrature: {window: 12}
+""")
+    out_dir = tmp_path / "out"
+    code = main(["newton", "--config", cfg, "--out", str(out_dir)])
+    assert code == 2
+    assert "quadrature.window: 12.00 too small for level 200" in \
+        capsys.readouterr().err
+    assert not (out_dir / "report.json").exists()
+
+
+def test_help_lists_exit_codes(capsys):
+    assert main(["--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "Exit codes: 0 all verdicts pass, 1 verdict failure, 2 usage or " \
+        "configuration error, 3 internal error." in out
+
+
 def test_command_mismatch(tmp_path, capsys):
     cfg = _write(tmp_path, FS_BALANCE)
     code = main(["newton", "--config", cfg, "--out", str(tmp_path / "out")])

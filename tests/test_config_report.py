@@ -6,12 +6,15 @@ import os
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bergbal import config
 from bergbal.config import (COMMAND_KEYS, COMMANDS, MAX_ARRAY_BYTES,
                             MAX_ORDER, ConfigError, ExperimentConfig,
                             parse_config)
-from bergbal.runner import _DISPATCH, run_experiment
+from bergbal.bergman import section_norms
+from bergbal.model import min_window
+from bergbal.runner import _DISPATCH, _build_potential, run_experiment
 from bergbal.solvers import SolverOptions
 from bergbal.report import (
     ReportWriteError, _plain, build_report, load_report, load_schema,
@@ -337,6 +340,93 @@ def test_quadrature_upper_bounds():
     # without a valid level the bound is taken at level 0
     assert _grid_error(10 ** 9, levels=[0])[0].startswith(
         "quadrature.grid: 1000000000 at order 8 and level 0")
+
+
+# documents that used to pass parse_config and then fail in the run: each is
+# a config error naming its key
+RUN_TIME_FAILURES = [
+    ({"quadrature": {"window": 5}}, "quadrature.window: 5.00 too small for "
+     "level 200: need at least 20.30 (default is 25.30)"),
+    ({"quadrature": {"window": 12}}, "quadrature.window: 12.00 too small for "
+     "level 200: need at least 20.30 (default is 25.30)"),
+    ({"quadrature": {"grid": 10}}, "quadrature.grid: 10 below the minimum 64"),
+    ({"quadrature": {"order": 1}}, "quadrature.order: 1 below the minimum 2"),
+    ({"potential": dict(TABULATED, amplitude=3, width="x")},
+     "potential: unexpected keys for tabulated: amplitude, width"),
+    ({"levels": [8, 8]}, "levels: level 8 repeated"),
+]
+
+
+@pytest.mark.parametrize("fields, error", RUN_TIME_FAILURES)
+def test_run_time_failures_are_config_errors(fields, error):
+    doc = dict({"command": "newton", "potential": FS, "levels": [8, 200]},
+               **fields)
+    for strict in (False, True):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc, strict=strict)
+        assert exc.value.errors == [error]
+
+
+def test_discretization_bounds():
+    def errors(levels, **quadrature):
+        doc = {"command": "beta", "potential": FS, "levels": levels,
+               "quadrature": quadrature}
+        try:
+            parse_config(doc)
+        except ConfigError as e:
+            return [m for m in e.errors if m.startswith("quadrature.")]
+        return []
+
+    # the window a level needs follows the top level; without a valid
+    # level only the level-free minimum applies
+    top = float(min_window(40))
+    assert errors([8, 40], window=top) == []
+    assert errors([8, 40], window=top - 1e-9)[0].startswith(
+        "quadrature.window: %.2f too small for level 40" % top)
+    assert errors([0], window=9.5) == ["quadrature.window: 9.50 below the "
+                                       "minimum 10"]
+    assert errors([0], window=10) == []
+    assert errors([8], grid=64, order=2) == []
+    assert errors([8], grid=63, order=MAX_ORDER + 1) == [
+        "quadrature.grid: 63 below the minimum 64",
+        "quadrature.order: 65 above the maximum 64"]
+    # a repeated level is an error for every command; family also keeps
+    # its order rule
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"command": "family", "potential": FS,
+                      "levels": [5, 10, 5]})
+    assert exc.value.errors == ["levels: level 5 repeated",
+                                "levels: must be strictly increasing for "
+                                "'family'"]
+
+
+def test_weight_range():
+    # |y| m = |w| / m must stay within bergman.MAX_EXPONENT at the least level
+    doc = {"command": "beta", "potential": FS, "levels": [40, 8]}
+    assert parse_config(dict(doc, weight=-700 * 8)).weight == -5600.0
+    for w in (700 * 8 + 1, 1000000):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(dict(doc, weight=w))
+        assert exc.value.errors == ["weight: %g out of floating range at "
+                                    "level 8: |w| / m above 700" % w]
+
+
+@settings(max_examples=40, deadline=None)
+@given(window=st.floats(5.0, 30.0), grid=st.integers(32, 160),
+       order=st.integers(1, 10),
+       levels=st.lists(st.integers(1, 12), min_size=1, max_size=4))
+@example(window=float(min_window(12)), grid=64, order=2, levels=[3, 12])
+def test_accepted_discretization_carries_its_levels(window, grid, order,
+                                                     levels):
+    # whatever parse_config accepts, the potential builds and carries the
+    # top level: no discretization bound is left for the run to find
+    doc = {"command": "newton", "potential": FS, "levels": levels,
+           "quadrature": {"window": window, "grid": grid, "order": order}}
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    section_norms(max(levels), _build_potential(cfg.potential, cfg))
 
 
 @pytest.mark.parametrize("quadrature", [{"grid": 768}, {"grid": 10 ** 9},

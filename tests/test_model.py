@@ -41,6 +41,25 @@ def test_window_and_grid_guards():
         make_fs_potential(window=20.0, grid_size=16)
 
 
+def test_quadrature_bounds():
+    for order, message in ((1, "order 1 below the minimum 2"),
+                           (65, "order 65 above the maximum 64")):
+        with pytest.raises(ValueError, match=message):
+            make_fs_potential(window=20.0, grid_size=512, order=order)
+    with pytest.raises(ValueError, match="window 9.50 below the minimum 10"):
+        make_fs_potential(window=9.5, grid_size=512)
+    assert make_fs_potential(window=10.0, grid_size=64, order=2).quad.n_nodes \
+        == 63 * 2 + 2
+
+
+def test_fubini_study_descriptor():
+    # the descriptor builds what make_fs_potential builds
+    P = make_perturbed_potential({"type": "fubini-study"}, 20.0, 512)
+    fs = make_fs_potential(20.0, 512)
+    assert P.kind == "fs"
+    assert np.array_equal(P.phi(P.quad.nodes), fs.phi(fs.quad.nodes))
+
+
 def test_zero_bump_is_fs():
     P = make_perturbed_potential({"type": "gaussian-bump", "amplitude": 0.0,
                                   "width": 1.0, "center": 0.0},
