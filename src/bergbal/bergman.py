@@ -126,9 +126,10 @@ def _gram(m, quad, E, integrand, factors, tails=None):
     return G + factors[0] * left + factors[1] * right
 
 
-def _kernel(m, E, weights, out=None):
-    """(1/m) sum_j E_j / weights_j; out=E divides the rows in place."""
-    return np.divide(E, weights[:, None], out=out).sum(axis=0) / m
+def _kernel(m, E, weights):
+    """(1/m) sum_j E_j / weights_j; the rows E are divided in place."""
+    E /= weights[:, None]
+    return E.sum(axis=0) / m
 
 
 def _norms_and_rows(m, P):
@@ -160,7 +161,7 @@ def _kernel_d2(m, P, y):
     """
     G, E = _norms_and_rows(m, P)
     j = np.arange(m + 1)
-    K = _kernel(m, E, G.entries * np.exp(j * y), out=E)
+    K = _kernel(m, E, G.entries * np.exp(j * y))
     # (a^2 - m Phi'') E built in place: one (m+1) x N array besides E
     a = j[:, None] - m * P.Phi_d(P.quad.nodes, 1)[None, :]
     a *= a
@@ -339,6 +340,6 @@ def bergman_derivative(m, P, psi):
     G, E = _norms_and_rows(m, P)
     dG = _gram_derivative(m, P, psi, E)
     corr = (E * (dG / G.entries ** 2)[:, None]).sum(axis=0) / m
-    B = _kernel(m, E, G.entries, out=E)
+    B = _kernel(m, E, G.entries)
     return grid_function(P, -m * psi.values * B - corr,
                          name="dB_%d" % m)

@@ -22,7 +22,7 @@ from .solvers import SolverOptions
 _SOLVE_KEYS = ("potential", "levels", "solver", "quadrature")
 COMMAND_KEYS = {
     "balance": _SOLVE_KEYS,
-    "tbalance": _SOLVE_KEYS + ("freeze_weight",),
+    "tbalance": _SOLVE_KEYS,
     "newton": _SOLVE_KEYS,
     "family": _SOLVE_KEYS,
     "expand": ("potential", "levels", "quadrature"),
@@ -69,7 +69,6 @@ class ExperimentConfig:
     quadrature: dict = dataclasses.field(default_factory=dict)
     output: dict = dataclasses.field(default_factory=dict)
     weight: float = None
-    freeze_weight: float = None
     seeds: list = None
     sample: dict = None
     profiles: list = None
@@ -263,6 +262,9 @@ def parse_config(document, strict=False):
         if command in _SEQUENCES and levels != sorted(levels):
             errors.append("levels: must be strictly increasing for %r"
                           % command)
+        if command == "probe" and len(levels) > 1:
+            errors.append("levels: probe runs at one level, got %d"
+                          % len(levels))
 
     # a section that fails its checks leaves an error, so no config is built
     if "solver" in doc:
@@ -284,9 +286,8 @@ def parse_config(document, strict=False):
                 errors.append("output.%s: %s" % (key, message))
         kwargs["output"] = out
 
-    for key in ("weight", "freeze_weight"):
-        if key in doc:
-            kwargs[key] = _number(doc[key], float, key, errors)
+    if "weight" in doc:
+        kwargs["weight"] = _number(doc["weight"], float, "weight", errors)
     # |y| m = |w| / m at y = w / m^2: widest at the least level
     w, m = kwargs.get("weight"), min(levels, default=0)
     if w is not None and m and abs(TorusWeight(w).y(m)) * m > MAX_EXPONENT:

@@ -49,14 +49,12 @@ def _potential_table(name, P):
 
 def _solve_command(cfg, report):
     P = _record_quadrature(report, _build_potential(cfg.potential, cfg))
+    # built per call from the module's names, which a tracer may wrap
+    solve = {"balance": tk_iterate, "newton": newton_balance,
+             "tbalance": t_balance}[cfg.command]
     per_level = {}
     for m in cfg.levels:
-        if cfg.command == "balance":
-            res = tk_iterate(m, P, cfg.solver)
-        elif cfg.command == "newton":
-            res = newton_balance(m, P, cfg.solver)
-        else:
-            res = t_balance(m, P, cfg.solver, freeze_weight=cfg.freeze_weight)
+        res = solve(m, P, cfg.solver)
         entry = {"converged": res.converged,
                  "iterations": res.iterations,
                  "final_residual": res.final_residual,
@@ -159,7 +157,7 @@ def _fourier_command(cfg, report):
 
 
 def _probe_command(cfg, report):
-    m = max(cfg.levels)
+    [m] = cfg.levels
     seeds = [_build_potential(d, cfg) for d in cfg.seeds]
     _record_quadrature(report, seeds[0])
     rep = uniqueness_probe(m, seeds, cfg.solver)

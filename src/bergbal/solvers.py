@@ -12,14 +12,15 @@ moved along the translation (torus) direction to moment center 0.  Solving
 in x rather than in spline space keeps the problem exactly finite
 dimensional, so Newton can reach residuals at the floating-point floor.
 
-Each evaluation at x makes one exponential pass over an (m+1) x N array,
-N the number of nodes: the softmax p_jt = e^{jt - x_j - m Phi_x(t)},
-shifted by its column maximum.  Everything else follows from p without
-another exponential: the section rows are e^{jt - m Phi_x} = p_jt e^{x_j},
-the volume density is the softmax variance over m, and the moment center
-is closed form in Phi_x at the window edges.  _DSpace hands the rows to the
-kernel engine of bergman.py for the Gram diagonal and the kernel, and
-integrates against the volume with model._volume_integral.
+Each evaluation at x, _DSpace.evaluate, makes one exponential pass over an
+(m+1) x N array, N the number of nodes: the softmax p_jt = e^{jt - x_j -
+m Phi_x(t)}, shifted by its column maximum.  Everything else follows from p
+without another exponential: the section rows are e^{jt - m Phi_x} = p_jt
+e^{x_j}, the volume density is the softmax variance over m, and the moment
+center is closed form in Phi_x at the window edges.  evaluate hands the rows
+to the kernel engine of bergman.py for the Gram diagonal and the kernel,
+and returns one _Evaluation record; the Jacobian, the weighted constant,
+the volume integral and every solver step read that record by name.
 
 Off the nodes Phi_x = S/m comes from the same softmax (at the window edges
 for the moment center, at the knots for emission), and a torus shift needs
@@ -33,6 +34,7 @@ e^2 = (k/2 - mu)^2 in those sums comes from the deviations d2 = (j - mu)^2:
 e^2 = d2_a at even k = 2a and (d2_a + d2_{a+1})/2 - 1/4 at odd k = 2a + 1
 (see _DSpace.jacobian).
 """
+import collections
 import dataclasses
 import time
 
@@ -114,13 +116,19 @@ class UniquenessReport:
         self.excluded = excluded
 
 
+# one iterate's evaluation, read by field name (see _DSpace.evaluate)
+_Evaluation = collections.namedtuple("_Evaluation",
+                                     "x p mu d2 k2 Phi dens G dev sup")
+
+
 class _DSpace:
     """Shared arrays for one solve at level m on the potential's quadrature.
 
-    pieces is the one exponential pass of an evaluation; the rows, the Gram
-    diagonal, the kernel, the Jacobian and the cumulants all read its
-    softmax.  Beyond the window Phi_x - log(1 + e^t) is nearly constant;
-    the Gram tails use its values at the window edges.
+    evaluate is the one exponential pass of an iterate, and its _Evaluation
+    record carries the rows' softmax, the Gram diagonal and the kernel
+    deviation; the Jacobian, the weighted constant and the volume integral
+    read the record.  Beyond the window Phi_x - log(1 + e^t) is nearly
+    constant; the Gram tails use its values at the window edges.
     """
 
     def __init__(self, m, quad):
@@ -145,55 +153,51 @@ class _DSpace:
         p /= s
         return p, a + np.log(s)
 
-    def pieces(self, x, t=None):
-        """Softmax cumulants of Phi_x at the nodes (or at t): p, its mean mu,
-        the squared deviations d2 = (j - mu)^2, the variance k2, Phi_x and
-        the density Phi_x'' = k2 / m."""
-        p, S = self.softmax(x, self.t if t is None else t)
+    def _moments(self, p):
+        """The softmax mean mu, the squared deviations d2 = (j - mu)^2 and
+        the variance k2."""
         mu = self.j @ p
         d2 = np.subtract.outer(self.j, mu)
         d2 *= d2
-        k2 = np.einsum("jt,jt->t", p, d2)
-        return p, mu, d2, k2, S / self.m, k2 / self.m
+        return mu, d2, np.einsum("jt,jt->t", p, d2)
 
     def _tail_factors(self, Phi):
         """e^{-m c} for the tail constants c = Phi_x - log(1 + e^t) at -T, T."""
         return (np.exp(-self.m * (Phi[0] - self.fs0[0])),
                 np.exp(-self.m * (Phi[-1] - self.fs0[-1])))
 
-    def gram(self, x, parts):
-        """Gram diagonal of Phi_x and its rows e^{jt - m Phi_x} = p_jt e^{x_j}
-        at all nodes."""
-        E = parts[0] * np.exp(x)[:, None]
-        G = _gram(self.m, self.quad, E, parts[5], self._tail_factors(parts[4]),
+    def evaluate(self, x, y):
+        """The _Evaluation of x at weight y, at the nodes: the softmax p, its
+        mean mu, the squared deviations d2 = (j - mu)^2, the variance k2,
+        Phi_x, the density Phi_x'' = k2 / m, the Gram diagonal G of the rows
+        e^{jt - m Phi_x} = p_jt e^{x_j}, the deviation dev = B_{m,y} - C and
+        sup |dev|.  C is the exact constant at y = 0 and the self-consistent
+        weighted mean otherwise.  The kernel divides the rows in place."""
+        p, S = self.softmax(x, self.t)
+        mu, d2, k2 = self._moments(p)
+        Phi, dens = S / self.m, k2 / self.m
+        E = p * np.exp(x)[:, None]
+        G = _gram(self.m, self.quad, E, dens, self._tail_factors(Phi),
                   self.tails)
-        return G, E
+        ev = _Evaluation(x, p, mu, d2, k2, Phi, dens, G, None, None)
+        dev = _kernel(self.m, E, G * np.exp(self.j * y))
+        dev -= c_of_m(self.m) if y == 0.0 else self._weighted_mean(ev, y)
+        return ev._replace(dev=dev, sup=float(np.max(np.abs(dev))))
 
-    def residual(self, x, y):
-        """The evaluation of x: sup |B_{m,y} - C| and the deviation B_{m,y} - C
-        at the nodes, with C the exact constant at y = 0 and the
-        self-consistent weighted mean otherwise; then the Gram diagonal and
-        the softmax pieces of x.  The kernel divides the rows in place."""
-        parts = self.pieces(x)
-        G, E = self.gram(x, parts)
-        dev = _kernel(self.m, E, G * np.exp(self.j * y), out=E)
-        dev -= c_of_m(self.m) if y == 0.0 else self._weighted_mean(x, y, G, parts)
-        return float(np.max(np.abs(dev))), dev, G, parts
-
-    def _integral(self, vals, mu, dens):
+    def _integral(self, vals, ev):
         """Volume integral against Phi_x; the tail masses are Phi_x'(-T) =
         mu_0/m and 1 - Phi_x'(T) = 1 - mu_m/m."""
-        return _volume_integral(self.quad, vals, dens,
-                                (mu[0] / self.m, 1.0 - mu[-1] / self.m))
+        return _volume_integral(self.quad, vals, ev.dens,
+                                (ev.mu[0] / self.m, 1.0 - ev.mu[-1] / self.m))
 
-    def _weighted_mean(self, x, y, G, parts):
-        """int K_y(u + y) dmu, the weighted constant of the current iterate.
+    def _weighted_mean(self, ev, y):
+        """int K_y(u + y) dmu, the weighted constant of the evaluated iterate.
         As m Phi_x(u + y) = m Phi_x(u) + log sum_j p_j e^{jy}, K_y(u + y) is
         the unweighted kernel (1/m) sum_j p_j e^{x_j} / G_j divided by
         sum_j p_j e^{jy}: no softmax at u + y."""
-        p = parts[0]
-        Ks = (np.exp(x) / G) @ p / (self.m * (np.exp(self.j * y) @ p))
-        return self._integral(Ks, parts[1], parts[5])
+        p = ev.p
+        Ks = (np.exp(ev.x) / ev.G) @ p / (self.m * (np.exp(self.j * y) @ p))
+        return self._integral(Ks, ev)
 
     def moment_center(self, x):
         """int t dmu_x over the line, the tail masses at -T and T included.
@@ -207,7 +211,7 @@ class _DSpace:
         S = self.softmax(x, np.array([-T, T]))[1]
         return (self.m * T - S[1] + S[0]) / self.m
 
-    def jacobian(self, x, G, parts):
+    def jacobian(self, ev):
         """A_il = dG_i[psi_l]/G_i for the potential directions psi_l = dPhi/dx_l
         = -p_l/m, including the constant-tail contributions.  The interior
         integrand -m psi_l Phi'' + psi_l'' is p_l (2 k2 - d2_l) / m, since
@@ -229,11 +233,10 @@ class _DSpace:
         odd k = 2a + 1.  (Expanded in raw moments of mu, e2 cancels by a factor
         of up to 6e6 at k = 2m, m = 200.)
         """
-        p, mu, d2, k2, Phi, dens = parts
         m = self.m
         w = self.quad.inner_weights
-        P, D2 = p[:, 1:-1], d2[:, 1:-1]
-        W = np.stack([np.ones_like(w), mu[1:-1], 2.0 * k2[1:-1]])
+        P, D2 = ev.p[:, 1:-1], ev.d2[:, 1:-1]
+        W = np.stack([np.ones_like(w), ev.mu[1:-1], 2.0 * ev.k2[1:-1]])
         h = np.empty((3, 2 * m + 1))    # h1, sum w q mu, hK by k
         e2 = np.empty(2 * m + 1)
         # one buffer: q_k = p_i^2 at k = 2i, then p_i p_{i+1} at k = 2i + 1
@@ -252,11 +255,12 @@ class _DSpace:
         K = np.add.outer(k[:m + 1], k[:m + 1])
         L = 0.5 * (self.j - self.j[:, None])
         A = (hK - e2)[K] - L * (L * h1[K] + 2.0 * e1[K])
-        A *= np.exp((x[k // 2] + x[k - k // 2])[K] - x - np.log(G)[:, None])
+        x = ev.x
+        A *= np.exp((x[k // 2] + x[k - k // 2])[K] - x - np.log(ev.G)[:, None])
         A /= m
-        cL, cR = self._tail_factors(Phi)
-        A += (np.outer(cL * self.tails[0], p[:, 0])
-              + np.outer(cR * self.tails[1], p[:, -1])) / G[:, None]
+        cL, cR = self._tail_factors(ev.Phi)
+        A += (np.outer(cL * self.tails[0], ev.p[:, 0])
+              + np.outer(cR * self.tails[1], ev.p[:, -1])) / ev.G[:, None]
         return A
 
     def potential(self, x):
@@ -271,7 +275,8 @@ class _DSpace:
         """The softmax, its deviations d = j - mu and d2, and the cumulants
         k2, k3, k4 at the core nodes |t| <= min(10, T/2)."""
         t = self.t[np.abs(self.t) <= min(10.0, 0.5 * self.quad.window)]
-        p, mu, d2, k2, _, _ = self.pieces(x, t)
+        p = self.softmax(x, t)[0]
+        mu, d2, k2 = self._moments(p)
         d = np.subtract.outer(self.j, mu)
         k3 = np.einsum("jt,jt->t", p, d2 * d)
         k4 = np.einsum("jt,jt->t", p, d2 * d2) - 3.0 * k2 * k2
@@ -329,13 +334,13 @@ class _DSpace:
             # both entries of x are gauge directions: every diagonal is round
             dphi = dx = 0.0
         else:
-            _, _, G, parts = self.residual(x, 0.0)
-            lam, V = np.linalg.eig(self.jacobian(x, G, parts))
+            ev = self.evaluate(x, 0.0)
+            lam, V = np.linalg.eig(self.jacobian(ev))
             slow = np.argsort(-lam.real)[2]
             dphi = residual / ((m + 1) * (1.0 - lam[slow].real))
             v = V[:, slow].real
             # x displacement that moves Phi by dphi along the slow mode
-            dx = dphi * m * np.max(np.abs(v)) / np.max(np.abs(v @ parts[0]))
+            dx = dphi * m * np.max(np.abs(v)) / np.max(np.abs(v @ ev.p))
 
         t, p, d, d2, k2, k3, k4 = self._core_cumulants(x)
         # d sigma / d p_l, the p_l varied independently at sum_l p_l = 1
@@ -369,42 +374,40 @@ def _seed(m, P):
 
 
 def _centered(ds, x, y):
-    """x moved along the torus to moment center 0, and ds.residual's
-    evaluation of it."""
-    x = x - ds.j * ds.moment_center(x)
-    return x, ds.residual(x, y)
+    """ds.evaluate of x moved along the torus to moment center 0."""
+    return ds.evaluate(x - ds.j * ds.moment_center(x), y)
 
 
 def _iterate(ds, x, y, opts, step):
     """The balancing loop of tk_iterate and _gauss_newton.
 
-    Evaluates the seed x by ds.residual(x, y) and records its sup.  Each
-    step(x, hist, evaluation) returns the next iterate and its evaluation
-    (see _centered), or None to decline.  Stops at the tolerance, after
+    Evaluates the seed x by ds.evaluate(x, y) and records its sup.  Each
+    step(ev, hist) returns the evaluation of the next iterate (see
+    _centered), or None to decline.  Stops at the tolerance, after
     opts.max_iterations steps or at a declined step, and returns the last
-    evaluated iterate: (x, residual history, steps taken, evaluation of x).
+    evaluation and the residual history: len(hist) - 1 steps were taken.
     """
-    ev = ds.residual(x, y)
-    hist = [ev[0]]
+    ev = ds.evaluate(x, y)
+    hist = [ev.sup]
     while hist[-1] > opts.tolerance and len(hist) <= opts.max_iterations:
-        nxt = step(x, hist, ev)
+        nxt = step(ev, hist)
         if nxt is None:
             break
-        x, ev = nxt
-        hist.append(ev[0])
-    return x, hist, len(hist) - 1, ev
+        ev = nxt
+        hist.append(ev.sup)
+    return ev, hist
 
 
-def _result(ds, solve, y, opts, t0, mode, **diagnostics):
-    """BalanceResult of a solve returned by _iterate; the diagnostics gain
-    the moment center and the core curvature error of its iterate."""
-    x, hist, k, _ = solve
-    P = ds.potential(x)
+def _result(ds, ev, hist, y, opts, t0, mode, **diagnostics):
+    """BalanceResult of the evaluation and history _iterate returned; the
+    diagnostics gain the moment center and the core curvature error of its
+    iterate."""
+    P = ds.potential(ev.x)
     wall_time = time.perf_counter() - t0
-    diagnostics.update(moment_center=ds.moment_center(x),
-                       sigma_core_err=ds.sigma_core_err(x))
-    return BalanceResult(ds.m, P, y, hist, hist[-1] <= opts.tolerance, k,
-                         wall_time, mode, diagnostics)
+    diagnostics.update(moment_center=ds.moment_center(ev.x),
+                       sigma_core_err=ds.sigma_core_err(ev.x))
+    return BalanceResult(ds.m, P, y, hist, hist[-1] <= opts.tolerance,
+                         len(hist) - 1, wall_time, mode, diagnostics)
 
 
 def tk_iterate(m, P0, opts=SolverOptions()):
@@ -420,11 +423,11 @@ def tk_iterate(m, P0, opts=SolverOptions()):
     t0 = time.perf_counter()
     ds = _DSpace(m, P0.quad)
 
-    def step(x, hist, ev):
-        return _centered(ds, np.log((m + 1) * ev[2]), 0.0)
+    def step(ev, hist):
+        return _centered(ds, np.log((m + 1) * ev.G), 0.0)
 
-    solve = _iterate(ds, _seed(m, P0), 0.0, opts, step)
-    return _result(ds, solve, None, opts, t0, "fixed-point")
+    ev, hist = _iterate(ds, _seed(m, P0), 0.0, opts, step)
+    return _result(ds, ev, hist, None, opts, t0, "fixed-point")
 
 
 def _gauss_newton(ds, x0, y, opts):
@@ -437,24 +440,23 @@ def _gauss_newton(ds, x0, y, opts):
     moment-centered and evaluated in turn, and the first whose residual is
     below (1 - 1e-4 a) times the last one is taken (Dennis & Schnabel 1983,
     ch. 6); if none is, the step declines.  The solve also stops early once
-    three steps in a row fail to halve the residual.  Returns _iterate's (x,
-    history, steps, evaluation of x).
+    three steps in a row fail to halve the residual.  Returns _iterate's
+    (evaluation, history).
     """
     m = ds.m
 
-    def step(x, hist, ev):
+    def step(ev, hist):
         if len(hist) >= 4 and all(
                 b > 0.5 * a for a, b in zip(hist[-4:-1], hist[-3:])):
             return None
-        _, _, G, parts = ev
-        R = np.log((m + 1) * G) + ds.j * y - x
-        J = ds.jacobian(x, G, parts) - np.eye(m + 1)
+        R = np.log((m + 1) * ev.G) + ds.j * y - ev.x
+        J = ds.jacobian(ev) - np.eye(m + 1)
         Jaug = np.vstack([J, np.ones(m + 1), ds.j])
         rhs = np.concatenate([-R, [0.0, 0.0]])
         dx, *_ = np.linalg.lstsq(Jaug, rhs, rcond=None)
         for a in 0.5 ** np.arange(7):
-            trial = _centered(ds, x + a * dx, y)
-            if trial[1][0] < (1.0 - 1e-4 * a) * hist[-1]:
+            trial = _centered(ds, ev.x + a * dx, y)
+            if trial.sup < (1.0 - 1e-4 * a) * hist[-1]:
                 return trial
             del trial   # free a declined trial before the next is evaluated
         return None
@@ -485,9 +487,9 @@ def newton_balance(m, P0, opts=SolverOptions()):
     """
     t0 = time.perf_counter()
     ds = _DSpace(m, P0.quad)
-    solve = _gauss_newton(ds, _seed(m, P0), 0.0, opts)
-    return _result(ds, solve, None, opts, t0, "newton-exact",
-                   orders=_newton_orders(solve[1]))
+    ev, hist = _gauss_newton(ds, _seed(m, P0), 0.0, opts)
+    return _result(ds, ev, hist, None, opts, t0, "newton-exact",
+                   orders=_newton_orders(hist))
 
 
 def _find_weight_bracket(moment, scan):
@@ -499,48 +501,45 @@ def _find_weight_bracket(moment, scan):
     raise BracketError(scan, vals)
 
 
-def t_balance(m, P0, opts=SolverOptions(), freeze_weight=None):
+def t_balance(m, P0, opts=SolverOptions()):
     """Simultaneous solve for (phi, y) making the weighted kernel constant.
 
     Inner: Gauss-Newton at fixed weight y.  Outer: one-dimensional root find
     on the moment pairing M(y) = int (K_y - C_y) f_moment dmu of the inner
     solution.  y = 0 is accepted immediately when |M(0)| <= 1e-12 or when
     the y = 0 solve did not converge (at y != 0 it can only stall, see
-    below); otherwise a bracket scan and brentq find the root.  M(y) reads the
-    deviation K_y - C_y of the inner solve's last evaluation, so at y = 0 C
-    is the exact C_m, as in the residual.  Passing freeze_weight pins y
-    (freeze_weight = 0 reproduces newton_balance exactly, same code path).
+    below); otherwise a bracket scan and brentq find the root.  M(y) reads
+    the deviation dev of the inner solve's last _Evaluation (see
+    _DSpace.evaluate), so at y = 0 C is the exact C_m, as in the residual.
 
     In this model the outer root is y = 0 for every seed: the moment-centered
     inner solution is the round metric, and M(y) changes sign only there
-    (about -0.75 y at m = 8).  At a frozen y != 0 the term j y lies in the
+    (about -0.75 y at m = 8).  At a fixed y != 0 the term j y lies in the
     torus direction that moment-centering removes, so the inner solve stalls
-    at a residual of about 4.5 |y| and returns converged=False.
+    at a residual of about (m + 1) |y| / 2 (4.5 |y| at m = 8, 20.5 |y| at
+    m = 40) and returns converged=False; so the weight is solved for, never
+    pinned.
     """
     t0 = time.perf_counter()
     ds = _DSpace(m, P0.quad)
     x0 = _seed(m, P0)
-    solve = None
+    ev = hist = None
 
     def moment(y):
-        nonlocal solve
-        solve = _gauss_newton(ds, x0, y, opts)
-        _, dev, _, parts = solve[3]
-        mu, dens = parts[1], parts[5]
-        f1 = mu / m
-        f = f1 - ds._integral(f1, mu, dens)
-        return ds._integral(dev * f, mu, dens)
+        nonlocal ev, hist
+        ev, hist = _gauss_newton(ds, x0, y, opts)
+        f1 = ev.mu / m
+        f = f1 - ds._integral(f1, ev)
+        return ds._integral(ev.dev * f, ev)
 
-    y = 0.0 if freeze_weight is None else float(freeze_weight)
-    M = moment(y)
-    if freeze_weight is None and abs(M) > 1e-12 \
-            and solve[1][-1] <= opts.tolerance:
+    y = 0.0
+    if abs(moment(y)) > 1e-12 and hist[-1] <= opts.tolerance:
         scan = [-0.3, -0.1, -0.03, -0.01, -1e-3, 1e-3, 0.01, 0.03, 0.1, 0.3]
         a, b = _find_weight_bracket(moment, scan)
         y = brentq(moment, a, b, xtol=1e-12)
         moment(y)
-    return _result(ds, solve, y, opts, t0, "t-balance",
-                   orders=_newton_orders(solve[1]))
+    return _result(ds, ev, hist, y, opts, t0, "t-balance",
+                   orders=_newton_orders(hist))
 
 
 def _family_verdicts(d, s, d_floor, s_floor, all_converged):

@@ -118,6 +118,20 @@ quadrature: {window: 12}
     assert not (out_dir / "report.json").exists()
 
 
+def test_probe_with_two_levels_is_config_error(tmp_path, capsys):
+    # the probe used to solve at the top level only and exit 0
+    cfg = _write(tmp_path, """
+command: probe
+seeds: [{type: fubini-study}, {type: gaussian-bump, amplitude: 0.1, width: 1.0}]
+levels: [4, 8]
+""")
+    out_dir = tmp_path / "out"
+    code = main(["probe", "--config", cfg, "--out", str(out_dir)])
+    assert code == 2
+    assert "levels: probe runs at one level, got 2" in capsys.readouterr().err
+    assert not (out_dir / "report.json").exists()
+
+
 def test_help_lists_exit_codes(capsys):
     assert main(["--help"]) == 0
     out = " ".join(capsys.readouterr().out.split())

@@ -68,7 +68,7 @@ FULL = {"command": "tbalance", "potential": BUMP, "levels": [8, 12],
         "solver": {"tolerance": 1e-9, "max_iterations": 40},
         "quadrature": {"window": 24, "grid": 768, "order": 6},
         "output": {"directory": "runs/full", "tables": False},
-        "weight": 2, "freeze_weight": 0, "seeds": [FS, BUMP],
+        "weight": 2, "seeds": [FS, BUMP],
         "sample": {"cos": [1.0]}, "profiles": [0.1, 0.2], "m_max": 5}
 
 GOLDEN_ECHO = {
@@ -89,8 +89,7 @@ GOLDEN_ECHO = {
               "seeds": [BUMP, FS]},
     "full": {"command": "tbalance", "potential": BUMP, "levels": [8, 12],
              "solver": {"tolerance": 1e-09, "max_iterations": 40},
-             "quadrature": {"window": 24, "grid": 768, "order": 6},
-             "freeze_weight": 0.0},
+             "quadrature": {"window": 24, "grid": 768, "order": 6}},
 }
 
 
@@ -136,7 +135,6 @@ def test_errors_are_collected_with_paths():
         "potential": {"type": "gaussian-bump", "width": -1.0},
         "levels": [4, "eight", 500],
         "solver": {"tolerance": -1.0},
-        "freeze_weight": "zero",
     }
     with pytest.raises(ConfigError) as exc:
         parse_config(doc)
@@ -146,8 +144,7 @@ def test_errors_are_collected_with_paths():
     assert "levels[1]" in text
     assert "levels[2]" in text
     assert "solver: tolerance must be positive" in text
-    assert "freeze_weight: expected a number" in text
-    assert len(exc.value.errors) >= 6
+    assert len(exc.value.errors) >= 5
 
 
 def test_solver_fields_are_typed():
@@ -168,9 +165,8 @@ def test_solver_fields_are_typed():
         with pytest.raises(ConfigError) as exc:
             parse_config(dict(MINIMAL["newton"], solver={key: value}))
         assert exc.value.errors == ["solver.%s: expected %s" % (key, expected)]
-    for command, key in (("beta", "weight"), ("tbalance", "freeze_weight")):
-        with pytest.raises(ConfigError, match="%s: expected a number" % key):
-            parse_config(dict(MINIMAL[command], **{key: True}))
+    with pytest.raises(ConfigError, match="weight: expected a number"):
+        parse_config(dict(MINIMAL["beta"], weight=True))
     with pytest.raises(ConfigError, match="quadrature.grid: expected an integer"):
         parse_config(dict(MINIMAL["balance"], quadrature={"grid": True}))
     # integers are numbers, stored as the declared float
@@ -298,6 +294,10 @@ def test_probe_validation():
     with pytest.raises(ConfigError, match="seeds\\[1\\]"):
         parse_config({"command": "probe", "levels": [8],
                       "seeds": [BUMP, {"type": "blob"}]})
+    # the probe solves every seed at one level
+    with pytest.raises(ConfigError) as exc:
+        parse_config(dict(MINIMAL["probe"], levels=[4, 8]))
+    assert exc.value.errors == ["levels: probe runs at one level, got 2"]
 
 
 def test_quadrature_and_output_validation():
@@ -449,10 +449,13 @@ INVALID = {"potential": {"type": "blob"}, "levels": [0],
            "weight": "heavy", "freeze_weight": "none",
            "seeds": [{"type": "blob"}], "sample": {"cos": [True]},
            "profiles": [0.1], "m_max": -3}
+# tbalance solves for its torus weight: the removed key that pinned it is
+# unknown too
 UNREAD = [(command, f.name) for command in COMMANDS
           for f in dataclasses.fields(ExperimentConfig)
           if f.name not in COMMAND_KEYS[command] + ("command", "output",
-                                                     "warnings")]
+                                                     "warnings")] + \
+    [("tbalance", "freeze_weight")]
 
 
 @pytest.mark.parametrize("command, key", UNREAD)
@@ -488,10 +491,6 @@ def test_command_keys_are_the_fields_the_runner_reads(command):
 
 
 def test_weight_fields():
-    cfg = parse_config(dict(MINIMAL["tbalance"], freeze_weight=0))
-    assert cfg.freeze_weight == 0.0
-    with pytest.raises(ConfigError, match="freeze_weight"):
-        parse_config(dict(MINIMAL["tbalance"], freeze_weight="none"))
     with pytest.raises(ConfigError, match="weight: expected a number"):
         parse_config(dict(MINIMAL["beta"], weight="heavy"))
 
