@@ -13,7 +13,7 @@ from .bergman import (
     gram_derivative, bergman_derivative,
 )
 from .solvers import (
-    SolverOptions, BalanceResult, FamilyReport, BracketError, tk_iterate,
+    SolverOptions, BalanceResult, FamilyReport, tk_iterate,
     newton_balance, t_balance, balanced_family, uniqueness_probe,
 )
 from .circle import (

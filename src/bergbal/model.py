@@ -165,7 +165,10 @@ class GridFunction:
         return self.values.size
 
     def derivative(self, k):
-        """Sampled k-th derivative, attached if available, else from a spline."""
+        """Sampled k-th derivative, k = 1..4, attached if available, else
+        from a spline."""
+        if k not in (1, 2, 3, 4):
+            raise ValueError("k out of range: %r" % (k,))
         attached = (self.d1, self.d2, self.d3, self.d4)[k - 1]
         if attached is not None:
             return attached
@@ -236,7 +239,10 @@ class RadialPotential:
         return self._spline(np.clip(t, -self.window, self.window))
 
     def phi_d(self, t, k):
-        """k-th derivative of phi; zero outside the window (constant extension)."""
+        """k-th derivative of phi, k = 1..5; zero outside the window (constant
+        extension)."""
+        if k not in (1, 2, 3, 4, 5):
+            raise ValueError("k out of range: %r" % (k,))
         t = np.asarray(t, dtype=float)
         out = self._dsplines[k - 1](np.clip(t, -self.window, self.window))
         return np.where(np.abs(t) > self.window, 0.0, out)

@@ -143,8 +143,7 @@ def _fourier_command(cfg, report):
     report["outputs"]["shift_discrepancy"] = rep.shift_discrepancy
     report["outputs"]["spread_at_half"] = rep.spread_at_half
     report["outputs"]["mean_value_gap"] = gap
-    report["outputs"]["values_at_half"] = [
-        {"re": v.real, "im": v.imag} for v in rep.values_at_half]
+    report["outputs"]["values_at_half"] = rep.values_at_half
     cols = {"m": rep.m_values}
     for i in range(len(parts)):
         cols["discrepancy_p%d" % (i + 1)] = rep.discrepancies[i].tolist()

@@ -19,12 +19,10 @@ without another exponential: the section rows are e^{jt - m Phi_x} = p_jt
 e^{x_j}, the volume density is the softmax variance over m, and the moment
 center is closed form in Phi_x at the window edges.  evaluate hands the rows
 to the kernel engine of bergman.py for the Gram diagonal and the kernel,
-and returns one _Evaluation record; the Jacobian, the weighted constant,
-the volume integral and every solver step read that record by name.
-
-Off the nodes Phi_x = S/m comes from the same softmax (at the window edges
-for the moment center, at the knots for emission), and a torus shift needs
-no pass: m Phi_x(t + y) = m Phi_x(t) + log sum_j p_jt e^{jy}.
+and returns one _Evaluation record; the Jacobian, the moment pairing, the
+volume integral and every solver step read that record by name.  Off the
+nodes Phi_x = S/m comes from the same softmax: at the window edges for the
+moment center, at the knots for emission.
 
 Newton's Jacobian is Hankel up to known factors: p_i p_l = e^{x_a + x_b -
 x_i - x_l} p_a p_b whenever a + b = i + l, so its interior integrals are
@@ -40,21 +38,9 @@ import time
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.optimize import brentq
 
 from .model import fs_derivative, _from_knot_values, _volume_integral
 from .bergman import section_norms, fs_tails, c_of_m, _gram, _kernel
-
-
-class BracketError(RuntimeError):
-    def __init__(self, scanned, values):
-        self.scanned = np.asarray(scanned, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        super().__init__(
-            "no sign change for the torus weight in the scanned bracket "
-            "[%s] with moments [%s]" % (
-                ", ".join("%.3g" % s for s in self.scanned),
-                ", ".join("%.3g" % v for v in self.values)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,38 +152,28 @@ class _DSpace:
         return (np.exp(-self.m * (Phi[0] - self.fs0[0])),
                 np.exp(-self.m * (Phi[-1] - self.fs0[-1])))
 
-    def evaluate(self, x, y):
-        """The _Evaluation of x at weight y, at the nodes: the softmax p, its
-        mean mu, the squared deviations d2 = (j - mu)^2, the variance k2,
-        Phi_x, the density Phi_x'' = k2 / m, the Gram diagonal G of the rows
-        e^{jt - m Phi_x} = p_jt e^{x_j}, the deviation dev = B_{m,y} - C and
-        sup |dev|.  C is the exact constant at y = 0 and the self-consistent
-        weighted mean otherwise.  The kernel divides the rows in place."""
+    def evaluate(self, x):
+        """The _Evaluation of x at the nodes: the softmax p, its mean mu, the
+        squared deviations d2 = (j - mu)^2, the variance k2, Phi_x, the
+        density Phi_x'' = k2 / m, the Gram diagonal G of the rows
+        e^{jt - m Phi_x} = p_jt e^{x_j}, the deviation dev = B_m - C_m and
+        sup |dev|.  The kernel divides the rows in place."""
         p, S = self.softmax(x, self.t)
         mu, d2, k2 = self._moments(p)
         Phi, dens = S / self.m, k2 / self.m
         E = p * np.exp(x)[:, None]
         G = _gram(self.m, self.quad, E, dens, self._tail_factors(Phi),
                   self.tails)
-        ev = _Evaluation(x, p, mu, d2, k2, Phi, dens, G, None, None)
-        dev = _kernel(self.m, E, G * np.exp(self.j * y))
-        dev -= c_of_m(self.m) if y == 0.0 else self._weighted_mean(ev, y)
-        return ev._replace(dev=dev, sup=float(np.max(np.abs(dev))))
+        dev = _kernel(self.m, E, G)
+        dev -= c_of_m(self.m)
+        return _Evaluation(x, p, mu, d2, k2, Phi, dens, G, dev,
+                           float(np.max(np.abs(dev))))
 
     def _integral(self, vals, ev):
         """Volume integral against Phi_x; the tail masses are Phi_x'(-T) =
         mu_0/m and 1 - Phi_x'(T) = 1 - mu_m/m."""
         return _volume_integral(self.quad, vals, ev.dens,
                                 (ev.mu[0] / self.m, 1.0 - ev.mu[-1] / self.m))
-
-    def _weighted_mean(self, ev, y):
-        """int K_y(u + y) dmu, the weighted constant of the evaluated iterate.
-        As m Phi_x(u + y) = m Phi_x(u) + log sum_j p_j e^{jy}, K_y(u + y) is
-        the unweighted kernel (1/m) sum_j p_j e^{x_j} / G_j divided by
-        sum_j p_j e^{jy}: no softmax at u + y."""
-        p = ev.p
-        Ks = (np.exp(ev.x) / ev.G) @ p / (self.m * (np.exp(self.j * y) @ p))
-        return self._integral(Ks, ev)
 
     def moment_center(self, x):
         """int t dmu_x over the line, the tail masses at -T and T included.
@@ -334,7 +310,7 @@ class _DSpace:
             # both entries of x are gauge directions: every diagonal is round
             dphi = dx = 0.0
         else:
-            ev = self.evaluate(x, 0.0)
+            ev = self.evaluate(x)
             lam, V = np.linalg.eig(self.jacobian(ev))
             slow = np.argsort(-lam.real)[2]
             dphi = residual / ((m + 1) * (1.0 - lam[slow].real))
@@ -373,21 +349,21 @@ def _seed(m, P):
     return np.log((m + 1) * section_norms(m, P).entries)
 
 
-def _centered(ds, x, y):
+def _centered(ds, x):
     """ds.evaluate of x moved along the torus to moment center 0."""
-    return ds.evaluate(x - ds.j * ds.moment_center(x), y)
+    return ds.evaluate(x - ds.j * ds.moment_center(x))
 
 
-def _iterate(ds, x, y, opts, step):
+def _iterate(ds, x, opts, step):
     """The balancing loop of tk_iterate and _gauss_newton.
 
-    Evaluates the seed x by ds.evaluate(x, y) and records its sup.  Each
+    Evaluates the seed x by ds.evaluate(x) and records its sup.  Each
     step(ev, hist) returns the evaluation of the next iterate (see
     _centered), or None to decline.  Stops at the tolerance, after
     opts.max_iterations steps or at a declined step, and returns the last
     evaluation and the residual history: len(hist) - 1 steps were taken.
     """
-    ev = ds.evaluate(x, y)
+    ev = ds.evaluate(x)
     hist = [ev.sup]
     while hist[-1] > opts.tolerance and len(hist) <= opts.max_iterations:
         nxt = step(ev, hist)
@@ -424,18 +400,18 @@ def tk_iterate(m, P0, opts=SolverOptions()):
     ds = _DSpace(m, P0.quad)
 
     def step(ev, hist):
-        return _centered(ds, np.log((m + 1) * ev.G), 0.0)
+        return _centered(ds, np.log((m + 1) * ev.G))
 
-    ev, hist = _iterate(ds, _seed(m, P0), 0.0, opts, step)
+    ev, hist = _iterate(ds, _seed(m, P0), opts, step)
     return _result(ds, ev, hist, None, opts, t0, "fixed-point")
 
 
-def _gauss_newton(ds, x0, y, opts):
-    """Newton (exact Jacobian) on R(x) = log((m+1) G(Phi_x)) + j y - x.
+def _gauss_newton(ds, x0, opts):
+    """Newton (exact Jacobian) on R(x) = log((m+1) G(Phi_x)) - x.
 
     The scale and torus null directions are deflated by the augmented rows
-    1^T dx = 0 and j^T dx = 0 (the moment-centering constraint).  At y = 0
-    the roots are exactly the balanced diagonals.  The step length is
+    1^T dx = 0 and j^T dx = 0 (the moment-centering constraint).  The roots
+    are exactly the balanced diagonals.  The step length is
     measured, not set: the trials x + a dx, a = 1, 1/2, ..., 1/64, are
     moment-centered and evaluated in turn, and the first whose residual is
     below (1 - 1e-4 a) times the last one is taken (Dennis & Schnabel 1983,
@@ -449,19 +425,19 @@ def _gauss_newton(ds, x0, y, opts):
         if len(hist) >= 4 and all(
                 b > 0.5 * a for a, b in zip(hist[-4:-1], hist[-3:])):
             return None
-        R = np.log((m + 1) * ev.G) + ds.j * y - ev.x
+        R = np.log((m + 1) * ev.G) - ev.x
         J = ds.jacobian(ev) - np.eye(m + 1)
         Jaug = np.vstack([J, np.ones(m + 1), ds.j])
         rhs = np.concatenate([-R, [0.0, 0.0]])
         dx, *_ = np.linalg.lstsq(Jaug, rhs, rcond=None)
         for a in 0.5 ** np.arange(7):
-            trial = _centered(ds, ev.x + a * dx, y)
+            trial = _centered(ds, ev.x + a * dx)
             if trial.sup < (1.0 - 1e-4 * a) * hist[-1]:
                 return trial
             del trial   # free a declined trial before the next is evaluated
         return None
 
-    return _iterate(ds, x0, y, opts, step)
+    return _iterate(ds, x0, opts, step)
 
 
 def _newton_orders(hist, floor=1e-13):
@@ -487,59 +463,32 @@ def newton_balance(m, P0, opts=SolverOptions()):
     """
     t0 = time.perf_counter()
     ds = _DSpace(m, P0.quad)
-    ev, hist = _gauss_newton(ds, _seed(m, P0), 0.0, opts)
+    ev, hist = _gauss_newton(ds, _seed(m, P0), opts)
     return _result(ds, ev, hist, None, opts, t0, "newton-exact",
                    orders=_newton_orders(hist))
 
 
-def _find_weight_bracket(moment, scan):
-    """Bracket a sign change of the outer moment function over the scan grid."""
-    vals = [moment(s) for s in scan]
-    for (a, fa), (b, fb) in zip(zip(scan, vals), zip(scan[1:], vals[1:])):
-        if np.sign(fa) != np.sign(fb):
-            return a, b
-    raise BracketError(scan, vals)
-
-
 def t_balance(m, P0, opts=SolverOptions()):
-    """Simultaneous solve for (phi, y) making the weighted kernel constant.
+    """The T-balanced metric at level m: the balanced solve at torus weight
+    y = 0, with the moment pairing M(0) = int (K - C_m) f_moment dmu of its
+    last evaluation as diagnostics["moment_pairing"].  M reads the deviation
+    dev of that _Evaluation (see _DSpace.evaluate): no further pass.
 
-    Inner: Gauss-Newton at fixed weight y.  Outer: one-dimensional root find
-    on the moment pairing M(y) = int (K_y - C_y) f_moment dmu of the inner
-    solution.  y = 0 is accepted immediately when |M(0)| <= 1e-12 or when
-    the y = 0 solve did not converge (at y != 0 it can only stall, see
-    below); otherwise a bracket scan and brentq find the root.  M(y) reads
-    the deviation dev of the inner solve's last _Evaluation (see
-    _DSpace.evaluate), so at y = 0 C is the exact C_m, as in the residual.
-
-    In this model the outer root is y = 0 for every seed: the moment-centered
-    inner solution is the round metric, and M(y) changes sign only there
-    (about -0.75 y at m = 8).  At a fixed y != 0 the term j y lies in the
-    torus direction that moment-centering removes, so the inner solve stalls
-    at a residual of about (m + 1) |y| / 2 (4.5 |y| at m = 8, 20.5 |y| at
-    m = 40) and returns converged=False; so the weight is solved for, never
-    pinned.
+    The torus weight is the root of M(y), and in this model that root is
+    y = 0 for every seed: the moment-centered solution is the round metric,
+    and M(y) changes sign only there (about -0.75 y at m = 8).  At a fixed
+    y != 0 the term j y lies in the torus direction that moment-centering
+    removes, so a solve there stalls at a residual of about (m + 1) |y| / 2
+    (4.5 |y| at m = 8, 20.5 |y| at m = 40); so no other weight is tried.
     """
     t0 = time.perf_counter()
     ds = _DSpace(m, P0.quad)
-    x0 = _seed(m, P0)
-    ev = hist = None
-
-    def moment(y):
-        nonlocal ev, hist
-        ev, hist = _gauss_newton(ds, x0, y, opts)
-        f1 = ev.mu / m
-        f = f1 - ds._integral(f1, ev)
-        return ds._integral(ev.dev * f, ev)
-
-    y = 0.0
-    if abs(moment(y)) > 1e-12 and hist[-1] <= opts.tolerance:
-        scan = [-0.3, -0.1, -0.03, -0.01, -1e-3, 1e-3, 0.01, 0.03, 0.1, 0.3]
-        a, b = _find_weight_bracket(moment, scan)
-        y = brentq(moment, a, b, xtol=1e-12)
-        moment(y)
-    return _result(ds, ev, hist, y, opts, t0, "t-balance",
-                   orders=_newton_orders(hist))
+    ev, hist = _gauss_newton(ds, _seed(m, P0), opts)
+    f1 = ev.mu / m
+    f = f1 - ds._integral(f1, ev)
+    return _result(ds, ev, hist, 0.0, opts, t0, "t-balance",
+                   orders=_newton_orders(hist),
+                   moment_pairing=ds._integral(ev.dev * f, ev))
 
 
 def _family_verdicts(d, s, d_floor, s_floor, all_converged):

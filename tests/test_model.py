@@ -130,6 +130,20 @@ def test_grid_function_guards(fs):
         grid_function(fs, np.full_like(fs.quad.nodes, np.nan))
 
 
+@pytest.mark.parametrize("call", [
+    lambda P: P.phi_d(0.0, 0), lambda P: P.phi_d(0.0, 6),
+    lambda P: P.Phi_d(0.0, 0), lambda P: P.Phi_d(0.0, 6),
+    lambda P: hamiltonian_moment(P).derivative(0),
+    lambda P: hamiltonian_moment(P).derivative(5)], ids=[
+    "phi_d-0", "phi_d-6", "Phi_d-0", "Phi_d-6", "derivative-0", "derivative-5"])
+def test_derivative_order_out_of_range(bump, call):
+    # phi_d and Phi_d take k = 1..5, GridFunction.derivative k = 1..4 (the
+    # moment map carries d1..d4 attached); an index k - 1 outside them must
+    # not read another derivative
+    with pytest.raises(ValueError, match="k out of range"):
+        call(bump)
+
+
 def test_laplacian_moment_eigenfunction(fs):
     f = hamiltonian_moment(fs)
     lap = laplacian_apply(fs, f)

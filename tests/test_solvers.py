@@ -5,16 +5,17 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 from bergbal.model import (
-    _volume_integral, default_window, make_fs_potential,
-    make_perturbed_potential,
+    _volume_integral, default_window, hamiltonian_moment, integrate,
+    make_fs_potential, make_perturbed_potential,
 )
 from bergbal.solvers import (
-    BalanceResult, BracketError, SolverOptions, _DSpace, _family_verdicts,
-    _find_weight_bracket, _seed, balanced_family, newton_balance,
-    t_balance, tk_iterate, uniqueness_probe,
+    BalanceResult, SolverOptions, _DSpace, _family_verdicts, _seed,
+    balanced_family, newton_balance, t_balance, tk_iterate, uniqueness_probe,
 )
 from bergbal import solvers
-from bergbal.bergman import WindowError, _gram, _rows, bergman_kernel
+from bergbal.bergman import (
+    WindowError, _gram, _rows, bergman_kernel, weighted_bergman,
+)
 
 BUMP = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.0}
 OFF = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.5}
@@ -131,23 +132,36 @@ def test_t_balance_reuses_inner_evaluation(off, monkeypatch):
     assert sum(n > 2 for n in calls) == direct == 7
 
 
-@pytest.mark.parametrize("cap", [1, 2])
-def test_t_balance_searches_only_from_converged_solve(off, monkeypatch, cap):
-    # a y = 0 solve stopped by the cap gives no weight search: one inner
-    # solve, y = 0, and Newton's own final residual
+@pytest.mark.parametrize("m, opts", [
+    (8, SolverOptions(max_iterations=1)), (8, SolverOptions(max_iterations=2)),
+    (40, SolverOptions(tolerance=1e-3))], ids=["cap1", "cap2", "loose"])
+def test_t_balance_is_one_newton_solve(off, monkeypatch, m, opts):
+    # stopped by the cap, or converged at a loose tolerance with a moment
+    # pairing left above rounding (3.5e-10 at m = 40): one solve at y = 0,
+    # Newton's own history, and the pairing M(0) of the emitted potential
     calls = []
     gauss_newton = solvers._gauss_newton
 
-    def counted(ds, x0, y, opts):
-        calls.append(y)
-        return gauss_newton(ds, x0, y, opts)
+    def counted(ds, x0, opts):
+        calls.append(ds.m)
+        return gauss_newton(ds, x0, opts)
 
     monkeypatch.setattr(solvers, "_gauss_newton", counted)
-    opts = SolverOptions(max_iterations=cap)
-    res = t_balance(8, off, opts)
-    assert calls == [0.0]
-    assert res.torus_weight == 0.0 and not res.converged
-    assert res.final_residual == newton_balance(8, off, opts).final_residual
+    res = t_balance(m, off, opts)
+    assert calls == [m]
+    assert res.torus_weight == 0.0
+    direct = newton_balance(m, off, opts)
+    assert np.array_equal(res.residual_history, direct.residual_history)
+    pairing = res.diagnostics["moment_pairing"]
+    assert abs(pairing) > 1e-10
+    assert abs(pairing - _moment_pairing(m, res.potential)) <= 1e-12
+
+
+def _moment_pairing(m, P):
+    """M(0) = int (K - C_m) f_moment dmu on the spline side."""
+    rep = weighted_bergman(m, P, 0.0)
+    f = hamiltonian_moment(P).values
+    return integrate(P, (rep.kernel.values - rep.expected_constant) * f)
 
 
 @pytest.mark.parametrize("solve", [tk_iterate, newton_balance])
@@ -168,6 +182,7 @@ def test_t_balance_off_center(off):
     res = t_balance(8, off)
     assert res.torus_weight == 0.0
     assert res.final_residual <= 1e-8
+    assert abs(res.diagnostics["moment_pairing"]) <= 1e-12
     direct = newton_balance(8, off)
     gap = np.max(np.abs(res.potential.phi(GRID) - direct.potential.phi(GRID)))
     assert gap < 1e-7
@@ -177,12 +192,6 @@ def test_t_balance_even(bump):
     res = t_balance(8, bump)
     assert abs(res.torus_weight) <= 1e-8
     assert res.final_residual <= 1e-8
-
-
-def test_weight_bracket():
-    assert _find_weight_bracket(lambda s: s - 0.05, [-0.1, 0.01, 0.1]) == (0.01, 0.1)
-    with pytest.raises(BracketError, match="no sign change"):
-        _find_weight_bracket(lambda s: 1.0, [-0.1, 0.1])
 
 
 def test_family(bump):
@@ -291,7 +300,7 @@ def test_moment_center_closed_form(m):
     # tail masses at the window edges; x + 0.7 j translates Phi_x by 0.7
     ds, x = _seeded(OFF, m)
     x = x + 0.7 * ds.j
-    ev = ds.evaluate(x, 0.0)
+    ev = ds.evaluate(x)
     quadrature = _volume_integral(ds.quad, ds.t, ev.dens,
                                   (ev.mu[0] / m, 1.0 - ev.mu[-1] / m))
     center = ds.moment_center(x)
@@ -311,7 +320,7 @@ def test_moment_center_round_diagonal(m):
 def test_gram_rows_from_softmax(m):
     # rows p_j e^{x_j} give the Gram diagonal of the rows e^{jt - m Phi_x}
     ds, x = _seeded(BUMP, m)
-    ev = ds.evaluate(x, 0.0)
+    ev = ds.evaluate(x)
     ref = _gram(m, ds.quad, _rows(m, ds.t, ev.Phi), ev.dens,
                 ds._tail_factors(ev.Phi), ds.tails)
     assert np.max(np.abs(ev.G / ref - 1.0)) <= 1e-13
@@ -358,27 +367,6 @@ def test_softmax_S_is_scipy_logsumexp(m):
             assert np.all(np.abs(S - ref) <= 4.0 * ulp)
 
 
-def _weighted_mean_shifted(ds, ev, y):
-    """int K_y(u + y) dmu from a second softmax at the shifted nodes t + y,
-    the pass that the identity m Phi_x(u + y) = m Phi_x(u) + log sum_j p_j
-    e^{jy} replaces."""
-    E = ds.softmax(ev.x, ds.t + y)[0] * np.exp(ev.x)[:, None]
-    Ks = (E / (ev.G * np.exp(ds.j * y))[:, None]).sum(axis=0) / ds.m
-    return ds._integral(Ks, ev)
-
-
-@pytest.mark.parametrize("m", [6, 40, 120, 200])
-def test_weighted_mean_from_held_softmax(m, monkeypatch):
-    ds, x = _seeded(OFF, m)
-    ev = ds.evaluate(x, 0.0)
-    for y in (-0.01, 1e-3, 0.3 / m):
-        ref = _weighted_mean_shifted(ds, ev, y)
-        assert abs(ds._weighted_mean(ev, y) / ref - 1.0) <= 1e-13
-    calls = _softmax_columns(monkeypatch)
-    ds._weighted_mean(ev, 1e-3)
-    assert calls == []
-
-
 def _gemm_jacobian(ds, ev):
     """The Jacobian as the (m+1) x N by N x (m+1) product of the rows
     p_i e^{x_i} with the integrands p_l (2 k2 - d2_l) / m, plus the tails:
@@ -396,7 +384,7 @@ def _gemm_jacobian(ds, ev):
 
 def _jacobian_gap(ds, x):
     """max |A - A_gemm| / max |A_gemm| at x."""
-    ev = ds.evaluate(x, 0.0)
+    ev = ds.evaluate(x)
     ref = _gemm_jacobian(ds, ev)
     return np.max(np.abs(ds.jacobian(ev) - ref)) / np.max(np.abs(ref))
 
@@ -406,12 +394,12 @@ def test_jacobian_is_gram_derivative(m):
     # A_il = (dG_i / dx_l) / G_i against central differences of the Gram
     # diagonal
     ds, x = _seeded(BUMP, m)
-    ev = ds.evaluate(x, 0.0)
+    ev = ds.evaluate(x)
     h = 1e-5
     fd = np.empty((m + 1, m + 1))
     for l in range(m + 1):
         e = h * (ds.j == l)
-        fd[:, l] = ds.evaluate(x + e, 0.0).G - ds.evaluate(x - e, 0.0).G
+        fd[:, l] = ds.evaluate(x + e).G - ds.evaluate(x - e).G
     fd /= 2.0 * h * ev.G[:, None]
     A = ds.jacobian(ev)
     assert np.max(np.abs(A - fd)) <= 1e-8 * np.max(np.abs(A))
@@ -436,13 +424,13 @@ def test_jacobian_matches_gemm_form_on_overshoot(monkeypatch):
     trials = []
     centered = solvers._centered
 
-    def recorded(ds, x, y):
+    def recorded(ds, x):
         trials.append(x)
-        return centered(ds, x, y)
+        return centered(ds, x)
 
     monkeypatch.setattr(solvers, "_centered", recorded)
     res = newton_balance(200, P, SolverOptions(max_iterations=1))
     ds = _DSpace(200, P.quad)
     x = trials[0] - ds.j * ds.moment_center(trials[0])
-    assert ds.evaluate(x, 0.0).sup > res.residual_history[0]
+    assert ds.evaluate(x).sup > res.residual_history[0]
     assert _jacobian_gap(ds, x) <= 1e-12
