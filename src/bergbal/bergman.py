@@ -16,10 +16,15 @@ z^j has weight j; a different lift multiplies everything by a global factor).
 The engine is three private functions on the section rows at the nodes of a
 potential, shared by the spline potentials here and by the x = log D solvers
 (solvers._DSpace): _rows forms e^{jt - m Phi} from samples of Phi, _gram
-integrates rows against a density with exact Beta tails, and _kernel sums the
-rows over the Gram weights.  The solvers form their rows from the softmax
-they already hold, so only the spline paths call _rows.  Volume integrals go
-through model._volume_integral.
+integrates rows against a density with exact Beta tails, and _kernel is one
+matrix-vector product of the rows with the inverse Gram weights.  _gram and
+_kernel take rows R with a per-row scale s, the row j being s_j R_j: the
+spline paths pass their rows with s = 1, and the solvers pass the softmax
+they already hold with s = e^x, so the rows e^{jt - m Phi} are never formed
+there and only the spline paths call _rows.  Both exponential passes go
+through _exp_floor, which skips the exponentials that fall below the
+smallest normal double.  Volume integrals go through
+model._volume_integral.
 """
 import numpy as np
 from scipy.special import expit, betaln, betainc
@@ -30,6 +35,8 @@ from .model import (discretization_errors, grid_function, integrate,
 MAX_LEVEL = 200
 # largest |y| m for the weights e^{jy}, j <= m (e^709 overflows float64)
 MAX_EXPONENT = 700.0
+# ln of the smallest normal double: e^z is normal exactly for z >= _LOG_TINY
+_LOG_TINY = float(np.log(np.finfo(float).tiny))
 
 
 class WindowError(ValueError):
@@ -107,29 +114,52 @@ def fs_tails(m, window):
     return left, right
 
 
+def _exp_floor(z, low):
+    """e^z in place, with the entries below _LOG_TINY set to +0.0.
+
+    low bounds each column of z from below.  np.exp is many times slower on
+    an entry whose result underflows or is subnormal than on a normal one,
+    and such an entry is below the rounding of any sum that holds a normal
+    term.  So where low can fall below _LOG_TINY, only the entries at or
+    above it are exponentiated and the rest are set to +0.0; otherwise, as
+    at every level m <= 30 on the default window, this is np.exp.  Every
+    result that np.exp gives as a normal number is np.exp's, bit for bit.
+    """
+    if low.min() >= _LOG_TINY:
+        return np.exp(z, out=z)
+    drop = z < _LOG_TINY    # False at a NaN, which np.exp keeps
+    np.exp(z, out=z, where=~drop)
+    np.copyto(z, 0.0, where=drop)
+    return z
+
+
 def _rows(m, t, Phi):
-    """Section rows e^{jt - m Phi(t)}, j = 0..m, from the samples Phi(t)."""
-    j = np.arange(m + 1)
-    return np.exp(j[:, None] * t[None, :] - m * Phi[None, :])
+    """Section rows e^{jt - m Phi(t)}, j = 0..m, from the samples Phi(t);
+    each column's least exponent, min(0, m t) - m Phi(t), bounds it for
+    _exp_floor."""
+    mPhi = m * Phi
+    z = np.multiply.outer(np.arange(m + 1.0), t)
+    z -= mPhi
+    return _exp_floor(z, np.minimum(0.0, m * t) - mPhi)
 
 
-def _gram(m, quad, E, integrand, factors, tails=None):
-    """int e^{jt - m Phi} integrand dt, j = 0..m, from the rows E.
+def _gram(m, quad, R, integrand, factors, tails=None, s=1.0):
+    """int e^{jt - m Phi} integrand dt, j = 0..m, from the rows s_j R_j.
 
-    E holds the rows e^{jt - m Phi} and integrand its samples, both at the
-    nodes of quad.  Beyond the window Phi must be log(1 + e^t) plus a
-    constant c and the integrand a multiple of its density, so each tail is
-    fs_tails times its factor, that multiple times e^{-m c}.
+    The rows s_j R_j are e^{jt - m Phi}, R and integrand sampled at the nodes
+    of quad.  Beyond the window Phi must be log(1 + e^t) plus a constant c
+    and the integrand a multiple of its density, so each tail is fs_tails
+    times its factor, that multiple times e^{-m c}.
     """
     left, right = fs_tails(m, quad.window) if tails is None else tails
-    G = E[:, 1:-1] @ (quad.inner_weights * integrand[1:-1])
+    G = s * (R[:, 1:-1] @ (quad.inner_weights * integrand[1:-1]))
     return G + factors[0] * left + factors[1] * right
 
 
-def _kernel(m, E, weights):
-    """(1/m) sum_j E_j / weights_j; the rows E are divided in place."""
-    E /= weights[:, None]
-    return E.sum(axis=0) / m
+def _kernel(m, R, weights, s=1.0):
+    """(1/m) sum_j s_j R_j / weights_j, one matrix-vector product; R is
+    left as it is."""
+    return ((s / weights) @ R) / m
 
 
 def _norms_and_rows(m, P):
@@ -155,19 +185,20 @@ def section_norms(m, P):
 
 
 def _kernel_d2(m, P, y):
-    """The rows divided by their weights G_jj e^{jy}, and the weighted kernel
-    and its second derivative at the nodes.  d2 attaches through a_j = j -
+    """The Gram diagonal, the rows, and the kernel weighted by e^{jy} and
+    its second derivative at the nodes.  d2 attaches through a_j = j -
     m Phi': E'' = (a^2 - m Phi'') E.
     """
     G, E = _norms_and_rows(m, P)
-    j = np.arange(m + 1)
-    K = _kernel(m, E, G.entries * np.exp(j * y))
+    j = np.arange(m + 1.0)    # float: an int j is cast entry by entry below
+    w = G.entries * np.exp(j * y)
+    K = _kernel(m, E, w)
     # (a^2 - m Phi'') E built in place: one (m+1) x N array besides E
     a = j[:, None] - m * P.Phi_d(P.quad.nodes, 1)[None, :]
     a *= a
     a -= m * P.node_values("dens")[None, :]
     a *= E
-    return E, K, a.sum(axis=0) / m
+    return G, E, K, _kernel(m, a, w)
 
 
 def c_of_m(xi):
@@ -201,21 +232,21 @@ def weighted_bergman(m, P, y):
     y = 0 is the Bergman kernel, whose expected constant is c_of_m(m);
     otherwise it is c_weighted, int K_y(u + y) dmu(u), read from the rows
     formed once: K_y(u + y) = K_0(u) e^{m (Phi(u) - Phi(u + y))}, and K_0 =
-    (1/m) sum_j e^{jy} (E_j / G_jj e^{jy}) from the divided rows.
+    (1/m) sum_j E_j / G_jj from the same rows E.
     """
     m = _check_level(m)
     y = float(y)
     if not abs(y) * m <= MAX_EXPONENT:
         raise ValueError("weight scaling exp(m y) exceeds floating range: "
                          "|y| m = %.3g" % (abs(y) * m))
-    E, K, K2 = _kernel_d2(m, P, y)
+    G, E, K, K2 = _kernel_d2(m, P, y)
     kern = grid_function(P, K, name="B_%d%s" % (m, "_weighted" if y else ""),
                          d2=K2)
     t = P.quad.nodes
     if y == 0.0:
         expected, dens = c_of_m(m), P.node_values("dens")
     else:
-        K0 = np.exp(np.arange(m + 1) * y) @ E / m
+        K0 = _kernel(m, E, G.entries)
         shift = np.exp(m * (P.node_values("Phi") - P.Phi(t + y)))
         expected, dens = integrate(P, K0 * shift), P.density(t - y)
     # self-consistency mean: same integral realized with the density pulled
@@ -281,7 +312,13 @@ def expansion_fit(P, m_list):
     cond = np.linalg.cond(V)
     if cond > 1e12:
         raise DegenerateFitError("fit design condition number %.2e" % cond)
-    kernels = np.stack([bergman_kernel(m, P).kernel.values for m in m_list])
+
+    def values(m):
+        # bergman_kernel's values bit for bit, without its d2 pass
+        G, E = _norms_and_rows(m, P)
+        return _kernel(m, E, G.entries)
+
+    kernels = np.stack([values(m) for m in m_list])
     coef, *_ = np.linalg.lstsq(V, kernels - 1.0, rcond=None)
     a1 = grid_function(P, coef[0], name="a1_fit")
     a2 = grid_function(P, coef[1], name="a2_fit")
@@ -339,7 +376,7 @@ def bergman_derivative(m, P, psi):
     _check_mean_zero(P, psi)
     G, E = _norms_and_rows(m, P)
     dG = _gram_derivative(m, P, psi, E)
-    corr = (E * (dG / G.entries ** 2)[:, None]).sum(axis=0) / m
+    corr = _kernel(m, E, G.entries ** 2, dG)
     B = _kernel(m, E, G.entries)
     return grid_function(P, -m * psi.values * B - corr,
                          name="dB_%d" % m)

@@ -45,8 +45,13 @@ def _plain(obj):
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if _JSON_SCALARS.issuperset(map(type, obj)):
+            return list(obj)
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        # tolist gives Python floats, ints and bools, nested by dimension
+        if obj.dtype.kind in "fiub":
+            return obj.tolist()
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()

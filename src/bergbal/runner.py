@@ -2,7 +2,8 @@
 
 Every run produces the same report structure: config echo, versions,
 conventions, command outputs, plot-ready tables, pass/fail verdicts, and
-timing.  Reports are deterministic up to the timing block.
+timing.  Reports are deterministic up to the timing block, at a fixed BLAS
+thread count.
 """
 import time
 

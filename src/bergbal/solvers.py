@@ -14,15 +14,17 @@ dimensional, so Newton can reach residuals at the floating-point floor.
 
 Each evaluation at x, _DSpace.evaluate, makes one exponential pass over an
 (m+1) x N array, N the number of nodes: the softmax p_jt = e^{jt - x_j -
-m Phi_x(t)}, shifted by its column maximum.  Everything else follows from p
-without another exponential: the section rows are e^{jt - m Phi_x} = p_jt
-e^{x_j}, the volume density is the softmax variance over m, and the moment
-center is closed form in Phi_x at the window edges.  evaluate hands the rows
-to the kernel engine of bergman.py for the Gram diagonal and the kernel,
-and returns one _Evaluation record; the Jacobian, the moment pairing, the
-volume integral and every solver step read that record by name.  Off the
-nodes Phi_x = S/m comes from the same softmax: at the window edges for the
-moment center, at the knots for emission.
+m Phi_x(t)}, shifted by its column maximum, from j t at the nodes held by
+_DSpace.  Everything else follows from p without another exponential: the
+section rows are e^{jt - m Phi_x} = p_jt e^{x_j}, the volume density is the
+softmax variance over m, and the moment center is closed form in Phi_x at
+the window edges.  evaluate hands p with the row scale e^x to the kernel
+engine of bergman.py for the Gram diagonal and the kernel, so the rows
+themselves are never formed, and returns one _Evaluation record; the
+Jacobian, the moment pairing, the volume integral and every solver step
+read that record by name.  Off the nodes Phi_x = S/m comes from the same
+softmax: at the window edges for the moment center, at the knots for
+emission.
 
 Newton's Jacobian is Hankel up to known factors: p_i p_l = e^{x_a + x_b -
 x_i - x_l} p_a p_b whenever a + b = i + l, so its interior integrals are
@@ -40,7 +42,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .model import fs_derivative, _from_knot_values, _volume_integral
-from .bergman import section_norms, fs_tails, c_of_m, _gram, _kernel
+from .bergman import (section_norms, fs_tails, c_of_m, _exp_floor, _gram,
+                      _kernel)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,7 +117,9 @@ class _DSpace:
     record carries the rows' softmax, the Gram diagonal and the kernel
     deviation; the Jacobian, the weighted constant and the volume integral
     read the record.  Beyond the window Phi_x - log(1 + e^t) is nearly
-    constant; the Gram tails use its values at the window edges.
+    constant; the Gram tails use its values at the window edges.  j t at
+    the nodes is held, (m + 1) x N, so a node softmax starts from one
+    subtraction.
     """
 
     def __init__(self, m, quad):
@@ -122,19 +127,24 @@ class _DSpace:
         self.quad = quad
         self.t = quad.nodes
         self.j = np.arange(self.m + 1, dtype=float)
+        self.jt = np.multiply.outer(self.j, self.t)
         self.tails = fs_tails(self.m, quad.window)
         self.fs0 = fs_derivative(self.t, 0)
 
-    def softmax(self, x, t):
-        """p_jt = e^{jt - x_j} / sum_l e^{lt - x_l} and S_t = m Phi_x(t), in
-        one exponential pass: z = jt - x is shifted by its column maximum a,
-        exponentiated in place and divided by its column sums s; S = a +
-        log s."""
-        p = np.multiply.outer(self.j, t)
-        p -= x[:, None]
+    def softmax(self, x, t=None):
+        """p_jt = e^{jt - x_j} / sum_l e^{lt - x_l} and S_t = m Phi_x(t) at
+        the points t (the nodes if None), in one exponential pass: z = jt -
+        x is shifted by its column maximum a, exponentiated in place by
+        bergman._exp_floor, with the column bound min(0, m t) - max(x) - a,
+        and divided by its column sums s; S = a + log s."""
+        if t is None:
+            t, p = self.t, self.jt - x[:, None]
+        else:
+            p = np.multiply.outer(self.j, t)
+            p -= x[:, None]
         a = p.max(axis=0)
         p -= a
-        np.exp(p, out=p)
+        _exp_floor(p, np.minimum(0.0, self.m * t) - x.max() - a)
         s = p.sum(axis=0)
         p /= s
         return p, a + np.log(s)
@@ -157,14 +167,15 @@ class _DSpace:
         squared deviations d2 = (j - mu)^2, the variance k2, Phi_x, the
         density Phi_x'' = k2 / m, the Gram diagonal G of the rows
         e^{jt - m Phi_x} = p_jt e^{x_j}, the deviation dev = B_m - C_m and
-        sup |dev|.  The kernel divides the rows in place."""
-        p, S = self.softmax(x, self.t)
+        sup |dev|.  The Gram diagonal and the kernel read p with the row
+        scale e^x, so the rows are never formed and p is left as it is."""
+        p, S = self.softmax(x)
         mu, d2, k2 = self._moments(p)
         Phi, dens = S / self.m, k2 / self.m
-        E = p * np.exp(x)[:, None]
-        G = _gram(self.m, self.quad, E, dens, self._tail_factors(Phi),
-                  self.tails)
-        dev = _kernel(self.m, E, G)
+        ex = np.exp(x)
+        G = _gram(self.m, self.quad, p, dens, self._tail_factors(Phi),
+                  self.tails, ex)
+        dev = _kernel(self.m, p, G, ex)
         dev -= c_of_m(self.m)
         return _Evaluation(x, p, mu, d2, k2, Phi, dens, G, dev,
                            float(np.max(np.abs(dev))))

@@ -13,7 +13,7 @@ from bergbal.bergman import (
     DegenerateFitError, GramDiagonal, TorusWeight, WindowError, bergman_derivative,
     bergman_kernel, beta, beta_weighted, c_of_m, c_weighted, expansion_fit,
     fs_tails, gram_derivative, section_norms, weighted_bergman, _kernel,
-    _rows,
+    _norms_and_rows, _rows, _LOG_TINY,
 )
 
 BUMP = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.0}
@@ -214,6 +214,118 @@ def test_weighted_kernel_forms_rows_once(bump, monkeypatch):
     monkeypatch.setattr(bergman, "_rows", counted)
     weighted_bergman(40, bump, 1e-3)
     assert len(calls) == 1
+
+
+def _parent_kernel_d2(m, P, y):
+    """K, d2 and K0 of weighted_bergman in the form that the one
+    matrix-vector product per kernel replaces: the rows divided in place by
+    G e^{jy} and summed over axis 0, K0 = (1/m) sum_j e^{jy} times the
+    divided rows.  Also the sum of the absolute d2 terms, which scales its
+    rounding."""
+    G = section_norms(m, P).entries
+    t = P.quad.nodes
+    j = np.arange(m + 1)
+    E = np.exp(j[:, None] * t[None, :] - m * P.node_values("Phi")[None, :])
+    E /= (G * np.exp(j * y))[:, None]
+    a = (j[:, None] - m * P.Phi_d(t, 1)[None, :]) ** 2 \
+        - m * P.node_values("dens")[None, :]
+    return (E.sum(axis=0) / m, (a * E).sum(axis=0) / m,
+            np.exp(j * y) @ E / m, (np.abs(a) * E).sum(axis=0) / m)
+
+
+@pytest.mark.parametrize("m", [8, 40, 200])
+@pytest.mark.parametrize("y", [0.0, 1e-3])
+def test_weighted_kernel_matches_parent_form(m, y):
+    # on the round metric and the test bump; measured <= 1.2e-15 relative
+    # for K and the constant, <= 9e-15 absolute for d2
+    T = default_window(m)
+    for P in (make_fs_potential(window=T, grid_size=512),
+              make_perturbed_potential(BUMP, window=T, grid_size=512)):
+        rep = weighted_bergman(m, P, y)
+        K, d2, K0, d2_scale = _parent_kernel_d2(m, P, y)
+        assert np.max(np.abs(rep.kernel.values / K - 1.0)) <= 1e-13
+        assert np.max(np.abs(rep.kernel.d2 - d2)) <= 1e-13 * np.max(d2_scale)
+        if y:
+            t = P.quad.nodes
+            shift = np.exp(m * (P.node_values("Phi") - P.Phi(t + y)))
+            expected = integrate(P, K0 * shift)
+            assert abs(rep.expected_constant / expected - 1.0) <= 1e-13
+
+
+def test_kernel_leaves_rows_unchanged(bump):
+    m = 40
+    G, E = _norms_and_rows(m, bump)
+    rows = E.copy()
+    s = np.linspace(0.5, 2.0, m + 1)
+    B = _kernel(m, E, G.entries, s)
+    assert np.array_equal(E, rows)
+    assert np.allclose(B, (rows * (s / G.entries)[:, None]).sum(axis=0) / m,
+                       rtol=1e-14, atol=0.0)
+
+
+def test_expansion_fit_skips_d2(bump, monkeypatch):
+    # the fit reads kernel values alone, bergman_kernel's bit for bit, and
+    # forms no d2
+    levels = [8, 16, 32]
+    ref = np.stack([bergman_kernel(m, bump).kernel.values for m in levels])
+    q = 1.0 / np.asarray(levels, dtype=float)
+    coef = np.linalg.lstsq(np.stack([q, q * q], axis=1), ref - 1.0,
+                           rcond=None)[0]
+
+    def no_d2(*args):
+        raise AssertionError("expansion_fit formed d2")
+
+    monkeypatch.setattr(bergman, "_kernel_d2", no_d2)
+    fit = expansion_fit(bump, levels)
+    assert np.array_equal(fit.a1.values, coef[0])
+    assert np.array_equal(fit.a2.values, coef[1])
+
+
+def _rows_exponents(monkeypatch):
+    """The list of (z, low, result) of every bergman._exp_floor call."""
+    calls = []
+    exp_floor = bergman._exp_floor
+
+    def recorded(z, low):
+        z0 = z.copy()
+        calls.append((z0, low, exp_floor(z, low)))
+        return z
+
+    monkeypatch.setattr(bergman, "_exp_floor", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("m", [8, 30, 40, 200])
+def test_rows_exponent_bound_is_exact(m, monkeypatch):
+    # the bound min(0, m t) - m Phi is each column's least exponent; from
+    # m = 31 on the default window it falls below ln(DBL_MIN) and the
+    # underflowing entries are +0.0
+    P = make_perturbed_potential(BUMP, window=default_window(m),
+                                 grid_size=512)
+    calls = _rows_exponents(monkeypatch)
+    E = _rows(m, P.quad.nodes, P.node_values("Phi"))
+    (z, low, out), = calls
+    assert out is E
+    assert np.array_equal(low, z.min(axis=0))
+    ref = np.exp(z)
+    normal = ref >= np.finfo(float).tiny
+    assert np.array_equal(E[normal], ref[normal])
+    assert np.all(E[~normal] == 0.0) and not np.any(np.signbit(E))
+    assert (low.min() < _LOG_TINY) == (m > 30)
+    if m <= 30:
+        assert np.array_equal(E, ref)
+
+
+def test_exp_floor_keeps_nan():
+    z = np.array([[0.0, -800.0, np.nan, -np.inf, -708.0]])
+    low = np.full(z.shape[1], -np.inf)
+    out = bergman._exp_floor(z.copy(), low)
+    assert np.array_equal(out, [[1.0, 0.0, np.nan, 0.0, np.exp(-708.0)]],
+                          equal_nan=True)
+    # a NaN bound takes the masked path too
+    z = np.array([[np.nan, -800.0]])
+    out = bergman._exp_floor(z.copy(), np.array([np.nan, 0.0]))
+    assert np.isnan(out[0, 0]) and out[0, 1] == 0.0
 
 
 def test_torus_weight():

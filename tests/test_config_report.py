@@ -505,6 +505,21 @@ def test_plain_conversion():
     assert json.dumps(out)
 
 
+def test_plain_fast_paths():
+    # lists of JSON scalars and numeric arrays skip the per-element calls
+    scalars = (1.5, 2, "s", True, None)
+    out = _plain(scalars)
+    assert out == list(scalars) and type(out) is list
+    grid = np.arange(6, dtype=float).reshape(2, 3)
+    assert _plain(grid) == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+    assert type(_plain(grid)[1][2]) is float
+    assert _plain(np.array([True, False])) == [True, False]
+    assert type(_plain(np.array([3], dtype=np.uint8))[0]) is int
+    assert _plain(np.array([1 + 2j])) == [{"re": 1.0, "im": 2.0}]
+    assert _plain([1.0, np.float64(2.5)]) == [1.0, 2.5]
+    assert type(_plain([np.float64(2.5)])[0]) is float
+
+
 def test_build_and_validate():
     rep = build_report({"command": "balance"})
     assert rep["report_version"] == 1

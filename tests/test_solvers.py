@@ -14,7 +14,8 @@ from bergbal.solvers import (
 )
 from bergbal import solvers
 from bergbal.bergman import (
-    WindowError, _gram, _rows, bergman_kernel, weighted_bergman,
+    WindowError, _gram, _rows, bergman_kernel, c_of_m, weighted_bergman,
+    _LOG_TINY,
 )
 
 BUMP = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.0}
@@ -112,8 +113,8 @@ def _softmax_columns(monkeypatch):
     calls = []
     softmax = _DSpace.softmax
 
-    def counted(self, x, t):
-        calls.append(t.size)
+    def counted(self, x, t=None):
+        calls.append(self.t.size if t is None else t.size)
         return softmax(self, x, t)
 
     monkeypatch.setattr(_DSpace, "softmax", counted)
@@ -414,9 +415,10 @@ def test_jacobian_matches_gemm_form(m):
     assert _jacobian_gap(ds, x) <= 1e-12
 
 
-def test_jacobian_matches_gemm_form_on_overshoot(monkeypatch):
-    # the first trial iterate of a strong bump, a full Newton step that
-    # raises the residual
+def _overshoot_trial(monkeypatch):
+    """The _DSpace at m = 200 of the strong bump (0.11, 1.0, 1.0) and its
+    first trial iterate, moment-centered: a full Newton step that raises
+    the residual, and an x that is not convex."""
     desc = {"type": "gaussian-bump", "amplitude": 0.11, "width": 1.0,
             "center": 1.0}
     P = make_perturbed_potential(desc, window=default_window(200),
@@ -428,9 +430,98 @@ def test_jacobian_matches_gemm_form_on_overshoot(monkeypatch):
         trials.append(x)
         return centered(ds, x)
 
-    monkeypatch.setattr(solvers, "_centered", recorded)
-    res = newton_balance(200, P, SolverOptions(max_iterations=1))
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_centered", recorded)
+        res = newton_balance(200, P, SolverOptions(max_iterations=1))
     ds = _DSpace(200, P.quad)
     x = trials[0] - ds.j * ds.moment_center(trials[0])
     assert ds.evaluate(x).sup > res.residual_history[0]
+    return ds, x
+
+
+def test_jacobian_matches_gemm_form_on_overshoot(monkeypatch):
+    ds, x = _overshoot_trial(monkeypatch)
     assert _jacobian_gap(ds, x) <= 1e-12
+
+
+def _parent_evaluation(ds, x):
+    """G and dev of ds.evaluate(x) in the form that the row scale replaces:
+    the softmax exponentiated by np.exp alone, the rows E = p e^x formed,
+    divided in place by G and summed over axis 0."""
+    p = np.multiply.outer(ds.j, ds.t)
+    p -= x[:, None]
+    a = p.max(axis=0)
+    p -= a
+    np.exp(p, out=p)
+    s = p.sum(axis=0)
+    p /= s
+    k2 = ds._moments(p)[2]
+    Phi = (a + np.log(s)) / ds.m
+    E = p * np.exp(x)[:, None]
+    G = _gram(ds.m, ds.quad, E, k2 / ds.m, ds._tail_factors(Phi), ds.tails)
+    E /= G[:, None]
+    return G, E.sum(axis=0) / ds.m - c_of_m(ds.m)
+
+
+@pytest.mark.parametrize("m", [8, 40, 120, 200])
+def test_evaluate_matches_parent_form(m):
+    # on the test bump's seed and on the round diagonal; measured <= 8.9e-16
+    # for both, dev against the kernel's size C_m
+    ds, x0 = _seeded(BUMP, m)
+    x1 = gammaln(ds.j + 1) + gammaln(m - ds.j + 1) - gammaln(m + 1)
+    for x in (x0, x1):
+        ev = ds.evaluate(x)
+        G, dev = _parent_evaluation(ds, x)
+        assert np.max(np.abs(ev.G / G - 1.0)) <= 1e-13
+        assert np.max(np.abs(ev.dev - dev)) <= 1e-13 * c_of_m(m)
+
+
+def _softmax_exponents(ds, x, monkeypatch):
+    """(z, low, result) of the _exp_floor call in ds.softmax(x)."""
+    calls = []
+    exp_floor = solvers._exp_floor
+
+    def recorded(z, low):
+        # copies: z is exponentiated in place and softmax then divides it
+        z0 = z.copy()
+        calls.append((z0, low, exp_floor(z, low).copy()))
+        return z
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_exp_floor", recorded)
+        ds.softmax(x)
+    (z, low, out), = calls
+    return z, low, out
+
+
+def _assert_exp_floor(z, low, out):
+    """low bounds z; out is np.exp where that is normal and +0.0 elsewhere."""
+    assert np.all(low <= z)
+    ref = np.exp(z)
+    normal = ref >= np.finfo(float).tiny
+    assert np.array_equal(out[normal], ref[normal])
+    assert np.all(out[~normal] == 0.0) and not np.any(np.signbit(out))
+    return ref
+
+
+@pytest.mark.parametrize("m", [40, 120, 200, "overshoot"])
+def test_softmax_exponentials_below_normal_are_zero(m, monkeypatch):
+    if m == "overshoot":
+        ds, x = _overshoot_trial(monkeypatch)
+        assert np.any(np.diff(x, 2) < 0.0)
+    else:
+        ds, x = _seeded(BUMP, m)
+    z, low, out = _softmax_exponents(ds, x, monkeypatch)
+    _assert_exp_floor(z, low, out)
+    assert low.min() < _LOG_TINY and np.any(out == 0.0)
+
+
+@pytest.mark.parametrize("m", [2, 8, 30])
+def test_softmax_exponentials_plain_at_low_levels(m, monkeypatch):
+    # on the default window the bound stays above ln(DBL_MIN) up to m = 30,
+    # so the softmax exponentials are np.exp's bit for bit
+    for desc in (BUMP, OFF):
+        ds, x = _seeded(desc, m)
+        z, low, out = _softmax_exponents(ds, x, monkeypatch)
+        assert low.min() >= _LOG_TINY
+        assert np.array_equal(out, _assert_exp_floor(z, low, out))
