@@ -1,14 +1,16 @@
-"""Report serialization: one nested JSON document plus flat CSV tables.
+"""Report serialization: one CSV per table, and report.json indexing them.
 
-The JSON document validates against the schema shipped with the package and
-round-trips exactly.  report.json is the text of
-json.dump(report, indent=1, sort_keys=True) plus a newline: floats in their
-shortest round-trip form (float.__repr__), NaN and infinities spelled NaN,
-Infinity and -Infinity.  Tables are plot-ready: one row per quadrature node
-for sampled functions, one row per iteration for residual histories; a CSV
-cell writes a float as %.17g, a bool as 1 or 0 and anything else as str().
-A table whose columns differ in length raises ReportWriteError before its
-CSV is opened.
+The CSVs hold the table numbers.  Tables are plot-ready: one row per
+quadrature node for sampled functions, one row per iteration for residual
+histories.  A CSV has a header row of column names, then one row per entry;
+a cell writes a float as %.17g, a bool as 1 or 0 and anything else as str().
+
+report.json holds everything else, and in place of each table's columns its
+index entry: name, file, column names in CSV order and row count.  It
+validates against the schema shipped with the package and round-trips
+exactly: it is the text of json.dump(report, indent=1, sort_keys=True) plus
+a newline, floats in their shortest round-trip form (float.__repr__), NaN and
+infinities spelled NaN, Infinity and -Infinity.
 """
 import functools
 import json
@@ -33,8 +35,6 @@ _JSON_SCALARS = frozenset((float, int, str, bool, type(None)))
 # the CSV format of each number type, as _cell writes it
 _CELL_FORMATS = {float: "%.17g", int: "%d", bool: "%d"}
 _NUMBER_TYPES = frozenset(_CELL_FORMATS)
-# without an indent, JSONEncoder.encode runs the C encoder
-_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def _plain(obj):
@@ -75,7 +75,7 @@ def build_report(config_echo):
     import scipy
     versions["scipy"] = scipy.__version__
     return {
-        "report_version": 1,
+        "report_version": 2,
         "config": _plain(config_echo),
         "versions": versions,
         "conventions": {
@@ -112,65 +112,52 @@ def validate_report(report):
 
 
 def write_report(report, out_dir, tables=True):
-    """Write report.json and one CSV per table; returns the written paths."""
+    """Write one CSV per table, then report.json; returns the written paths,
+    report.json first.
+
+    report.json replaces each table's columns by its index entry.  Nothing
+    is written unless every table's columns have one length and the indexed
+    report validates; the CSVs are written before report.json, so the
+    report.json on disk indexes CSVs that exist.  With tables false no CSV
+    is written and the index is empty.
+    """
     report = _plain(report)
-    validate_report(report)
+    csvs, index = [], []
+    for table in (report["tables"] if tables else []):
+        name, cols = table["name"], table["columns"]
+        cpath = os.path.join(out_dir, name + ".csv")
+        lengths = {len(col) for col in cols.values()}
+        if len(lengths) > 1:
+            sizes = ", ".join("%s %d" % (n, len(c)) for n, c in cols.items())
+            raise ReportWriteError(cpath, "table %r has columns of unequal "
+                                   "lengths: %s" % (name, sizes))
+        rows = lengths.pop() if lengths else 0
+        csvs.append((cpath, cols, rows))
+        index.append({"name": name, "file": name + ".csv",
+                      "columns": list(cols), "rows": rows})
+    doc = dict(report, tables=index)
+    validate_report(doc)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as e:
         raise ReportWriteError(out_dir, e)
-    paths = []
+    for cpath, cols, rows in csvs:
+        template, columns = _row_template(cols.values())
+        try:
+            with open(cpath, "w") as fh:
+                fh.write(",".join(cols) + "\n")
+                fh.write(template * rows % tuple(
+                    chain.from_iterable(zip(*columns))))
+        except OSError as e:
+            raise ReportWriteError(cpath, e)
     jpath = os.path.join(out_dir, "report.json")
-    text = _json_text(report) + "\n"
     try:
         with open(jpath, "w") as fh:
-            fh.write(text)
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
     except OSError as e:
         raise ReportWriteError(jpath, e)
-    paths.append(jpath)
-    if tables:
-        for table in report.get("tables", []):
-            cpath = os.path.join(out_dir, table["name"] + ".csv")
-            cols = table["columns"]
-            names = list(cols)
-            lengths = {len(col) for col in cols.values()}
-            if len(lengths) > 1:
-                sizes = ", ".join("%s %d" % (n, len(cols[n])) for n in names)
-                raise ReportWriteError(cpath, "table %r has columns of unequal "
-                                       "lengths: %s" % (table["name"], sizes))
-            rows = lengths.pop() if lengths else 0
-            template, columns = _row_template(cols.values())
-            try:
-                with open(cpath, "w") as fh:
-                    fh.write(",".join(names) + "\n")
-                    fh.write(template * rows % tuple(
-                        chain.from_iterable(zip(*columns))))
-            except OSError as e:
-                raise ReportWriteError(cpath, e)
-            paths.append(cpath)
-    return paths
-
-
-def _json_text(obj, indent=""):
-    """The text json.dumps(obj, indent=1, sort_keys=True) gives for the plain
-    tree obj; each list of numbers alone is one call of the C encoder."""
-    inner = indent + " "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_ENCODER.encode(k) + ": " + _json_text(v, inner)
-                 for k, v in sorted(obj.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) <= _NUMBER_TYPES:
-            # "[a, b]": numbers hold no ", ", so the separators are the items'
-            body = _ENCODER.encode(obj)[1:-1].replace(", ", ",\n" + inner)
-        else:
-            body = (",\n" + inner).join(_json_text(v, inner) for v in obj)
-        return "[\n" + inner + body + "\n" + indent + "]"
-    return _ENCODER.encode(obj)
+    return [jpath] + [cpath for cpath, _, _ in csvs]
 
 
 def _row_template(columns):

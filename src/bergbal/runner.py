@@ -1,9 +1,9 @@
 """Experiment dispatch: one entry point per CLI command.
 
 Every run produces the same report structure: config echo, versions,
-conventions, command outputs, plot-ready tables, pass/fail verdicts, and
-timing.  Reports are deterministic up to the timing block, at a fixed BLAS
-thread count.
+conventions, command outputs, plot-ready tables (written as CSVs, which
+report.json indexes), pass/fail verdicts, and timing.  Reports are
+deterministic up to the timing block, at a fixed BLAS thread count.
 """
 import time
 
@@ -59,7 +59,8 @@ def _solve_command(cfg, report):
         entry = {"converged": res.converged,
                  "iterations": res.iterations,
                  "final_residual": res.final_residual,
-                 "mode": res.mode}
+                 "mode": res.mode,
+                 "diagnostics": res.diagnostics}
         if res.torus_weight is not None:
             entry["torus_weight"] = res.torus_weight
         per_level[str(m)] = entry

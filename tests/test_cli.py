@@ -210,6 +210,7 @@ def test_tables_flag(tmp_path):
     out_dir = tmp_path / "out"
     assert main(["balance", "--config", cfg, "--out", str(out_dir)]) == 0
     assert os.listdir(out_dir) == ["report.json"]
+    assert load_report(str(out_dir / "report.json"))["tables"] == []
 
 
 def test_determinism_except_timing(tmp_path):

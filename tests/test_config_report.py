@@ -522,10 +522,18 @@ def test_plain_fast_paths():
 
 def test_build_and_validate():
     rep = build_report({"command": "balance"})
-    assert rep["report_version"] == 1
+    assert rep["report_version"] == 2
     assert rep["config"] == {"command": "balance"}
     assert "numpy" in rep["versions"]
     validate_report(rep)
+
+
+def test_report_version_in_one_place():
+    # build_report, the schema's const and its $id name the same version
+    schema = load_schema()
+    version = build_report({"command": "balance"})["report_version"]
+    assert schema["properties"]["report_version"] == {"const": version}
+    assert schema["$id"].endswith("-v%d" % version)
 
 
 def test_schema_rejections():
@@ -533,10 +541,16 @@ def test_schema_rejections():
     rep = build_report({"command": "balance"})
     missing = dict(rep)
     del missing["conventions"]
+    entry = {"name": "t", "file": "t.csv", "columns": ["a"], "rows": 2}
+    validate_report(dict(rep, tables=[entry]))
+    no_rows = dict(entry)
+    del no_rows["rows"]
     for bad in (dict(rep, verdicts={"ok": "yes"}),
                 dict(rep, error={"type": "X"}),   # message missing
                 missing,
-                dict(rep, tables=[{"name": "bad name!", "columns": {}}])):
+                dict(rep, tables=[dict(entry, name="bad name!")]),
+                dict(rep, tables=[no_rows]),
+                dict(rep, tables=[dict(entry, columns={"a": [1.0, 2.0]})])):
         with pytest.raises(jsonschema.ValidationError) as direct:
             jsonschema.validate(bad, schema)
         # the cached validator reports the same error
@@ -558,11 +572,14 @@ def test_write_and_load_round_trip(tmp_path):
     assert [p.split("/")[-1] for p in paths] == ["report.json", "history_m4.csv"]
     loaded = load_report(paths[0])
     assert loaded["outputs"]["levels"]["4"]["final_residual"] == 1.25e-13
-    assert loaded["tables"][0]["columns"]["residual"][1] == 1.0 / 3.0
+    assert loaded["tables"] == [{"name": "history_m4", "file": "history_m4.csv",
+                                 "columns": ["iteration", "residual"],
+                                 "rows": 2}]
     with open(paths[1]) as fh:
         csv = fh.read().splitlines()
     assert csv[0] == "iteration,residual"
-    assert csv[2].startswith("1,0.33333333333333331")
+    assert csv[2] == "1,0.33333333333333331"
+    assert float(csv[2].split(",")[1]) == 1.0 / 3.0
 
 
 def test_write_rejects_invalid(tmp_path):
@@ -580,6 +597,17 @@ def test_write_error(tmp_path):
         write_report(rep, str(blocker))
 
 
+def test_failed_csv_leaves_no_report(tmp_path):
+    # the CSVs are written first, so a report.json on disk indexes CSVs
+    # that exist
+    rep = build_report({"command": "balance"})
+    rep["tables"] = [{"name": "history_m4", "columns": {"residual": [0.5]}}]
+    (tmp_path / "history_m4.csv").mkdir()
+    with pytest.raises(ReportWriteError, match="history_m4.csv"):
+        write_report(rep, str(tmp_path))
+    assert not (tmp_path / "report.json").exists()
+
+
 def _reference_cell(v):
     if isinstance(v, bool):
         return "1" if v else "0"
@@ -589,11 +617,18 @@ def _reference_cell(v):
 
 
 def _reference_write(rep, out_dir):
-    """The writer the byte format is pinned to: json.dump and a row loop."""
+    """The writer the byte format is pinned to: json.dump of the report with
+    each table's columns replaced by its index entry, and a row loop."""
     rep = _plain(rep)
     os.makedirs(out_dir)
+    index = []
+    for table in rep["tables"]:
+        names = list(table["columns"])
+        rows = len(table["columns"][names[0]]) if names else 0
+        index.append({"name": table["name"], "file": table["name"] + ".csv",
+                      "columns": names, "rows": rows})
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(rep, fh, indent=1, sort_keys=True)
+        json.dump(dict(rep, tables=index), fh, indent=1, sort_keys=True)
         fh.write("\n")
     for table in rep["tables"]:
         cols = table["columns"]
@@ -620,6 +655,22 @@ def _assert_reference_bytes(rep, tmp_path):
     new = _outcome(write_report, rep, tmp_path / "new")
     assert new == _outcome(_reference_write, rep, tmp_path / "reference")
     return new
+
+
+@pytest.mark.parametrize("command", ["newton", "tbalance"])
+def test_solve_diagnostics_reported(command, tmp_path):
+    # each level entry carries the solver's diagnostics, as written
+    rep = run_experiment(parse_config(MINIMAL[command]))
+    path = write_report(rep, str(tmp_path))[0]
+    [entry] = load_report(path)["outputs"]["levels"].values()
+    diag = entry["diagnostics"]
+    keys = {"moment_center", "sigma_core_err", "orders"}
+    if command == "tbalance":
+        keys.add("moment_pairing")
+    assert set(diag) == keys
+    assert type(diag["orders"]) is list
+    assert all(math.isfinite(v) for v in diag["orders"])
+    assert all(math.isfinite(diag[k]) for k in keys - {"orders"})
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -676,10 +727,14 @@ def test_writer_bytes_on_edge_values(tmp_path):
     {"mixed_short": [1, 2.0], "b": [True]},
 ])
 def test_writer_ragged_tables(columns, tmp_path):
-    # columns of unequal length fail before the CSV is opened
+    # columns of unequal length fail before any file or directory is made,
+    # the CSV of a sound table before the ragged one included
     rep = build_report({"command": "balance"})
-    rep["tables"] = [{"name": "ragged", "columns": columns}]
+    rep["tables"] = [{"name": "sound", "columns": {"a": [1.0]}},
+                     {"name": "ragged", "columns": columns}]
+    out_dir = tmp_path / "out"
     with pytest.raises(ReportWriteError, match="table 'ragged' has columns "
                                                "of unequal lengths"):
-        write_report(rep, str(tmp_path))
-    assert not (tmp_path / "ragged.csv").exists()
+        write_report(rep, str(out_dir))
+    assert not (out_dir / "report.json").exists()
+    assert not out_dir.exists()
