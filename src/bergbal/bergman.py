@@ -194,7 +194,7 @@ def _kernel_d2(m, P, y):
     w = G.entries * np.exp(j * y)
     K = _kernel(m, E, w)
     # (a^2 - m Phi'') E built in place: one (m+1) x N array besides E
-    a = j[:, None] - m * P.Phi_d(P.quad.nodes, 1)[None, :]
+    a = j[:, None] - m * P.node_values("Phi1")[None, :]
     a *= a
     a -= m * P.node_values("dens")[None, :]
     a *= E

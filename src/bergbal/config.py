@@ -11,6 +11,7 @@ import math
 import yaml
 
 from .bergman import MAX_EXPONENT, MAX_LEVEL, TorusWeight
+from .circle import CircleSample, make_partition
 # MAX_ORDER and MAX_ARRAY_BYTES are re-exported with the rule they bound
 from .model import (MAX_ARRAY_BYTES, MAX_ORDER, POTENTIAL_FIELDS,
                     QUADRATURE, discretization_errors)
@@ -102,6 +103,16 @@ def _numbers(values, path, errors):
         _number(v, float, "%s[%d]" % (path, i), errors)
 
 
+def _build(path, errors, make, *args, **kwargs):
+    """make(*args, **kwargs), or None after an error under path if it
+    rejects its arguments with a ValueError or TypeError."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, TypeError) as e:
+        errors.append("%s: %s" % (path, e))
+        return None
+
+
 def _check_mapping(doc, key, known, errors):
     """doc[key] if it is a mapping, else None; unknown keys are errors."""
     sub = doc[key]
@@ -175,11 +186,7 @@ def _check_solver(doc, errors):
               for k, kind in fields.items() if k in doc}
     if len(errors) > n_errors:
         return None
-    try:
-        return SolverOptions(**kwargs)
-    except (ValueError, TypeError) as e:
-        errors.append("solver: %s" % e)
-        return None
+    return _build("solver", errors, SolverOptions, **kwargs)
 
 
 def parse_config(document, strict=False):
@@ -235,8 +242,12 @@ def parse_config(document, strict=False):
             errors.append("sample: expected {cos: [...], sin: [...]} "
                           "trigonometric coefficients")
         else:
+            n_errors = len(errors)
             for key in ("cos", "sin"):
                 _numbers(sample.get(key, []), "sample." + key, errors)
+            if len(errors) == n_errors:
+                _build("sample", errors, CircleSample, sample["cos"],
+                       sample.get("sin", []))
             kwargs["sample"] = sample
 
     if "profiles" in doc:
@@ -245,7 +256,10 @@ def parse_config(document, strict=False):
             errors.append("profiles: expected a list of at least two "
                           "smoothing margins")
         else:
+            n_errors = len(errors)
             _numbers(profiles, "profiles", errors)
+            for i, p in enumerate(profiles if len(errors) == n_errors else []):
+                _build("profiles[%d]" % i, errors, make_partition, p)
             kwargs["profiles"] = profiles
 
     if "m_max" in doc:

@@ -259,9 +259,14 @@ class RadialPotential:
     # -- cached node samples ----------------------------------------------
 
     def node_values(self, key):
+        """A read-only array at the nodes: Phi ("Phi"), Phi' ("Phi1"), the
+        density Phi'' ("dens") or the k-th derivative of phi ("phi<k>", k =
+        2, 3, 4), evaluated on first use."""
         if key not in self._cache:
             t = self.quad.nodes
-            if key == "dens":
+            if key == "Phi1":
+                self._cache[key] = self.Phi_d(t, 1)
+            elif key == "dens":
                 self._cache[key] = self.density(t)
             elif key in ("phi2", "phi3", "phi4"):
                 self._cache[key] = self.phi_d(t, int(key[-1]))
@@ -269,6 +274,7 @@ class RadialPotential:
                 self._cache[key] = self.Phi(t)
             else:
                 raise KeyError(key)
+            self._cache[key].flags.writeable = False
         return self._cache[key]
 
     def tail_masses(self):
@@ -427,7 +433,7 @@ def hamiltonian_moment(P):
     the moment interval of the degree-one polarization.
     """
     t = P.quad.nodes
-    f1 = P.Phi_d(t, 1)
+    f1 = P.node_values("Phi1")
     center = integrate(P, f1)
     return grid_function(P, f1 - center, name="f_moment",
                          d1=P.node_values("dens"),

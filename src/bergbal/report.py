@@ -1,7 +1,8 @@
 """Report serialization: one CSV per table, and report.json indexing them.
 
 The CSVs hold the table numbers.  Tables are plot-ready: one row per
-quadrature node for sampled functions, one row per iteration for residual
+quadrature node in a run's one table of node samples (the node t, then a
+column per sampled quantity and level), one row per iteration for residual
 histories.  A CSV has a header row of column names, then one row per entry;
 a cell writes a float as %.17g, a bool as 1 or 0 and anything else as str().
 

@@ -2,8 +2,10 @@
 
 Every run produces the same report structure: config echo, versions,
 conventions, command outputs, plot-ready tables (written as CSVs, which
-report.json indexes), pass/fail verdicts, and timing.  Reports are
-deterministic up to the timing block, at a fixed BLAS thread count.
+report.json indexes), pass/fail verdicts, and timing.  A run's samples at
+the quadrature nodes t share one table, `potential`, `beta` or `expansion`,
+whose first column is t.  Reports are deterministic up to the timing block,
+at a fixed BLAS thread count.
 """
 import time
 
@@ -40,12 +42,14 @@ def _history_table(name, history):
                         "residual": [float(r) for r in history]}}
 
 
-def _potential_table(name, P):
-    t = P.quad.nodes
-    return {"name": name,
-            "columns": {"t": t.tolist(),
-                        "phi": P.phi(t).tolist(),
-                        "density": P.density(t).tolist()}}
+def _add_node_columns(report, name, P, columns):
+    """Add the arrays of columns, sampled at P's quadrature nodes, to the
+    table name; the first call creates it with the nodes as its column t."""
+    table = next((tb for tb in report["tables"] if tb["name"] == name), None)
+    if table is None:
+        table = {"name": name, "columns": {"t": P.quad.nodes.tolist()}}
+        report["tables"].append(table)
+    table["columns"].update((k, v.tolist()) for k, v in columns.items())
 
 
 def _solve_command(cfg, report):
@@ -68,8 +72,9 @@ def _solve_command(cfg, report):
         report["verdicts"]["m%d_converged" % m] = res.converged
         report["tables"].append(
             _history_table("history_m%d" % m, res.residual_history))
-        report["tables"].append(
-            _potential_table("potential_m%d" % m, res.potential))
+        _add_node_columns(report, "potential", P, {
+            "phi_m%d" % m: res.potential.phi(P.quad.nodes),
+            "density_m%d" % m: res.potential.density(P.quad.nodes)})
     report["outputs"]["levels"] = per_level
 
 
@@ -109,13 +114,9 @@ def _expand_command(cfg, report):
     report["outputs"]["a1"] = {"sup_error": fit.sup_a1_error}
     report["outputs"]["first_order_error"] = fit.first_order_error
     report["outputs"]["residual_sup"] = fit.residual_sup
-    t = P.quad.nodes
-    report["tables"].append({
-        "name": "expansion",
-        "columns": {"t": t.tolist(),
-                    "a1": fit.a1.values.tolist(),
-                    "a2": fit.a2.values.tolist(),
-                    "half_sigma": (0.5 * sig.values).tolist()}})
+    _add_node_columns(report, "expansion", P, {
+        "a1": fit.a1.values, "a2": fit.a2.values,
+        "half_sigma": 0.5 * sig.values})
     finite = all(np.all(np.isfinite(np.asarray(v))) for v in
                  (fit.a1.values, fit.a2.values, fit.residual_sup,
                   fit.first_order_error))
@@ -128,9 +129,7 @@ def _beta_command(cfg, report):
     for m in cfg.levels:
         b = beta_weighted(m, P, TorusWeight(cfg.weight or 0.0))
         sup[str(m)] = float(np.max(np.abs(b.values)))
-        report["tables"].append({
-            "name": "beta_m%d" % m,
-            "columns": {"t": b.nodes.tolist(), "beta": b.values.tolist()}})
+        _add_node_columns(report, "beta", P, {"beta_m%d" % m: b.values})
     report["outputs"]["sup_abs_beta"] = sup
     report["verdicts"]["outputs_finite"] = bool(
         all(np.isfinite(v) for v in sup.values()))

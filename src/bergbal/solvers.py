@@ -524,7 +524,11 @@ def balanced_family(m_range, P_seed, opts=SolverOptions()):
     scalar curvature reference (phi = 0) and the curve sup|sigma_m - 2|.
 
     The seed's window must accommodate the largest level.  A level that fails
-    to converge truncates the report at its index.
+    to converge truncates the report at its index.  Every level after the
+    first starts below the tolerance and takes 0 Newton steps (Fubini-Study
+    and bump families at levels 5 to 40): its warm start, the previous
+    level's solution, is already balanced there, so its d_m reads that
+    solution's re-emitted spline and Gram quadrature, not a solve of its own.
 
     In this model every balanced metric is the round one, so both curves
     measure the evaluation's own floor, which grows with m.  Each level

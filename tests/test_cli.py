@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from bergbal import runner
 from bergbal.cli import main
 from bergbal.config import parse_config
 from bergbal.report import load_report
@@ -32,10 +33,41 @@ def test_pass_run(tmp_path, capsys):
     assert "verdict m4_converged: PASS" in out
     assert "report written to" in out
     names = sorted(os.listdir(out_dir))
-    assert names == ["history_m4.csv", "potential_m4.csv", "report.json"]
+    assert names == ["history_m4.csv", "potential.csv", "report.json"]
     rep = load_report(str(out_dir / "report.json"))
     assert rep["outputs"]["levels"]["4"]["converged"] is True
     assert rep["error"] is None
+
+
+@pytest.mark.parametrize("failing", [4, 8])
+def test_failed_level_keeps_earlier_node_columns(failing, tmp_path,
+                                                 monkeypatch, capsys):
+    # a level that raises ends the run; the levels solved before it keep
+    # their columns in potential.csv, and with none solved it is not written
+    solve = runner.newton_balance
+
+    def solve_or_fail(m, P, opts):
+        if m == failing:
+            raise RuntimeError("level %d fails" % m)
+        return solve(m, P, opts)
+
+    monkeypatch.setattr(runner, "newton_balance", solve_or_fail)
+    cfg = _write(tmp_path, """
+command: newton
+potential: {type: fubini-study}
+levels: [4, 8]
+""")
+    out_dir = tmp_path / "out"
+    assert main(["newton", "--config", cfg, "--out", str(out_dir)]) == 3
+    assert "level %d fails" % failing in capsys.readouterr().err
+    rep = load_report(str(out_dir / "report.json"))
+    path = out_dir / "potential.csv"
+    if failing == 4:
+        assert not path.exists()
+        return
+    rows = path.read_text().splitlines()
+    assert rows[0] == "t,phi_m4,density_m4"
+    assert len(rows) == 1 + rep["outputs"]["quadrature"]["n_nodes"]
 
 
 def test_family_fubini_study(tmp_path, capsys):

@@ -6,6 +6,7 @@ import os
 import jsonschema
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from bergbal import config
@@ -13,6 +14,7 @@ from bergbal.config import (COMMAND_KEYS, COMMANDS, MAX_ARRAY_BYTES,
                             MAX_ORDER, ConfigError, ExperimentConfig,
                             parse_config)
 from bergbal.bergman import section_norms
+from bergbal.cli import main
 from bergbal.model import min_window
 from bergbal.runner import _DISPATCH, _build_potential, run_experiment
 from bergbal.solvers import SolverOptions
@@ -343,28 +345,46 @@ def test_quadrature_upper_bounds():
 
 
 # documents that used to pass parse_config and then fail in the run: each is
-# a config error naming its key
+# a config error naming its key, and the CLI writes nothing for it
+RUN_TIME_BASES = {
+    "newton": {"command": "newton", "potential": FS, "levels": [8, 200]},
+    "fourier": MINIMAL["fourier"],
+}
 RUN_TIME_FAILURES = [
-    ({"quadrature": {"window": 5}}, "quadrature.window: 5.00 too small for "
-     "level 200: need at least 20.30 (default is 25.30)"),
-    ({"quadrature": {"window": 12}}, "quadrature.window: 12.00 too small for "
-     "level 200: need at least 20.30 (default is 25.30)"),
-    ({"quadrature": {"grid": 10}}, "quadrature.grid: 10 below the minimum 64"),
-    ({"quadrature": {"order": 1}}, "quadrature.order: 1 below the minimum 2"),
-    ({"potential": dict(TABULATED, amplitude=3, width="x")},
+    ({"command": "newton", "quadrature": {"window": 5}}, "quadrature.window: "
+     "5.00 too small for level 200: need at least 20.30 (default is 25.30)"),
+    ({"command": "newton", "quadrature": {"window": 12}}, "quadrature.window: "
+     "12.00 too small for level 200: need at least 20.30 (default is 25.30)"),
+    ({"command": "newton", "quadrature": {"grid": 10}},
+     "quadrature.grid: 10 below the minimum 64"),
+    ({"command": "newton", "quadrature": {"order": 1}},
+     "quadrature.order: 1 below the minimum 2"),
+    ({"command": "newton", "potential": dict(TABULATED, amplitude=3,
+                                             width="x")},
      "potential: unexpected keys for tabulated: amplitude, width"),
-    ({"levels": [8, 8]}, "levels: level 8 repeated"),
+    ({"command": "newton", "levels": [8, 8]}, "levels: level 8 repeated"),
+    ({"command": "fourier", "profiles": [0.5, 0.3]}, "profiles[0]: profile "
+     "margin 0.5 outside [0.02, 0.45]: the remaining overlap is too small to "
+     "smooth"),
+    ({"command": "fourier", "sample": {"cos": []}},
+     "sample: need at least the constant coefficient"),
 ]
 
 
 @pytest.mark.parametrize("fields, error", RUN_TIME_FAILURES)
-def test_run_time_failures_are_config_errors(fields, error):
-    doc = dict({"command": "newton", "potential": FS, "levels": [8, 200]},
-               **fields)
+def test_run_time_failures_are_config_errors(fields, error, tmp_path, capsys):
+    doc = dict(RUN_TIME_BASES[fields["command"]], **fields)
     for strict in (False, True):
         with pytest.raises(ConfigError) as exc:
             parse_config(doc, strict=strict)
         assert exc.value.errors == [error]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out_dir = tmp_path / "out"
+    assert main([doc["command"], "--config", str(path),
+                 "--out", str(out_dir)]) == 2
+    assert error in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_discretization_bounds():
@@ -678,6 +698,35 @@ def test_writer_bytes_on_minimal_runs(command, tmp_path):
     rep = run_experiment(parse_config(MINIMAL[command]))
     files = _assert_reference_bytes(rep, tmp_path)
     assert len(files) == 1 + len(rep["tables"])
+
+
+# the header of each MINIMAL run's one CSV of node samples
+NODE_HEADERS = {
+    "balance": "t,phi_m4,density_m4",
+    "newton": "t,phi_m8,density_m8",
+    "tbalance": "t,phi_m8,density_m8",
+    "expand": "t,a1,a2,half_sigma",
+    "beta": "t,beta_m10,beta_m20",
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_nodes_written_once_per_run(command, tmp_path):
+    # a run's node samples share one CSV: the node column t heads it, with
+    # one row per quadrature node, and no other CSV repeats it
+    rep = run_experiment(parse_config(MINIMAL[command]))
+    paths = write_report(rep, str(tmp_path))
+    assert len(paths) == len(set(paths))
+    with_t = []
+    for path in sorted(tmp_path.glob("*.csv")):
+        lines = path.read_text().splitlines()
+        if "t" in lines[0].split(","):
+            with_t.append((lines[0], len(lines) - 1))
+    if command in NODE_HEADERS:
+        n_nodes = rep["outputs"]["quadrature"]["n_nodes"]
+        assert with_t == [(NODE_HEADERS[command], n_nodes)]
+    else:
+        assert with_t == []
 
 
 def _edge_report():

@@ -95,6 +95,23 @@ def test_tabulated_rejects_nonsmooth():
                                  window=20.0, grid_size=512)
 
 
+def test_node_values_cached_read_only(bump):
+    # each key is its pointwise evaluation at the nodes, made once and shared
+    # read-only by every caller
+    t = bump.quad.nodes
+    expected = {"Phi": bump.Phi(t), "Phi1": bump.Phi_d(t, 1),
+                "dens": bump.density(t), "phi2": bump.phi_d(t, 2),
+                "phi3": bump.phi_d(t, 3), "phi4": bump.phi_d(t, 4)}
+    for key, values in expected.items():
+        cached = bump.node_values(key)
+        assert cached is bump.node_values(key)
+        np.testing.assert_array_equal(cached, values)
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+    with pytest.raises(KeyError):
+        bump.node_values("Phi2")
+
+
 def test_phi_mean_zero(bump):
     # normalization gauge: phi integrates to zero against the fs volume
     fsP = make_fs_potential(window=20.0, grid_size=512)
