@@ -26,6 +26,11 @@ read that record by name.  Off the nodes Phi_x = S/m comes from the same
 softmax: at the window edges for the moment center, at the knots for
 emission.
 
+The nodes are sized to the level (model.solve_grid): 506 to 1,794 at m = 8
+to 200 where the default seed has 4,090.  The seed's Gram diagonal, the
+emitted spline and the final residual stay on the seed's quadrature: an
+iterate that meets the tolerance is evaluated there once more (see _iterate).
+
 Newton's Jacobian is Hankel up to known factors: p_i p_l = e^{x_a + x_b -
 x_i - x_l} p_a p_b whenever a + b = i + l, so its interior integrals are
 gathered from 2m + 1 weighted row sums of q_k = p_a p_b, a = floor(k/2),
@@ -41,7 +46,8 @@ import time
 import numpy as np
 from scipy.special import gammaln
 
-from .model import fs_derivative, _from_knot_values, _volume_integral
+from .model import (Quadrature, fs_derivative, solve_grid, _from_knot_values,
+                    _volume_integral)
 from .bergman import (section_norms, fs_tails, c_of_m, _exp_floor, _gram,
                       _kernel)
 
@@ -107,11 +113,15 @@ class UniquenessReport:
 
 # one iterate's evaluation, read by field name (see _DSpace.evaluate)
 _Evaluation = collections.namedtuple("_Evaluation",
-                                     "x p mu d2 k2 Phi dens G dev sup")
+                                     "x p mu d2 k2 Phi dens G dev sup quad")
 
 
 class _DSpace:
-    """Shared arrays for one solve at level m on the potential's quadrature.
+    """Shared arrays for one solve at level m on nodes sized to the level.
+
+    quad is the seed's quadrature; self.quad and its nodes t are the
+    solve's: model.solve_grid knots on quad's window and order, or quad
+    itself where that is no coarser.
 
     evaluate is the one exponential pass of an iterate, and its _Evaluation
     record carries the rows' softmax, the Gram diagonal and the kernel
@@ -124,8 +134,12 @@ class _DSpace:
 
     def __init__(self, m, quad):
         self.m = int(m)
-        self.quad = quad
-        self.t = quad.nodes
+        self.seed_quad = quad
+        grid = solve_grid(self.m, quad.window, quad.order)
+        self.quad = quad if grid >= quad.grid_size else \
+            Quadrature(quad.window, grid, quad.order)
+        self.t = self.quad.nodes
+        self.core = np.abs(quad.nodes) <= min(10.0, 0.5 * quad.window)
         self.j = np.arange(self.m + 1, dtype=float)
         self.jt = np.multiply.outer(self.j, self.t)
         self.tails = fs_tails(self.m, quad.window)
@@ -162,28 +176,29 @@ class _DSpace:
         return (np.exp(-self.m * (Phi[0] - self.fs0[0])),
                 np.exp(-self.m * (Phi[-1] - self.fs0[-1])))
 
-    def evaluate(self, x):
-        """The _Evaluation of x at the nodes: the softmax p, its mean mu, the
-        squared deviations d2 = (j - mu)^2, the variance k2, Phi_x, the
-        density Phi_x'' = k2 / m, the Gram diagonal G of the rows
-        e^{jt - m Phi_x} = p_jt e^{x_j}, the deviation dev = B_m - C_m and
-        sup |dev|.  The Gram diagonal and the kernel read p with the row
+    def evaluate(self, x, quad=None):
+        """The _Evaluation of x at the nodes (of quad if given): the softmax
+        p, its mean mu, the squared deviations d2 = (j - mu)^2, the variance
+        k2, Phi_x, the density Phi_x'' = k2 / m, the Gram diagonal G of the
+        rows e^{jt - m Phi_x} = p_jt e^{x_j}, the deviation dev = B_m - C_m
+        and sup |dev|.  The Gram diagonal and the kernel read p with the row
         scale e^x, so the rows are never formed and p is left as it is."""
-        p, S = self.softmax(x)
+        p, S = self.softmax(x, None if quad is None else quad.nodes)
+        quad = self.quad if quad is None else quad
         mu, d2, k2 = self._moments(p)
         Phi, dens = S / self.m, k2 / self.m
         ex = np.exp(x)
-        G = _gram(self.m, self.quad, p, dens, self._tail_factors(Phi),
+        G = _gram(self.m, quad, p, dens, self._tail_factors(Phi),
                   self.tails, ex)
         dev = _kernel(self.m, p, G, ex)
         dev -= c_of_m(self.m)
         return _Evaluation(x, p, mu, d2, k2, Phi, dens, G, dev,
-                           float(np.max(np.abs(dev))))
+                           float(np.max(np.abs(dev))), quad)
 
     def _integral(self, vals, ev):
         """Volume integral against Phi_x; the tail masses are Phi_x'(-T) =
         mu_0/m and 1 - Phi_x'(T) = 1 - mu_m/m."""
-        return _volume_integral(self.quad, vals, ev.dens,
+        return _volume_integral(ev.quad, vals, ev.dens,
                                 (ev.mu[0] / self.m, 1.0 - ev.mu[-1] / self.m))
 
     def moment_center(self, x):
@@ -250,38 +265,40 @@ class _DSpace:
               + np.outer(cR * self.tails[1], ev.p[:, -1])) / ev.G[:, None]
         return A
 
+    def confirm(self, ev):
+        """The evaluation of ev's iterate on the seed's nodes."""
+        seed = self.seed_quad
+        return ev if self.quad is seed else self.evaluate(ev.x, seed)
+
     def potential(self, x):
         # emit on the seed's own grid: a finer one would only amplify the
         # float noise of the knot values in the spline's edge derivatives
-        q = self.quad
+        q = self.seed_quad
         Phi = self.softmax(x, q.knots)[1] / self.m
         vals = Phi - fs_derivative(q.knots, 0)
         return _from_knot_values(vals, q.window, q.grid_size, order=q.order)
 
-    def _core_cumulants(self, x):
-        """The softmax, its deviations d = j - mu and d2, and the cumulants
-        k2, k3, k4 at the core nodes |t| <= min(10, T/2)."""
-        t = self.t[np.abs(self.t) <= min(10.0, 0.5 * self.quad.window)]
-        p = self.softmax(x, t)[0]
+    def _core_cumulants(self, x, p=None):
+        """The softmax p (unless given), its deviations d = j - mu and d2,
+        and the cumulants k2, k3, k4 at the seed's core nodes |t| <=
+        min(10, T/2).  The tail nodes are excluded: there the density is
+        ~e^{-T} and evaluating sigma of a near-reference iterate divides
+        rounding noise by it."""
+        t = self.seed_quad.nodes[self.core]
+        p = self.softmax(x, t)[0] if p is None else p
         mu, d2, k2 = self._moments(p)
         d = np.subtract.outer(self.j, mu)
         k3 = np.einsum("jt,jt->t", p, d2 * d)
         k4 = np.einsum("jt,jt->t", p, d2 * d2) - 3.0 * k2 * k2
         return t, p, d, d2, k2, k3, k4
 
-    def sigma_core_err(self, x):
-        """sup of |sigma - 2| over the core half-window, from the exact
-        cumulants of Phi_x.  The tail nodes are excluded: there the density
-        is ~e^{-T} and evaluating sigma of a near-reference iterate divides
-        rounding noise by it."""
-        return _sigma_err(self.m, *self._core_cumulants(x)[4:])
-
     def round_floors(self, residual):
         """Floors of the family curves d_m and sup|sigma_m - 2| at this level.
 
         Each floor starts from what the same evaluation reports for the
         closed-form round diagonal x_j = -log C(m, j), the exact balanced
-        solution.  Two allowances widen it:
+        solution: on the solve nodes, and sigma's cumulants on the seed's
+        core nodes, as sigma_core_err reads them.  Two allowances widen it:
 
         * the final residual r = sup|B_m - C_m|.  Along an eigenvector v of
           the Jacobian A of the Gram map, x -> x + e v leaves the residual
@@ -370,29 +387,39 @@ def _iterate(ds, x, opts, step):
 
     Evaluates the seed x by ds.evaluate(x) and records its sup.  Each
     step(ev, hist) returns the evaluation of the next iterate (see
-    _centered), or None to decline.  Stops at the tolerance, after
-    opts.max_iterations steps or at a declined step, and returns the last
-    evaluation and the residual history: len(hist) - 1 steps were taken.
+    _centered), or None to decline.  Stops at an iterate whose sup meets
+    the tolerance on the solve nodes and on the seed's (ds.confirm), after
+    opts.max_iterations steps or at a declined step.  Returns the last
+    iterate's seed-node evaluation and the history, whose last entry is its
+    sup there: len(hist) - 1 steps were taken.
     """
     ev = ds.evaluate(x)
     hist = [ev.sup]
-    while hist[-1] > opts.tolerance and len(hist) <= opts.max_iterations:
-        nxt = step(ev, hist)
+    while True:
+        read = ds.confirm(ev) if hist[-1] <= opts.tolerance else None
+        if read is not None and read.sup <= opts.tolerance:
+            break
+        nxt = step(ev, hist) if len(hist) <= opts.max_iterations else None
         if nxt is None:
             break
         ev = nxt
         hist.append(ev.sup)
-    return ev, hist
+    read = ds.confirm(ev) if read is None else read
+    hist[-1] = read.sup
+    return read, hist
 
 
 def _result(ds, ev, hist, y, opts, t0, mode, **diagnostics):
     """BalanceResult of the evaluation and history _iterate returned; the
-    diagnostics gain the moment center and the core curvature error of its
-    iterate."""
+    diagnostics gain the moment center, the solve's node count and sup
+    |sigma - 2| on the core from the exact cumulants of Phi_x, read off the
+    core columns of ev (on the seed's nodes, a softmax goes by column)."""
     P = ds.potential(ev.x)
     wall_time = time.perf_counter() - t0
+    k = ds._core_cumulants(ev.x, ev.p[:, ds.core])[4:]
     diagnostics.update(moment_center=ds.moment_center(ev.x),
-                       sigma_core_err=ds.sigma_core_err(ev.x))
+                       sigma_core_err=_sigma_err(ds.m, *k),
+                       solve_nodes=ds.t.size)
     return BalanceResult(ds.m, P, y, hist, hist[-1] <= opts.tolerance,
                          len(hist) - 1, wall_time, mode, diagnostics)
 
@@ -534,8 +561,8 @@ def balanced_family(m_range, P_seed, opts=SolverOptions()):
     measure the evaluation's own floor, which grows with m.  Each level
     therefore gets a floor per curve (d_floor, sigma_floor), computed by
     _DSpace.round_floors: the same evaluation on the closed-form round
-    diagonal at that level, window and grid, widened by what the level's
-    final residual allows and, for sigma, by its rounding bound.  A value
+    diagonal on the level's solve nodes, widened by what the level's final
+    residual allows and, for sigma, by its rounding bound.  A value
     at or below its floor counts as converged.  The verdicts:
 
     * all_converged: every level converged;

@@ -684,13 +684,16 @@ def test_solve_diagnostics_reported(command, tmp_path):
     path = write_report(rep, str(tmp_path))[0]
     [entry] = load_report(path)["outputs"]["levels"].values()
     diag = entry["diagnostics"]
-    keys = {"moment_center", "sigma_core_err", "orders"}
+    keys = {"moment_center", "sigma_core_err", "orders", "solve_nodes"}
     if command == "tbalance":
         keys.add("moment_pairing")
     assert set(diag) == keys
     assert type(diag["orders"]) is list
     assert all(math.isfinite(v) for v in diag["orders"])
     assert all(math.isfinite(diag[k]) for k in keys - {"orders"})
+    # the level's solve quadrature: no finer than the potential's
+    assert type(diag["solve_nodes"]) is int
+    assert 0 < diag["solve_nodes"] <= rep["outputs"]["quadrature"]["n_nodes"]
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -5,8 +5,8 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 from bergbal.model import (
-    _volume_integral, default_window, hamiltonian_moment, integrate,
-    make_fs_potential, make_perturbed_potential,
+    MIN_GRID, _volume_integral, default_window, hamiltonian_moment, integrate,
+    make_fs_potential, make_perturbed_potential, solve_grid,
 )
 from bergbal.solvers import (
     BalanceResult, SolverOptions, _DSpace, _family_verdicts, _seed,
@@ -525,3 +525,125 @@ def test_softmax_exponentials_plain_at_low_levels(m, monkeypatch):
         z, low, out = _softmax_exponents(ds, x, monkeypatch)
         assert low.min() >= _LOG_TINY
         assert np.array_equal(out, _assert_exp_floor(z, low, out))
+
+
+# a bump from the bench box, on the window of the top bench level
+BOX = {"type": "gaussian-bump", "amplitude": 0.07, "width": 1.3, "center": 0.45}
+
+
+@pytest.fixture(scope="module")
+def box():
+    return make_perturbed_potential(BOX, window=default_window(200),
+                                    grid_size=512)
+
+
+def test_solve_grid_rule():
+    # non-decreasing in m and never below MIN_GRID; _DSpace caps it at the
+    # seed's grid, so a coarse seed keeps its own quadrature
+    for window in (10.0, 20.0, default_window(200), 40.0):
+        for order in (2, 4, 8, 16):
+            grids = [solve_grid(m, window, order) for m in range(1, 1001)]
+            assert min(grids) >= MIN_GRID
+            assert all(b >= a for a, b in zip(grids, grids[1:]))
+    for grid in (64, 128, 512):
+        quad = make_fs_potential(window=default_window(200),
+                                 grid_size=grid).quad
+        for m in (1, 8, 40, 120, 200):
+            ds = _DSpace(m, quad)
+            assert ds.quad.grid_size <= grid
+            assert (ds.quad is quad) == (solve_grid(m, quad.window, 8) >= grid)
+    # at grid 512 and window 25.3: ceil(5 T sqrt(200) / 8) + 1 knots
+    assert _DSpace(200, quad).quad.grid_size == 225
+
+
+@pytest.mark.parametrize("m", [8, 40, 120, 200])
+def test_round_diagonal_on_solve_nodes(m):
+    # the Beta oracle and the round balance on the level's solve nodes;
+    # measured <= 3.4e-13 and 1.4e-14 (2.9e-13 and 1.4e-14 on 4,090 nodes)
+    fs = make_fs_potential(window=default_window(m), grid_size=512)
+    ds = _DSpace(m, fs.quad)
+    assert ds.t.size < fs.quad.n_nodes
+    x = gammaln(ds.j + 1) + gammaln(m - ds.j + 1) - gammaln(m + 1)
+    ev = ds.evaluate(x)
+    beta = np.exp(gammaln(ds.j + 1) + gammaln(m - ds.j + 1) - gammaln(m + 2))
+    assert np.max(np.abs(ev.G / beta - 1.0)) <= 1e-11
+    assert ev.sup <= 1e-13
+
+
+@pytest.mark.parametrize("solve, m, tolerance", [
+    (newton_balance, 8, 1e-9), (newton_balance, 40, 1e-9),
+    (newton_balance, 120, 1e-9), (newton_balance, 200, 1e-9),
+    (tk_iterate, 8, 1e-8)])
+def test_solve_nodes_agree_with_full_quadrature(box, monkeypatch, solve, m,
+                                                tolerance):
+    # against the same solve on the seed's 4,090 nodes; phi measured
+    # <= 4.0e-14
+    opts = SolverOptions(tolerance=tolerance)
+    res = solve(m, box, opts)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "solve_grid", lambda *args: 1 << 30)
+        full = solve(m, box, opts)
+    assert res.diagnostics["solve_nodes"] < box.quad.n_nodes
+    assert full.diagnostics["solve_nodes"] == box.quad.n_nodes
+    assert res.converged and full.converged
+    assert res.iterations == full.iterations
+    nodes = box.quad.nodes
+    gap = np.max(np.abs(res.potential.phi(nodes) - full.potential.phi(nodes)))
+    assert gap <= 1e-13
+
+
+def _confirm_reads(monkeypatch, reading):
+    """Patch _DSpace.confirm to return reading(ev, its own evaluation);
+    returns the list of (ev, returned evaluation) per call."""
+    reads = []
+    confirm = _DSpace.confirm
+
+    def patched(self, ev):
+        reads.append((ev, reading(ev, confirm(self, ev))))
+        return reads[-1][1]
+
+    monkeypatch.setattr(_DSpace, "confirm", patched)
+    return reads
+
+
+@pytest.mark.parametrize("solve", [newton_balance, tk_iterate])
+def test_unconfirmed_iterate_keeps_iterating(off, monkeypatch, solve):
+    # the first iterate that meets the tolerance on the solve nodes reads
+    # above it on the seed's: the loop takes more steps and converges on a
+    # confirmed iterate
+    plain = solve(8, off)
+    reads = _confirm_reads(
+        monkeypatch, lambda ev, read: read if reads else read._replace(sup=1.0))
+    res = solve(8, off)
+    assert [ev.sup <= 1e-8 for ev, _ in reads] == [True, True]
+    assert res.converged and res.final_residual == reads[-1][1].sup <= 1e-8
+    assert res.iterations > plain.iterations
+
+
+def test_never_confirmed_never_converges(off, monkeypatch):
+    # a read that never meets the tolerance: never converged, whatever the
+    # solve nodes read, and the final residual is that read
+    reads = _confirm_reads(monkeypatch,
+                           lambda ev, read: read._replace(sup=1.0))
+    for solve in (newton_balance, tk_iterate):
+        res = solve(8, off, SolverOptions(max_iterations=20))
+        assert not res.converged and res.final_residual == 1.0
+        assert reads[0][0].sup <= 1e-8
+
+
+@pytest.mark.parametrize("m", [8, 40])
+def test_declined_solve_reads_seed_nodes(off, monkeypatch, m):
+    # the tolerance lies below the rounding floor, so the last Newton step
+    # declines: the final residual is the last iterate's sup on the seed's
+    # nodes, as a _DSpace on those nodes evaluates it
+    reads = _confirm_reads(monkeypatch, lambda ev, read: read)
+    res = newton_balance(m, off, SolverOptions(tolerance=1e-16))
+    assert not res.converged
+    assert res.iterations < 500
+    ev, read = reads[-1]
+    assert read.p.shape == (m + 1, off.quad.n_nodes)
+    assert res.final_residual == read.sup
+    monkeypatch.setattr(solvers, "solve_grid", lambda *args: 1 << 30)
+    full = _DSpace(m, off.quad)
+    assert full.t.size == off.quad.n_nodes
+    assert full.evaluate(ev.x).sup == read.sup
