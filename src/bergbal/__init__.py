@@ -7,7 +7,7 @@ from .model import (
     lichnerowicz_apply, default_window,
 )
 from .bergman import (
-    GramDiagonal, BergmanReport, TorusWeight, WindowError, DegenerateFitError,
+    GramDiagonal, BergmanReport, WindowError, DegenerateFitError,
     section_norms, bergman_kernel, c_of_m, beta, expansion_fit,
     weighted_bergman, c_weighted, beta_weighted,
     gram_derivative, bergman_derivative,

@@ -79,19 +79,6 @@ class BergmanReport:
         self.weight = weight
 
 
-class TorusWeight:
-    """Coefficient w of the torus generator; the level-m character weight is
-    y = w / m^2 on the monomial z^j (weight j convention)."""
-
-    def __init__(self, w):
-        self.w = float(w)
-        if not np.isfinite(self.w):
-            raise ValueError("torus weight must be finite")
-
-    def y(self, m):
-        return self.w / float(m) ** 2
-
-
 def _check_level(m):
     m = int(m)
     if not 1 <= m <= MAX_LEVEL:
@@ -265,13 +252,13 @@ def c_weighted(m, P, y):
     return weighted_bergman(m, P, y).expected_constant
 
 
-def beta_weighted(m, P, W):
-    """Weighted modified kernel with torus weight W (coefficient w, y = w/m^2).
+def beta_weighted(m, P, w):
+    """Weighted modified kernel at the coefficient w of the torus generator:
+    the level-m weight is y = w / m^2 on the monomial z^j (weight j).
 
     w = 0 is beta(m, P).
     """
     m = _check_level(m)
-    w = W.w if isinstance(W, TorusWeight) else float(W)
     rep = weighted_bergman(m, P, w / float(m) ** 2)
     dev = rep.kernel.values - rep.expected_constant
     lap = -rep.kernel.d2 / P.node_values("dens")

@@ -10,7 +10,7 @@ import math
 
 import yaml
 
-from .bergman import MAX_EXPONENT, MAX_LEVEL, TorusWeight
+from .bergman import MAX_EXPONENT, MAX_LEVEL
 from .circle import CircleSample, make_partition
 # MAX_ORDER and MAX_ARRAY_BYTES are re-exported with the rule they bound
 from .model import (MAX_ARRAY_BYTES, MAX_ORDER, POTENTIAL_FIELDS,
@@ -304,7 +304,7 @@ def parse_config(document, strict=False):
         kwargs["weight"] = _number(doc["weight"], float, "weight", errors)
     # |y| m = |w| / m at y = w / m^2: widest at the least level
     w, m = kwargs.get("weight"), min(levels, default=0)
-    if w is not None and m and abs(TorusWeight(w).y(m)) * m > MAX_EXPONENT:
+    if w is not None and m and abs(w / float(m) ** 2) * m > MAX_EXPONENT:
         errors.append("weight: %g out of floating range at level %d: |w| / m "
                       "above %g" % (w, m, MAX_EXPONENT))
 

@@ -129,7 +129,8 @@ class Quadrature:
     in integrals against the volume density they carry the exact mass of the
     two tails (Phi'(-T) on the left, 1 - Phi'(T) on the right), so the total
     volume is exact for every potential whose perturbation is constant
-    outside the window.
+    outside the window.  The knots, nodes and weights are read-only: the
+    potentials built from one another share their quadrature.
     """
 
     def __init__(self, window, grid_size, order):
@@ -147,6 +148,8 @@ class Quadrature:
         winner = (half[:, None] * wg[None, :]).ravel()
         self.nodes = np.concatenate(([-self.window], inner, [self.window]))
         self.inner_weights = winner
+        for a in (self.knots, self.nodes, self.inner_weights):
+            a.flags.writeable = False
 
     @property
     def n_nodes(self):
@@ -194,30 +197,30 @@ class GridFunction:
 class RadialPotential:
     """Full potential Phi = log(1+e^t) + phi with phi stored as a quintic spline.
 
-    Construct through make_fs_potential / make_perturbed_potential only.
+    phi lives on the knots of quad, a read-only Quadrature that potentials
+    built from one another share: make_fs_potential and
+    make_perturbed_potential build one, and a solve's output, a translate
+    and every family level (_from_knot_values) keep their seed's.
     Immutable after construction; derived node arrays are cached.
     """
 
-    def __init__(self, kind, window, grid_size, phi_knot_values, order,
-                 decay_tol=DECAY_TOL):
-        self.kind = kind
-        self.window = float(window)
-        self.grid_size = int(grid_size)
+    def __init__(self, quad, phi_knot_values, decay_tol=DECAY_TOL):
+        self.quad = quad
+        self.window = quad.window
         self.decay_tol = float(decay_tol)
-        self.quad = Quadrature(window, grid_size, order)
         vals = np.asarray(phi_knot_values, dtype=float)
-        if vals.shape != self.quad.knots.shape:
+        if vals.shape != quad.knots.shape:
             raise ValueError("knot value array has wrong length")
-        self._spline = make_interp_spline(self.quad.knots, vals, k=5)
+        self._spline = make_interp_spline(quad.knots, vals, k=5)
         self._dsplines = [self._spline.derivative(k) for k in range(1, 6)]
         # additive gauge: mean-zero against the Fubini-Study measure
-        c0 = self._fs_mean(self._spline(self.quad.nodes))
+        c0 = self._fs_mean(self._spline(quad.nodes))
         self._spline.c = self._spline.c - c0
         self.c_minus = float(self._spline(-self.window))
         self.c_plus = float(self._spline(self.window))
+        self._cache = {}
         self._check_decay()
         self._check_positivity()
-        self._cache = {}
 
     def _fs_mean(self, node_values):
         q = self.quad
@@ -237,7 +240,7 @@ class RadialPotential:
                     "enlarge the window" % (tb, d1, tb, d2, self.decay_tol))
 
     def _check_positivity(self):
-        dens = self.density(self.quad.nodes)
+        dens = self.node_values("dens")
         bad = np.where(dens <= -POSITIVITY_FLOOR)[0]
         if bad.size:
             i = bad[np.argmin(dens[bad])]
@@ -297,8 +300,8 @@ class RadialPotential:
 
 def make_fs_potential(window, grid_size, order=QUADRATURE["order"]):
     """The reference Fubini-Study potential (phi = 0)."""
-    return RadialPotential("fs", window, grid_size,
-                           np.zeros(grid_size), order=order)
+    quad = Quadrature(window, grid_size, order)
+    return RadialPotential(quad, np.zeros(quad.grid_size))
 
 
 def make_perturbed_potential(desc, window, grid_size, order=QUADRATURE["order"]):
@@ -314,19 +317,19 @@ def make_perturbed_potential(desc, window, grid_size, order=QUADRATURE["order"])
     kind = desc.get("type")
     if kind == "fubini-study":
         return make_fs_potential(window, grid_size, order)
-    knots = np.linspace(-window, window, grid_size)
+    quad = Quadrature(window, grid_size, order)
     if kind == "gaussian-bump":
         a = float(desc["amplitude"])
         s = float(desc["width"])
         c = float(desc.get("center", 0.0))
         if s <= 0:
             raise ValueError("bump width must be positive")
-        vals = a * np.exp(-0.5 * ((knots - c) / s) ** 2)
+        vals = a * np.exp(-0.5 * ((quad.knots - c) / s) ** 2)
     elif kind == "tabulated":
-        vals = _resample_tabulated(desc, knots, window)
+        vals = _resample_tabulated(desc, quad.knots, quad.window)
     else:
         raise ValueError("unknown perturbation type: %r" % (kind,))
-    return RadialPotential("perturbed", window, grid_size, vals, order=order)
+    return RadialPotential(quad, vals)
 
 
 def _resample_tabulated(desc, knots, window):
@@ -354,22 +357,22 @@ def _resample_tabulated(desc, knots, window):
     return make_interp_spline(t, v, k=5)(knots)
 
 
-def _from_knot_values(vals, window, grid_size, order=QUADRATURE["order"]):
-    """Internal constructor for solver outputs.
+def _from_knot_values(vals, quad):
+    """Internal constructor for solver outputs: the potential with knot
+    values vals on the shared, read-only quadrature quad (its seed's).
 
     Positivity and shape validation still apply; the decay tolerance is
     relaxed because these potentials settle like e^{-|t|} by construction,
     with a genuinely nonzero (if tiny) tail at any finite window.
     """
-    return RadialPotential("perturbed", window, grid_size, vals, order=order,
-                           decay_tol=1e-8)
+    return RadialPotential(quad, vals, decay_tol=1e-8)
 
 
 def translate_potential(P, s):
     """Pull back the potential along t -> t - s (the torus flow by s)."""
     knots = P.quad.knots
     vals = P.Phi(knots - s) - fs_derivative(knots, 0)
-    return _from_knot_values(vals, P.window, P.grid_size, order=P.quad.order)
+    return _from_knot_values(vals, P.quad)
 
 
 def grid_function(P, values, name="", **der):

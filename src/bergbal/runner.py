@@ -13,7 +13,7 @@ import numpy as np
 
 from .model import (QUADRATURE, default_window, make_perturbed_potential,
                     scalar_curvature)
-from .bergman import beta_weighted, expansion_fit, TorusWeight
+from .bergman import beta_weighted, expansion_fit
 from .solvers import tk_iterate, newton_balance, t_balance, balanced_family, \
     uniqueness_probe
 from .circle import CircleSample, make_partition, integer_consistency_report, \
@@ -31,7 +31,7 @@ def _build_potential(desc, cfg):
 
 def _record_quadrature(report, P):
     report["outputs"]["quadrature"] = {
-        "window": P.window, "grid_size": P.grid_size,
+        "window": P.window, "grid_size": P.quad.grid_size,
         "order": P.quad.order, "n_nodes": P.quad.n_nodes}
     return P
 
@@ -74,7 +74,7 @@ def _solve_command(cfg, report):
             _history_table("history_m%d" % m, res.residual_history))
         _add_node_columns(report, "potential", P, {
             "phi_m%d" % m: res.potential.phi(P.quad.nodes),
-            "density_m%d" % m: res.potential.density(P.quad.nodes)})
+            "density_m%d" % m: res.potential.node_values("dens")})
     report["outputs"]["levels"] = per_level
 
 
@@ -127,7 +127,7 @@ def _beta_command(cfg, report):
     P = _record_quadrature(report, _build_potential(cfg.potential, cfg))
     sup = {}
     for m in cfg.levels:
-        b = beta_weighted(m, P, TorusWeight(cfg.weight or 0.0))
+        b = beta_weighted(m, P, cfg.weight or 0.0)
         sup[str(m)] = float(np.max(np.abs(b.values)))
         _add_node_columns(report, "beta", P, {"beta_m%d" % m: b.values})
     report["outputs"]["sup_abs_beta"] = sup

@@ -271,12 +271,12 @@ class _DSpace:
         return ev if self.quad is seed else self.evaluate(ev.x, seed)
 
     def potential(self, x):
-        # emit on the seed's own grid: a finer one would only amplify the
-        # float noise of the knot values in the spline's edge derivatives
+        # emit on the seed's own quadrature: a finer grid would only amplify
+        # the float noise of the knot values in the spline's edge derivatives
         q = self.seed_quad
         Phi = self.softmax(x, q.knots)[1] / self.m
         vals = Phi - fs_derivative(q.knots, 0)
-        return _from_knot_values(vals, q.window, q.grid_size, order=q.order)
+        return _from_knot_values(vals, q)
 
     def _core_cumulants(self, x, p=None):
         """The softmax p (unless given), its deviations d = j - mu and d2,

@@ -177,7 +177,7 @@ def test_fourth_order_operator_checks(acceptance, fs):
         sig = []
         for sgn in (+1, -1):
             Pe = model._from_knot_values(
-                P.phi(P.quad.knots) + sgn * eps * f(P.quad.knots), W, grid)
+                P.phi(P.quad.knots) + sgn * eps * f(P.quad.knots), P.quad)
             sig.append(scalar_curvature(Pe).values)
         fd = (sig[0] - sig[1]) / (2 * eps)
         errs.append(np.max(np.abs((L - fd)[core])))

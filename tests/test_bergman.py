@@ -10,7 +10,7 @@ from bergbal.model import (
     translate_potential,
 )
 from bergbal.bergman import (
-    DegenerateFitError, GramDiagonal, TorusWeight, WindowError, bergman_derivative,
+    DegenerateFitError, GramDiagonal, WindowError, bergman_derivative,
     bergman_kernel, beta, beta_weighted, c_of_m, c_weighted, expansion_fit,
     fs_tails, gram_derivative, section_norms, weighted_bergman, _kernel,
     _norms_and_rows, _rows, _LOG_TINY,
@@ -328,11 +328,16 @@ def test_exp_floor_keeps_nan():
     assert np.isnan(out[0, 0]) and out[0, 1] == 0.0
 
 
-def test_torus_weight():
-    W = TorusWeight(3.2)
-    assert W.y(4) == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        TorusWeight(np.inf)
+def test_torus_weight(fs):
+    # the coefficient w weighs level m by y = w / m^2
+    rep = weighted_bergman(4, fs, 0.2)
+    lap = -rep.kernel.d2 / fs.node_values("dens")
+    expected = 8.0 * (rep.kernel.values - rep.expected_constant) \
+        + (4.0 / 3.0) * lap
+    assert np.array_equal(beta_weighted(4, fs, 3.2).values, expected)
+    for w in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            beta_weighted(4, fs, w)
 
 
 def test_weighted_constant_parity(fs, bump):
@@ -349,7 +354,7 @@ def test_weighted_constant_parity(fs, bump):
 def test_beta_weighted_parity(fs):
     m, w = 4, 3.2
     y = w / m ** 2
-    bp = beta_weighted(m, fs, TorusWeight(w)).values
+    bp = beta_weighted(m, fs, w).values
     bm = beta_weighted(m, fs, -w).values
     assert np.max(np.abs(np.exp(m * y / 2) * bp
                          - np.exp(-m * y / 2) * bm[::-1])) < 1e-10
@@ -431,8 +436,8 @@ def test_gram_derivative_finite_difference(bump):
     dG = gram_derivative(m, bump, psi)
     kn = bump.quad.knots
     pk = bump.phi(kn)
-    Gp = section_norms(m, model._from_knot_values(pk + eps * psi_fn(kn), 20.0, 512)).entries
-    Gm = section_norms(m, model._from_knot_values(pk - eps * psi_fn(kn), 20.0, 512)).entries
+    Gp = section_norms(m, model._from_knot_values(pk + eps * psi_fn(kn), bump.quad)).entries
+    Gm = section_norms(m, model._from_knot_values(pk - eps * psi_fn(kn), bump.quad)).entries
     fd = (Gp - Gm) / (2 * eps)
     assert np.max(np.abs(fd - dG)) / np.max(np.abs(dG)) < 1e-7
 
@@ -444,8 +449,8 @@ def test_bergman_derivative_finite_difference(bump):
     dB = bergman_derivative(m, bump, psi)
     kn = bump.quad.knots
     pk = bump.phi(kn)
-    Bp = bergman_kernel(m, model._from_knot_values(pk + eps * psi_fn(kn), 20.0, 512)).kernel.values
-    Bm = bergman_kernel(m, model._from_knot_values(pk - eps * psi_fn(kn), 20.0, 512)).kernel.values
+    Bp = bergman_kernel(m, model._from_knot_values(pk + eps * psi_fn(kn), bump.quad)).kernel.values
+    Bm = bergman_kernel(m, model._from_knot_values(pk - eps * psi_fn(kn), bump.quad)).kernel.values
     assert np.max(np.abs((Bp - Bm) / (2 * eps) - dB.values)) < 1e-7
 
 

@@ -25,7 +25,6 @@ def bump():
 
 def test_fs_value_at_origin(fs):
     assert abs(fs.Phi(0.0) - np.log(2.0)) < 1e-14
-    assert fs.kind == "fs"
 
 
 def test_total_volume(fs, bump):
@@ -56,7 +55,6 @@ def test_fubini_study_descriptor():
     # the descriptor builds what make_fs_potential builds
     P = make_perturbed_potential({"type": "fubini-study"}, 20.0, 512)
     fs = make_fs_potential(20.0, 512)
-    assert P.kind == "fs"
     assert np.array_equal(P.phi(P.quad.nodes), fs.phi(fs.quad.nodes))
 
 
@@ -232,7 +230,7 @@ def test_lichnerowicz_finite_difference_order():
         sig = []
         for sgn in (+1, -1):
             Pe = model._from_knot_values(P.phi(P.quad.knots) + sgn * eps * f(P.quad.knots),
-                                         W, grid)
+                                         P.quad)
             sig.append(scalar_curvature(Pe).values)
         fd = (sig[0] - sig[1]) / (2 * eps)
         errs.append(np.max(np.abs((L - fd)[core])))
@@ -246,6 +244,17 @@ def test_translate_density(bump):
     Ps = translate_potential(bump, s)
     t = np.linspace(-8, 8, 301)
     assert np.max(np.abs(Ps.density(t) - bump.density(t - s))) < 1e-7
+
+
+def test_translate_shares_quadrature(bump):
+    assert translate_potential(bump, 0.7).quad is bump.quad
+
+
+def test_quadrature_read_only(bump):
+    # potentials built from one another share their quadrature's arrays
+    for name in ("knots", "nodes", "inner_weights"):
+        with pytest.raises(ValueError):
+            getattr(bump.quad, name)[0] = 0.0
 
 
 def test_default_window():

@@ -12,7 +12,8 @@ from bergbal.solvers import (
     BalanceResult, SolverOptions, _DSpace, _family_verdicts, _seed,
     balanced_family, newton_balance, t_balance, tk_iterate, uniqueness_probe,
 )
-from bergbal import solvers
+from bergbal import model, runner, solvers
+from bergbal.config import parse_config
 from bergbal.bergman import (
     WindowError, _gram, _rows, bergman_kernel, c_of_m, weighted_bergman,
     _LOG_TINY,
@@ -96,6 +97,49 @@ def test_newton_converges_at_level_40(bump):
     res = newton_balance(40, bump)
     assert res.converged and res.mode == "newton-exact"
     assert np.all(np.isfinite(res.residual_history))
+
+
+def test_outputs_share_the_seed_quadrature(bump, newton8):
+    assert newton8.potential.quad is bump.quad
+    for solve in (tk_iterate, t_balance):
+        assert solve(8, bump).potential.quad is bump.quad
+
+
+def test_node_table_reads_the_cached_density(monkeypatch):
+    # one density pass at the nodes per potential: construction caches it,
+    # and section_norms (the seed's diagonal) and the node table read it
+    seen = []
+    density = model.RadialPotential.density
+
+    def spy(self, t):
+        if np.array_equal(t, self.quad.nodes):
+            seen.append(self)
+        return density(self, t)
+
+    solves = []
+
+    def newton(m, P, opts):
+        solves.append((P, newton_balance(m, P, opts)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(model.RadialPotential, "density", spy)
+    monkeypatch.setattr(runner, "newton_balance", newton)
+    report = runner.run_experiment(parse_config(
+        {"command": "newton", "potential": BUMP, "levels": [4, 8]}))
+    assert report["error"] is None
+    P = solves[0][0]
+    built = [P] + [res.potential for _, res in solves]
+    assert [id(p) for p in seen] == [id(p) for p in built]
+    monkeypatch.undo()
+    [table] = [tb for tb in report["tables"] if tb["name"] == "potential"]
+    assert table["columns"]["t"] == P.quad.nodes.tolist()
+    for seed, res in solves:
+        assert seed is P and res.potential.quad is P.quad
+        cols = table["columns"]
+        assert np.array_equal(cols["phi_m%d" % res.level],
+                              res.potential.phi(P.quad.nodes))
+        assert np.array_equal(cols["density_m%d" % res.level],
+                              res.potential.density(P.quad.nodes))
 
 
 def test_t_balance_frozen_weight_is_newton(bump, newton8):
@@ -204,6 +248,7 @@ def test_family(bump):
     # sits at the float floor
     assert np.all(fam.d_sup < 1e-10)
     assert fam.d_sup.size == fam.sigma_sup.size == 3
+    assert all(r.potential.quad is bump.quad for r in fam.results)
     direct = newton_balance(10, bump)
     gap = np.max(np.abs(fam.results[1].potential.phi(GRID)
                         - direct.potential.phi(GRID)))
