@@ -15,6 +15,7 @@ demonstrates numerically.
 """
 import numpy as np
 
+from .model import MAX_ARRAY_BYTES
 
 _I1 = (-3.0 * np.pi / 4.0, 3.0 * np.pi / 4.0)
 _I2 = (np.pi / 4.0, 7.0 * np.pi / 4.0)
@@ -157,6 +158,19 @@ def entire_extension(S, pair, xi):
     total = sum(np.exp(-1j * np.multiply.outer(xi, th)) @ (w * S(th))
                 for th, w in pair.quadrature())
     return complex(total) if xi.ndim == 0 else total
+
+
+def extension_errors(m_max, pairs):
+    """The message, if any, for an m_max at which entire_extension over the
+    integers |m| <= m_max would build a (2 m_max + 1) x n_theta complex
+    array above MAX_ARRAY_BYTES, n_theta the nodes of the largest piece of
+    the partitions pairs."""
+    n = max(th.size for pair in pairs for th, _ in pair.quadrature())
+    size = 16 * (2 * m_max + 1) * n
+    if size > MAX_ARRAY_BYTES:
+        return ["%d at %d nodes needs %d bytes per array, above the maximum "
+                "%d" % (m_max, n, size, MAX_ARRAY_BYTES)]
+    return []
 
 
 class ConsistencyReport:

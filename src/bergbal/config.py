@@ -11,10 +11,11 @@ import math
 import yaml
 
 from .bergman import MAX_EXPONENT, MAX_LEVEL
-from .circle import CircleSample, make_partition
+from .circle import CircleSample, extension_errors, make_partition
 # MAX_ORDER and MAX_ARRAY_BYTES are re-exported with the rule they bound
 from .model import (MAX_ARRAY_BYTES, MAX_ORDER, POTENTIAL_FIELDS,
-                    QUADRATURE, discretization_errors)
+                    QUADRATURE, default_window, discretization_errors,
+                    tabulated_errors)
 from .solvers import SolverOptions
 
 # the top-level keys each command reads besides `command` and `output`; any
@@ -124,7 +125,9 @@ def _check_mapping(doc, key, known, errors):
     return sub
 
 
-def _check_potential(desc, path, errors):
+def _check_potential(desc, path, errors, tabulated):
+    """Check the descriptor desc; if it is tabulated and passes, add (path,
+    desc) to tabulated, whose samples need the run's window."""
     if not isinstance(desc, dict):
         errors.append("%s: expected a mapping, got %s" % (path, type(desc).__name__))
         return
@@ -134,6 +137,7 @@ def _check_potential(desc, path, errors):
             path, ", ".join(kinds[:-1]), kinds[-1]) if kind is None else
             "%s.type: unknown potential type %r" % (path, kind))
         return
+    n_errors = len(errors)
     required, optional = POTENTIAL_FIELDS[kind]
     errors.extend("%s.%s: required for %s" % (path, field, kind)
                   for field in required if field not in desc)
@@ -151,6 +155,8 @@ def _check_potential(desc, path, errors):
     if extra:
         errors.append("%s: unexpected keys for %s: %s"
                       % (path, kind, ", ".join(sorted(map(str, extra)))))
+    if kind == "tabulated" and len(errors) == n_errors:
+        tabulated.append((path, desc))
 
 
 def _check_levels(levels, errors, minimum):
@@ -221,8 +227,9 @@ def parse_config(document, strict=False):
 
     kwargs = {"command": command, "warnings": warnings}
 
+    tabulated = []
     if "potential" in doc:
-        _check_potential(doc["potential"], "potential", errors)
+        _check_potential(doc["potential"], "potential", errors, tabulated)
         kwargs["potential"] = doc["potential"]
 
     if "seeds" in doc:
@@ -231,7 +238,7 @@ def parse_config(document, strict=False):
                           "descriptors")
         else:
             for i, s in enumerate(doc["seeds"]):
-                _check_potential(s, "seeds[%d]" % i, errors)
+                _check_potential(s, "seeds[%d]" % i, errors, tabulated)
             kwargs["seeds"] = doc["seeds"]
 
     if "sample" in doc:
@@ -250,6 +257,7 @@ def parse_config(document, strict=False):
                        sample.get("sin", []))
             kwargs["sample"] = sample
 
+    pairs = []      # the partitions, once every profile is a number
     if "profiles" in doc:
         profiles = doc["profiles"]
         if not isinstance(profiles, list) or len(profiles) < 2:
@@ -258,14 +266,18 @@ def parse_config(document, strict=False):
         else:
             n_errors = len(errors)
             _numbers(profiles, "profiles", errors)
-            for i, p in enumerate(profiles if len(errors) == n_errors else []):
-                _build("profiles[%d]" % i, errors, make_partition, p)
+            if len(errors) == n_errors:
+                pairs = [_build("profiles[%d]" % i, errors, make_partition, p)
+                         for i, p in enumerate(profiles)]
             kwargs["profiles"] = profiles
 
     if "m_max" in doc:
         m_max = _number(doc["m_max"], int, "m_max", errors)
         if m_max is not None and m_max < 0:
             errors.append("m_max: expected a non-negative integer")
+        elif m_max is not None and pairs and None not in pairs:
+            errors.extend("m_max: " + e
+                          for e in extension_errors(m_max, pairs))
         kwargs["m_max"] = m_max
 
     levels = []
@@ -284,6 +296,8 @@ def parse_config(document, strict=False):
     if "solver" in doc:
         kwargs["solver"] = _check_solver(doc, errors)
 
+    # the window the run will use: quadrature.window, else the top level's
+    window = default_window(max(levels)) if levels else None
     if "quadrature" in doc:
         quad = _check_mapping(doc, "quadrature", QUADRATURE, errors) or {}
         sizes = {k: _number(quad[k], kind, "quadrature." + k, errors)
@@ -292,6 +306,11 @@ def parse_config(document, strict=False):
         errors.extend("quadrature.%s: %s" % e for e in discretization_errors(
             top=max(levels, default=0), **sizes))
         kwargs["quadrature"] = {k: quad[k] for k in QUADRATURE if k in quad}
+        if "window" in quad:
+            window = sizes["window"]
+    for path, desc in tabulated if window is not None else []:
+        errors.extend("%s: %s" % (path, e) for e in
+                      tabulated_errors(desc["t"], desc["phi"], window))
 
     if "output" in doc:
         out = _check_mapping(doc, "output", _OUTPUT, errors) or {}

@@ -175,9 +175,6 @@ class GridFunction:
         self.name = name
         self.d1, self.d2, self.d3, self.d4 = d1, d2, d3, d4
 
-    def __len__(self):
-        return self.values.size
-
     def derivative(self, k):
         """Sampled k-th derivative, k = 1..4, attached if available, else
         from a spline."""
@@ -291,12 +288,6 @@ class RadialPotential:
             self._cache[key].flags.writeable = False
         return self._cache[key]
 
-    def tail_masses(self):
-        """Exact masses of the volume density outside [-T, T]."""
-        left = self.Phi_d(-self.window, 1)
-        right = 1.0 - self.Phi_d(self.window, 1)
-        return float(left), float(right)
-
 
 def make_fs_potential(window, grid_size, order=QUADRATURE["order"]):
     """The reference Fubini-Study potential (phi = 0)."""
@@ -332,18 +323,27 @@ def make_perturbed_potential(desc, window, grid_size, order=QUADRATURE["order"])
     return RadialPotential(quad, vals)
 
 
-def _resample_tabulated(desc, knots, window):
-    t = np.asarray(desc["t"], dtype=float)
-    v = np.asarray(desc["phi"], dtype=float)
+def tabulated_errors(t, phi, window):
+    """The messages of the rules that the samples (t, phi) of a tabulated
+    descriptor break on [-window, window]: matching 1-d arrays of at least
+    8 samples, t strictly increasing, finite entries, t covering the window
+    and phi smooth.  The smoothness rule needs the others to hold."""
+    t = np.asarray(t, dtype=float)
+    v = np.asarray(phi, dtype=float)
     if t.ndim != 1 or t.shape != v.shape or t.size < 8:
-        raise ValueError("tabulated input needs matching 1-d arrays, length >= 8")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("tabulated t array must be strictly increasing")
+        return ["tabulated input needs matching 1-d arrays, length >= 8"]
+    errors = []
+    unsorted = np.any(np.diff(t) <= 0)
+    if unsorted:
+        errors.append("tabulated t array must be strictly increasing")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-        raise ValueError("tabulated input contains non-finite entries")
-    if t[0] > -window or t[-1] < window:
-        raise ValueError("tabulated range [%.2f, %.2f] does not cover the window"
-                         % (t[0], t[-1]))
+        errors.append("tabulated input contains non-finite entries")
+    # [t[0], t[-1]] is the range of sorted samples only
+    if not unsorted and (t[0] > -window or t[-1] < window):
+        errors.append("tabulated range [%.2f, %.2f] does not cover the window"
+                      % (t[0], t[-1]))
+    if errors:
+        return errors
     # smoothness check: the spline through every other sample must predict
     # the skipped samples; jagged data fails by orders of magnitude
     spl_half = make_interp_spline(t[::2], v[::2], k=3)
@@ -352,9 +352,17 @@ def _resample_tabulated(desc, knots, window):
     # smooth data at a ~500-point grid sits near 1e-5 (h^4 of the half grid);
     # a kink lands at 1e-1 or worse, so the gate has orders of margin each way
     if mismatch > 1e-4:
-        raise ValueError("tabulated input is not smooth "
-                         "(half-grid interpolation error %.1e relative)" % mismatch)
-    return make_interp_spline(t, v, k=5)(knots)
+        return ["tabulated input is not smooth "
+                "(half-grid interpolation error %.1e relative)" % mismatch]
+    return []
+
+
+def _resample_tabulated(desc, knots, window):
+    errors = tabulated_errors(desc["t"], desc["phi"], window)
+    if errors:
+        raise ValueError(errors[0])
+    return make_interp_spline(np.asarray(desc["t"], dtype=float),
+                              np.asarray(desc["phi"], dtype=float), k=5)(knots)
 
 
 def _from_knot_values(vals, quad):
@@ -382,14 +390,16 @@ def grid_function(P, values, name="", **der):
 def integrate(P, f):
     """Integral of f against the volume density Phi'' dt over the line.
 
-    The window endpoints carry the exact tail masses, so the constant
+    The window endpoints carry the exact tail masses Phi'(-T) and
+    1 - Phi'(T), read off the cached node values "Phi1", so the constant
     function integrates to the total volume 1 exactly.
     """
     vals = f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=float)
     if vals.shape != P.quad.nodes.shape:
         raise ValueError("grid function not sampled on this potential's nodes")
+    Phi1 = P.node_values("Phi1")
     return _volume_integral(P.quad, vals, P.node_values("dens"),
-                            P.tail_masses())
+                            (Phi1[0], 1.0 - Phi1[-1]))
 
 
 def _volume_integral(quad, vals, dens, masses):
@@ -408,12 +418,11 @@ def _curvature_core(P):
     quotient form loses eps/Phi''(T) relative accuracy at the window edges.
     """
     if "core" not in P._cache:
-        t = P.quad.nodes
-        _, y, w = _fs_pieces(t)
+        _, y, w = _fs_pieces(P.quad.nodes)
+        dens = P.node_values("dens")
         p2 = P.node_values("phi2")
         p3 = P.node_values("phi3")
         p4 = P.node_values("phi4")
-        dens = y + p2
         A = p3 - w * p2
         B = p4 - (w * w - 2.0 * y) * p2
         t1 = A / dens

@@ -81,21 +81,15 @@ def _solve_command(cfg, report):
 def _family_command(cfg, report):
     P = _record_quadrature(report, _build_potential(cfg.potential, cfg))
     fr = balanced_family(cfg.levels, P, cfg.solver)
-    report["outputs"]["levels_solved"] = fr.levels
-    report["outputs"]["d_sup"] = fr.d_sup
-    report["outputs"]["sigma_sup"] = fr.sigma_sup
-    report["outputs"]["d_floor"] = fr.d_floor
-    report["outputs"]["sigma_floor"] = fr.sigma_floor
     report["outputs"]["failure_index"] = fr.failure_index
-    # Newton steps per level: after the first, the warm start may need none
-    steps = [r.iterations for r in fr.results]
-    report["outputs"]["iterations"] = steps
     report["verdicts"].update({("family_" + k): v for k, v in fr.verdicts.items()})
+    # the curves, their floors and the Newton steps of each solved level:
+    # after the first, the warm start may need none
     n = len(fr.d_sup)
     report["tables"].append({
         "name": "family",
         "columns": {"m": fr.levels[:n],
-                    "iterations": steps[:n],
+                    "iterations": [r.iterations for r in fr.results[:n]],
                     "residual": [r.final_residual for r in fr.results[:n]],
                     "d_m": fr.d_sup.tolist(),
                     "d_floor": fr.d_floor.tolist(),

@@ -7,9 +7,9 @@ D is the Gram diagonal: every candidate metric is
 
 and balance is the fixed-point condition x = log((m+1) G(Phi_x)) up to the
 neutral scale and translation directions.  The (m+1) factor pins the scale
-gauge so the Fubini-Study diagonal is an exact fixed point; every iterate is
-moved along the translation (torus) direction to moment center 0.  Solving
-in x rather than in spline space keeps the problem exactly finite
+gauge so the Fubini-Study diagonal is an exact fixed point; every iterate,
+the seed included, moves along the torus direction to moment center 0.
+Solving in x rather than in spline space keeps the problem exactly finite
 dimensional, so Newton can reach residuals at the floating-point floor.
 
 Each evaluation at x, _DSpace.evaluate, makes one exponential pass over an
@@ -278,27 +278,28 @@ class _DSpace:
         vals = Phi - fs_derivative(q.knots, 0)
         return _from_knot_values(vals, q)
 
-    def _core_cumulants(self, x, p=None):
-        """The softmax p (unless given), its deviations d = j - mu and d2,
-        and the cumulants k2, k3, k4 at the seed's core nodes |t| <=
-        min(10, T/2).  The tail nodes are excluded: there the density is
+    def _core_cumulants(self, ev):
+        """The softmax p, its deviations d = j - mu and d2, and the
+        cumulants k2, k3, k4 at the seed's core nodes |t| <= min(10, T/2):
+        p, mu, d2 and k2 are the core columns of ev, an evaluation on the
+        seed's nodes.  The tail nodes are excluded: there the density is
         ~e^{-T} and evaluating sigma of a near-reference iterate divides
         rounding noise by it."""
-        t = self.seed_quad.nodes[self.core]
-        p = self.softmax(x, t)[0] if p is None else p
-        mu, d2, k2 = self._moments(p)
-        d = np.subtract.outer(self.j, mu)
+        c = self.core
+        p, d2, k2 = ev.p[:, c], ev.d2[:, c], ev.k2[c]
+        d = np.subtract.outer(self.j, ev.mu[c])
         k3 = np.einsum("jt,jt->t", p, d2 * d)
         k4 = np.einsum("jt,jt->t", p, d2 * d2) - 3.0 * k2 * k2
-        return t, p, d, d2, k2, k3, k4
+        return p, d, d2, k2, k3, k4
 
     def round_floors(self, residual):
         """Floors of the family curves d_m and sup|sigma_m - 2| at this level.
 
         Each floor starts from what the same evaluation reports for the
         closed-form round diagonal x_j = -log C(m, j), the exact balanced
-        solution: on the solve nodes, and sigma's cumulants on the seed's
-        core nodes, as sigma_core_err reads them.  Two allowances widen it:
+        solution: d from its emitted spline, sigma from _core_cumulants of
+        its evaluation on the seed's nodes (self.confirm), the one reading
+        sigma_core_err takes of a solve.  Two allowances widen it:
 
         * the final residual r = sup|B_m - C_m|.  Along an eigenvector v of
           the Jacobian A of the Gram map, x -> x + e v leaves the residual
@@ -334,11 +335,11 @@ class _DSpace:
         x = gammaln(j + 1) + gammaln(m - j + 1) - gammaln(m + 1)
         P = self.potential(x)
         d_round = float(np.max(np.abs(P.phi(P.quad.nodes))))
+        ev = self.evaluate(x)
         if m == 1:
             # both entries of x are gauge directions: every diagonal is round
             dphi = dx = 0.0
         else:
-            ev = self.evaluate(x)
             lam, V = np.linalg.eig(self.jacobian(ev))
             slow = np.argsort(-lam.real)[2]
             dphi = residual / ((m + 1) * (1.0 - lam[slow].real))
@@ -346,7 +347,7 @@ class _DSpace:
             # x displacement that moves Phi by dphi along the slow mode
             dx = dphi * m * np.max(np.abs(v)) / np.max(np.abs(v @ ev.p))
 
-        t, p, d, d2, k2, k3, k4 = self._core_cumulants(x)
+        p, d, d2, k2, k3, k4 = self._core_cumulants(self.confirm(ev))
         # d sigma / d p_l, the p_l varied independently at sum_l p_l = 1
         jj = j[:, None]
         dk3 = d2 * d - 3.0 * jj * k2
@@ -354,7 +355,7 @@ class _DSpace:
         N = k4 * k2 - k3 * k3
         g = -m * ((dk4 * k2 + k4 * d2 - 2.0 * k3 * dk3) / k2 ** 3
                   - 3.0 * N * d2 / k2 ** 4)
-        jt = np.multiply.outer(j, t)
+        jt = np.multiply.outer(j, self.seed_quad.nodes[self.core])
         z = jt - x[:, None]
         eps = 0.5 * np.finfo(float).eps * (
             np.abs(jt) + np.abs(z) + (z.max(axis=0) - z) + m + 2.0)
@@ -385,15 +386,15 @@ def _centered(ds, x):
 def _iterate(ds, x, opts, step):
     """The balancing loop of tk_iterate and _gauss_newton.
 
-    Evaluates the seed x by ds.evaluate(x) and records its sup.  Each
-    step(ev, hist) returns the evaluation of the next iterate (see
-    _centered), or None to decline.  Stops at an iterate whose sup meets
-    the tolerance on the solve nodes and on the seed's (ds.confirm), after
-    opts.max_iterations steps or at a declined step.  Returns the last
-    iterate's seed-node evaluation and the history, whose last entry is its
-    sup there: len(hist) - 1 steps were taken.
+    The seed x goes to moment center 0 like every iterate (_centered), so
+    a seed that meets the tolerance returns in that gauge.  Each step(ev,
+    hist) returns the evaluation of the next iterate, or None to decline.
+    Stops at an iterate whose sup meets the tolerance on the solve nodes
+    and on the seed's (ds.confirm), after opts.max_iterations steps or at a
+    declined step.  Returns the last iterate's seed-node evaluation and the
+    history of sups, the last one there: len(hist) - 1 steps were taken.
     """
-    ev = ds.evaluate(x)
+    ev = _centered(ds, x)
     hist = [ev.sup]
     while True:
         read = ds.confirm(ev) if hist[-1] <= opts.tolerance else None
@@ -410,13 +411,13 @@ def _iterate(ds, x, opts, step):
 
 
 def _result(ds, ev, hist, y, opts, t0, mode, **diagnostics):
-    """BalanceResult of the evaluation and history _iterate returned; the
-    diagnostics gain the moment center, the solve's node count and sup
-    |sigma - 2| on the core from the exact cumulants of Phi_x, read off the
-    core columns of ev (on the seed's nodes, a softmax goes by column)."""
+    """BalanceResult of the seed-node evaluation and history _iterate
+    returned; the diagnostics gain the moment center, the solve's node
+    count and sup |sigma - 2| on the core from the exact cumulants of Phi_x
+    that _core_cumulants reads off ev."""
     P = ds.potential(ev.x)
     wall_time = time.perf_counter() - t0
-    k = ds._core_cumulants(ev.x, ev.p[:, ds.core])[4:]
+    k = ds._core_cumulants(ev)[3:]
     diagnostics.update(moment_center=ds.moment_center(ev.x),
                        sigma_core_err=_sigma_err(ds.m, *k),
                        solve_nodes=ds.t.size)

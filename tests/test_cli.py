@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -70,6 +71,13 @@ levels: [4, 8]
     assert len(rows) == 1 + rep["outputs"]["quadrature"]["n_nodes"]
 
 
+def _family_columns(out_dir):
+    """The columns of family.csv in out_dir, by name, as floats."""
+    with open(out_dir / "family.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    return {k: [float(r[k]) for r in rows] for k in rows[0]}
+
+
 def test_family_fubini_study(tmp_path, capsys):
     cfg = _write(tmp_path, """
 command: family
@@ -83,11 +91,11 @@ levels: [5, 10, 20]
     for name in ("all_converged", "d_non_increasing", "d_last_below_first",
                  "sigma_decreasing"):
         assert "verdict family_%s: PASS" % name in out
-    outputs = load_report(str(out_dir / "report.json"))["outputs"]
-    assert len(outputs["d_floor"]) == len(outputs["sigma_floor"]) == 3
-    assert all(d <= f for d, f in zip(outputs["d_sup"], outputs["d_floor"]))
-    assert all(s <= f for s, f in zip(outputs["sigma_sup"],
-                                      outputs["sigma_floor"]))
+    cols = _family_columns(out_dir)
+    assert len(cols["d_floor"]) == len(cols["sigma_floor"]) == 3
+    assert all(d <= f for d, f in zip(cols["d_m"], cols["d_floor"]))
+    assert all(s <= f for s, f in zip(cols["sigma_err"],
+                                      cols["sigma_floor"]))
 
 
 def test_family_newton_steps(tmp_path, capsys):
@@ -99,7 +107,7 @@ levels: [5, 10, 20]
     out_dir = tmp_path / "out"
     assert main(["family", "--config", cfg, "--out", str(out_dir)]) == 0
     capsys.readouterr()
-    steps = load_report(str(out_dir / "report.json"))["outputs"]["iterations"]
+    steps = [int(s) for s in _family_columns(out_dir)["iterations"]]
     # the warm start from the previous level is already balanced
     assert steps[0] > 0 and steps[1:] == [0, 0]
     rows = (out_dir / "family.csv").read_text().splitlines()
@@ -162,6 +170,20 @@ levels: [4, 8]
     assert code == 2
     assert "levels: probe runs at one level, got 2" in capsys.readouterr().err
     assert not (out_dir / "report.json").exists()
+
+
+def test_probe_at_level_one(tmp_path, capsys):
+    # both seeds meet the tolerance unsolved; each is returned at moment
+    # center 0, so they agree
+    cfg = _write(tmp_path, """
+command: probe
+seeds: [{type: gaussian-bump, amplitude: 0.07, width: 1.3, center: 0.45},
+        {type: fubini-study}]
+levels: [1]
+""")
+    code = main(["probe", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert "verdict unique_within_tolerance: PASS" in capsys.readouterr().out
+    assert code == 0
 
 
 def test_help_lists_exit_codes(capsys):

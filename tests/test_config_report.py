@@ -344,6 +344,17 @@ def test_quadrature_upper_bounds():
         "quadrature.grid: 1000000000 at order 8 and level 0")
 
 
+# tabulated samples on [-30, 30] that the run at level 8 (window 22.08)
+# could not resample: each breaks one rule of model.tabulated_errors
+_T = np.linspace(-30.0, 30.0, 241)
+_SMOOTH = 0.05 * np.exp(-_T ** 2 / 8.0)
+
+
+def _tabulated(t, phi):
+    return {"type": "tabulated", "t": np.asarray(t).tolist(),
+            "phi": np.asarray(phi).tolist()}
+
+
 # documents that used to pass parse_config and then fail in the run: each is
 # a config error naming its key, and the CLI writes nothing for it
 RUN_TIME_BASES = {
@@ -368,6 +379,19 @@ RUN_TIME_FAILURES = [
      "smooth"),
     ({"command": "fourier", "sample": {"cos": []}},
      "sample: need at least the constant coefficient"),
+    ({"command": "newton", "levels": [8],
+      "potential": _tabulated(_T[::-1], _SMOOTH)},
+     "potential: tabulated t array must be strictly increasing"),
+    ({"command": "newton", "levels": [8],
+      "potential": _tabulated([-30.0, 30.0], [0.0, 0.0])},
+     "potential: tabulated input needs matching 1-d arrays, length >= 8"),
+    ({"command": "newton", "levels": [8],
+      "potential": _tabulated(_T / 3.0, _SMOOTH)},
+     "potential: tabulated range [-10.00, 10.00] does not cover the window"),
+    ({"command": "newton", "levels": [8],
+      "potential": _tabulated(_T, 0.01 * (-1.0) ** np.arange(_T.size))},
+     "potential: tabulated input is not smooth (half-grid interpolation "
+     "error 2.0e+00 relative)"),
 ]
 
 
@@ -385,6 +409,36 @@ def test_run_time_failures_are_config_errors(fields, error, tmp_path, capsys):
                  "--out", str(out_dir)]) == 2
     assert error in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("profiles, n_theta, top", [
+    ([0.15, 0.3], 1070, 31358), ([0.3, 0.02], 1170, 28678)])
+def test_m_max_bound(profiles, n_theta, top):
+    # entire_extension builds a (2 m_max + 1) x n_theta complex array, n_theta
+    # the largest piece of the partitions; checked by parse_config alone, as
+    # a run at a rejected m_max would allocate beyond the bound
+    doc = dict(MINIMAL["fourier"], profiles=profiles)
+    assert 16 * (2 * top + 1) * n_theta <= MAX_ARRAY_BYTES
+    assert parse_config(dict(doc, m_max=top)).m_max == top
+    with pytest.raises(ConfigError) as exc:
+        parse_config(dict(doc, m_max=top + 1))
+    size = 16 * (2 * top + 3) * n_theta
+    assert size > MAX_ARRAY_BYTES
+    assert exc.value.errors == [
+        "m_max: %d at %d nodes needs %d bytes per array, above the maximum %d"
+        % (top + 1, n_theta, size, MAX_ARRAY_BYTES)]
+
+
+def test_tabulated_window_is_the_runs():
+    # samples on [-21, 21] cover an explicit window of 20, not the default
+    # 22.08 of level 8; a seed is checked like a potential
+    doc = {"command": "probe", "levels": [8],
+           "seeds": [FS, _tabulated(_T * 0.7, _SMOOTH)]}
+    parse_config(dict(doc, quadrature={"window": 20.0}))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.errors == ["seeds[1]: tabulated range [-21.00, 21.00] "
+                                "does not cover the window"]
 
 
 def test_discretization_bounds():

@@ -7,6 +7,7 @@ from scipy.special import gammaln, logsumexp
 from bergbal.model import (
     MIN_GRID, _volume_integral, default_window, hamiltonian_moment, integrate,
     make_fs_potential, make_perturbed_potential, solve_grid,
+    translate_potential,
 )
 from bergbal.solvers import (
     BalanceResult, SolverOptions, _DSpace, _family_verdicts, _seed,
@@ -21,6 +22,7 @@ from bergbal.bergman import (
 
 BUMP = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.0}
 OFF = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.5}
+FS = {"type": "fubini-study"}
 GRID = np.linspace(-18.0, 18.0, 2001)
 
 
@@ -324,6 +326,35 @@ def test_uniqueness_guard():
         uniqueness_probe(8, [])
 
 
+@pytest.fixture(scope="module")
+def fs25():
+    # wide enough that a translate by 2 settles at the window
+    return make_fs_potential(window=25.0, grid_size=512)
+
+
+@pytest.mark.parametrize("solve", [newton_balance, tk_iterate, t_balance])
+@pytest.mark.parametrize("m", [1, 8, 40])
+@pytest.mark.parametrize("s", [0.5, -1.0, 2.0])
+def test_translated_seed_returns_centered(fs25, solve, m, s):
+    # a torus translate of the round metric is balanced already; the solve
+    # returns it moved to moment center 0, which is the round metric itself
+    res = solve(m, translate_potential(fs25, s))
+    P = res.potential
+    assert res.converged
+    assert np.max(np.abs(P.phi(P.quad.nodes))) <= 1e-9
+    assert abs(res.diagnostics["moment_center"]) <= 1e-9
+
+
+def test_uniqueness_across_the_torus():
+    # [box bump, Fubini-Study] at m = 1, where both seeds meet the tolerance
+    # unsolved, and [Fubini-Study, its translate by 0.5] at m = 8
+    seeds = [make_perturbed_potential(d, window=default_window(1),
+                                      grid_size=512) for d in (BOX, FS)]
+    assert uniqueness_probe(1, seeds).passed
+    fs = make_fs_potential(window=default_window(8), grid_size=512)
+    assert uniqueness_probe(8, [fs, translate_potential(fs, 0.5)]).passed
+
+
 def test_newton_far_seed():
     # a seed far from the round metric still converges in a few steps
     far = make_perturbed_potential(
@@ -462,8 +493,8 @@ def test_jacobian_matches_gemm_form(m):
 
 def _overshoot_trial(monkeypatch):
     """The _DSpace at m = 200 of the strong bump (0.11, 1.0, 1.0) and its
-    first trial iterate, moment-centered: a full Newton step that raises
-    the residual, and an x that is not convex."""
+    first trial iterate after the seed, moment-centered: a full Newton step
+    that raises the residual, and an x that is not convex."""
     desc = {"type": "gaussian-bump", "amplitude": 0.11, "width": 1.0,
             "center": 1.0}
     P = make_perturbed_potential(desc, window=default_window(200),
@@ -479,7 +510,7 @@ def _overshoot_trial(monkeypatch):
         patch.setattr(solvers, "_centered", recorded)
         res = newton_balance(200, P, SolverOptions(max_iterations=1))
     ds = _DSpace(200, P.quad)
-    x = trials[0] - ds.j * ds.moment_center(trials[0])
+    x = trials[1] - ds.j * ds.moment_center(trials[1])
     assert ds.evaluate(x).sup > res.residual_history[0]
     return ds, x
 
