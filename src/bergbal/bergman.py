@@ -23,14 +23,13 @@ spline paths pass their rows with s = 1, and the solvers pass the softmax
 they already hold with s = e^x, so the rows e^{jt - m Phi} are never formed
 there and only the spline paths call _rows.  Both exponential passes go
 through _exp_floor, which skips the exponentials that fall below the
-smallest normal double.  Volume integrals go through
-model._volume_integral.
+smallest normal double.  Volume integrals go through model.integrate.
 """
 import numpy as np
 from scipy.special import expit, betaln, betainc
 
 from .model import (discretization_errors, grid_function, integrate,
-                    scalar_curvature, _volume_integral)
+                    scalar_curvature)
 
 MAX_LEVEL = 200
 # largest |y| m for the weights e^{jy}, j <= m (e^709 overflows float64)
@@ -54,10 +53,9 @@ class GramDiagonal:
     never stored.
     """
 
-    def __init__(self, level, entries, potential):
+    def __init__(self, level, entries):
         self.level = int(level)
         self.entries = np.asarray(entries, dtype=float)
-        self.potential = potential
         if self.entries.size != self.level + 1:
             raise ValueError("Gram diagonal must have m+1 entries")
         if np.any(self.entries <= 0.0) or not np.all(np.isfinite(self.entries)):
@@ -69,13 +67,12 @@ class BergmanReport:
     second derivative (d2, which beta reads); other derivatives fall back to
     spline differentiation of the values."""
 
-    def __init__(self, level, kernel, expected_constant, sup_deviation, mean,
+    def __init__(self, level, kernel, expected_constant, sup_deviation,
                  weight=0.0):
         self.level = level
         self.kernel = kernel
         self.expected_constant = expected_constant
         self.sup_deviation = sup_deviation
-        self.mean = mean
         self.weight = weight
 
 
@@ -157,7 +154,7 @@ def _norms_and_rows(m, P):
     factors = (np.exp(-m * P.c_minus), np.exp(-m * P.c_plus))
     E = _rows(m, P.quad.nodes, P.node_values("Phi"))
     G = _gram(m, P.quad, E, P.node_values("dens"), factors)
-    return GramDiagonal(m, G, P), E
+    return GramDiagonal(m, G), E
 
 
 def section_norms(m, P):
@@ -229,20 +226,14 @@ def weighted_bergman(m, P, y):
     G, E, K, K2 = _kernel_d2(m, P, y)
     kern = grid_function(P, K, name="B_%d%s" % (m, "_weighted" if y else ""),
                          d2=K2)
-    t = P.quad.nodes
     if y == 0.0:
-        expected, dens = c_of_m(m), P.node_values("dens")
+        expected = c_of_m(m)
     else:
         K0 = _kernel(m, E, G.entries)
-        shift = np.exp(m * (P.node_values("Phi") - P.Phi(t + y)))
-        expected, dens = integrate(P, K0 * shift), P.density(t - y)
-    # self-consistency mean: same integral realized with the density pulled
-    # back instead of the kernel shifted
-    masses = (float(P.Phi_d(-P.window - y, 1)),
-              float(1.0 - P.Phi_d(P.window - y, 1)))
-    mean = _volume_integral(P.quad, K, dens, masses)
+        shift = np.exp(m * (P.node_values("Phi") - P.Phi(P.quad.nodes + y)))
+        expected = integrate(P, K0 * shift)
     return BergmanReport(m, kern, expected,
-                         float(np.max(np.abs(K - expected))), mean, weight=y)
+                         float(np.max(np.abs(K - expected))), weight=y)
 
 
 def c_weighted(m, P, y):

@@ -295,11 +295,11 @@ class _DSpace:
     def round_floors(self, residual):
         """Floors of the family curves d_m and sup|sigma_m - 2| at this level.
 
-        Each floor starts from what the same evaluation reports for the
-        closed-form round diagonal x_j = -log C(m, j), the exact balanced
-        solution: d from its emitted spline, sigma from _core_cumulants of
-        its evaluation on the seed's nodes (self.confirm), the one reading
-        sigma_core_err takes of a solve.  Two allowances widen it:
+        Each floor starts from what one evaluation on the seed's nodes
+        reports for the closed-form round diagonal x_j = -log C(m, j), the
+        exact balanced solution: d from its emitted spline, sigma from
+        _core_cumulants of that evaluation, the one reading sigma_core_err
+        takes of a solve.  Two allowances widen it:
 
         * the final residual r = sup|B_m - C_m|.  Along an eigenvector v of
           the Jacobian A of the Gram map, x -> x + e v leaves the residual
@@ -307,9 +307,12 @@ class _DSpace:
           potential moves by -(e/m) sum_j p_j v_j.  So, to first order, a
           residual r leaves Phi up to r / ((m+1)(1 - lambda_2)) off its root
           in the sup norm, lambda_2 the largest eigenvalue of A off the
-          scale and torus directions (which have eigenvalue 1).  The sigma
-          floor gets the largest first-order change of sigma over all moves
-          of x no larger, entry by entry, than that displacement of x.
+          scale and torus directions (which have eigenvalue 1).  At the round
+          diagonal it is lambda_2 = 1 - 12/((m+2)(m+3)), with eigenvector
+          v_j = (j - m/2)^2 - m(m+2)/12, in closed form (within 10 e^{-T} of
+          jacobian's, see the tests).  The sigma floor gets the largest
+          first-order change of sigma over all moves of x no larger, entry
+          by entry, than that displacement of x.
         * rounding.  A diagonal displaced by more than an ulp rounds
           differently, so the solved diagonal shows a fresh sample of each
           evaluation's rounding rather than the round diagonal's.  With u
@@ -335,19 +338,19 @@ class _DSpace:
         x = gammaln(j + 1) + gammaln(m - j + 1) - gammaln(m + 1)
         P = self.potential(x)
         d_round = float(np.max(np.abs(P.phi(P.quad.nodes))))
-        ev = self.evaluate(x)
+        ev = self.evaluate(x, self.seed_quad)
         if m == 1:
-            # both entries of x are gauge directions: every diagonal is round
+            # both entries of x are gauge directions: every diagonal is
+            # round, and v = 0
             dphi = dx = 0.0
         else:
-            lam, V = np.linalg.eig(self.jacobian(ev))
-            slow = np.argsort(-lam.real)[2]
-            dphi = residual / ((m + 1) * (1.0 - lam[slow].real))
-            v = V[:, slow].real
+            # r / ((m+1)(1 - lambda_2)), with 1 - lambda_2 = 12/((m+2)(m+3))
+            dphi = residual * (m + 2) * (m + 3) / (12.0 * (m + 1))
+            v = (j - 0.5 * m) ** 2 - m * (m + 2) / 12.0
             # x displacement that moves Phi by dphi along the slow mode
             dx = dphi * m * np.max(np.abs(v)) / np.max(np.abs(v @ ev.p))
 
-        p, d, d2, k2, k3, k4 = self._core_cumulants(self.confirm(ev))
+        p, d, d2, k2, k3, k4 = self._core_cumulants(ev)
         # d sigma / d p_l, the p_l varied independently at sum_l p_l = 1
         jj = j[:, None]
         dk3 = d2 * d - 3.0 * jj * k2
@@ -561,10 +564,11 @@ def balanced_family(m_range, P_seed, opts=SolverOptions()):
     In this model every balanced metric is the round one, so both curves
     measure the evaluation's own floor, which grows with m.  Each level
     therefore gets a floor per curve (d_floor, sigma_floor), computed by
-    _DSpace.round_floors: the same evaluation on the closed-form round
-    diagonal on the level's solve nodes, widened by what the level's final
-    residual allows and, for sigma, by its rounding bound.  A value
-    at or below its floor counts as converged.  The verdicts:
+    _DSpace.round_floors: one evaluation of the closed-form round diagonal
+    on the seed's nodes, widened by what the level's final residual allows
+    through the closed-form slow eigenpair of the round Jacobian and, for
+    sigma, by its rounding bound.  A value at or below its floor counts as
+    converged.  The verdicts:
 
     * all_converged: every level converged;
     * d_non_increasing: each d_m is at its floor or at most 1.1 times the

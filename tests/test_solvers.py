@@ -646,6 +646,105 @@ def test_round_diagonal_on_solve_nodes(m):
     assert ev.sup <= 1e-13
 
 
+ROUND_LEVELS = list(range(2, 13)) + [20, 40, 80, 120, 160, 200]
+
+
+def _round(desc, m):
+    """_DSpace at level m on desc's default window, and the round diagonal
+    x_j = -log C(m, j)."""
+    P = make_perturbed_potential(desc, window=default_window(m), grid_size=512)
+    ds = _DSpace(m, P.quad)
+    return ds, gammaln(ds.j + 1) + gammaln(m - ds.j + 1) - gammaln(m + 1)
+
+
+@pytest.mark.parametrize("m", ROUND_LEVELS)
+def test_jacobian_round_eigenpairs(m):
+    # the closed forms round_floors takes: lambda_2 = 1 - 12/((m+2)(m+3))
+    # with v_j = (j - m/2)^2 - m(m+2)/12, and lambda_3 = 1 - 60m/((m+2)(m+3)
+    # (m+4)), after the eigenvalue 1 of the scale and torus directions; off
+    # by the tail treatment's e^{-T} (measured <= 5.7 e^{-T}, at m = 4)
+    ds, x = _round(FS, m)
+    A = ds.jacobian(ds.evaluate(x))
+    bound = 10.0 * np.exp(-ds.quad.window)
+    lam2 = 1.0 - 12.0 / ((m + 2) * (m + 3))
+    v = (ds.j - 0.5 * m) ** 2 - m * (m + 2) / 12.0
+    assert np.linalg.norm(A @ v - lam2 * v) <= bound * np.linalg.norm(v)
+    lam = np.sort(np.linalg.eigvals(A).real)[::-1]
+    assert abs(lam[2] - lam2) <= bound
+    if m >= 3:
+        lam3 = 1.0 - 60.0 * m / ((m + 2) * (m + 3) * (m + 4))
+        assert abs(lam[3] - lam3) <= bound
+
+
+def _eig_round_floors(ds, residual):
+    """round_floors with the slow eigenpair from a dense eig of the Jacobian
+    on the solve nodes, the third-largest eigenvalue, and sigma from a second
+    evaluation on the seed's nodes: the form the closed forms replace."""
+    m, j = ds.m, ds.j
+    x = gammaln(j + 1) + gammaln(m - j + 1) - gammaln(m + 1)
+    P = ds.potential(x)
+    d_round = float(np.max(np.abs(P.phi(P.quad.nodes))))
+    ev = ds.evaluate(x)
+    if m == 1:
+        dphi = dx = 0.0
+    else:
+        lam, V = np.linalg.eig(ds.jacobian(ev))
+        slow = np.argsort(-lam.real)[2]
+        dphi = residual / ((m + 1) * (1.0 - lam[slow].real))
+        v = V[:, slow].real
+        dx = dphi * m * np.max(np.abs(v)) / np.max(np.abs(v @ ev.p))
+    p, d, d2, k2, k3, k4 = ds._core_cumulants(ds.confirm(ev))
+    jj = j[:, None]
+    dk3 = d2 * d - 3.0 * jj * k2
+    dk4 = d2 * d2 - 4.0 * jj * k3 - 6.0 * k2 * d2
+    N = k4 * k2 - k3 * k3
+    g = -m * ((dk4 * k2 + k4 * d2 - 2.0 * k3 * dk3) / k2 ** 3
+              - 3.0 * N * d2 / k2 ** 4)
+    jt = np.multiply.outer(j, ds.seed_quad.nodes[ds.core])
+    z = jt - x[:, None]
+    eps = 0.5 * np.finfo(float).eps * (
+        np.abs(jt) + np.abs(z) + (z.max(axis=0) - z) + m + 2.0)
+    rounding = np.sum(np.abs(g) * p * eps, axis=0)
+    slope = np.sum(p * np.abs(g - np.sum(p * g, axis=0)), axis=0)
+    sigma_floor = solvers._sigma_err(m, k2, k3, k4) \
+        + float(np.max(dx * slope + rounding))
+    phi_rounding = np.finfo(float).eps * np.max(np.abs(ds.fs0))
+    return d_round + 2.0 * (dphi + phi_rounding), sigma_floor
+
+
+@pytest.mark.parametrize("desc", [FS, BOX], ids=["fs", "box"])
+@pytest.mark.parametrize("m", [1] + ROUND_LEVELS)
+def test_round_floors_match_eig_form(desc, m):
+    # at a residual of 1e-9 the d floor is nearly all the residual's
+    # allowance, so it reads the error of the eig's lambda_2; measured
+    # <= 1.0e-8 relative for both floors
+    ds = _round(desc, m)[0]
+    new, ref = ds.round_floors(1e-9), _eig_round_floors(ds, 1e-9)
+    assert np.allclose(new, ref, rtol=1e-7, atol=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 40])
+def test_round_floors_one_evaluation(monkeypatch, m):
+    # one evaluation of the round diagonal, on the seed's nodes, and no
+    # Jacobian or eigen-decomposition
+    ds = _round(FS, m)[0]
+    quads = []
+    evaluate = _DSpace.evaluate
+
+    def counted(self, x, quad=None):
+        quads.append(quad)
+        return evaluate(self, x, quad)
+
+    def refused(*args):
+        raise AssertionError("round_floors needs no Jacobian or eig")
+
+    monkeypatch.setattr(_DSpace, "evaluate", counted)
+    monkeypatch.setattr(_DSpace, "jacobian", refused)
+    monkeypatch.setattr(np.linalg, "eig", refused)
+    ds.round_floors(1e-9)
+    assert quads == [ds.seed_quad]
+
+
 @pytest.mark.parametrize("solve, m, tolerance", [
     (newton_balance, 8, 1e-9), (newton_balance, 40, 1e-9),
     (newton_balance, 120, 1e-9), (newton_balance, 200, 1e-9),
