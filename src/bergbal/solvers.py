@@ -16,15 +16,14 @@ Each evaluation at x, _DSpace.evaluate, makes one exponential pass over an
 (m+1) x N array, N the number of nodes: the softmax p_jt = e^{jt - x_j -
 m Phi_x(t)}, shifted by its column maximum, from j t at the nodes held by
 _DSpace.  Everything else follows from p without another exponential: the
-section rows are e^{jt - m Phi_x} = p_jt e^{x_j}, the volume density is the
-softmax variance over m, and the moment center is closed form in Phi_x at
-the window edges.  evaluate hands p with the row scale e^x to the kernel
-engine of bergman.py for the Gram diagonal and the kernel, so the rows
-themselves are never formed, and returns one _Evaluation record; the
-Jacobian, the moment pairing, the volume integral and every solver step
-read that record by name.  Off the nodes Phi_x = S/m comes from the same
-softmax: at the window edges for the moment center, at the knots for
-emission.
+section rows are e^{jt - m Phi_x} = p_jt e^{x_j} and the volume density is
+the softmax variance over m.  The moment center needs no pass at all: it is
+(x_m - x_0)/m (see _DSpace.moment_center).  evaluate hands p with the row
+scale e^x to the kernel engine of bergman.py for the Gram diagonal and the
+kernel, so the rows themselves are never formed, and returns one
+_Evaluation record; the Jacobian, the moment pairing, the volume integral
+and every solver step read that record by name.  Off the nodes Phi_x = S/m
+comes from the same softmax at the knots, for emission.
 
 The nodes are sized to the level (model.solve_grid): 506 to 1,794 at m = 8
 to 200 where the default seed has 4,090.  The seed's Gram diagonal, the
@@ -125,10 +124,11 @@ class _DSpace:
 
     evaluate is the one exponential pass of an iterate, and its _Evaluation
     record carries the rows' softmax, the Gram diagonal and the kernel
-    deviation; the Jacobian, the weighted constant and the volume integral
-    read the record.  Beyond the window Phi_x - log(1 + e^t) is nearly
-    constant; the Gram tails use its values at the window edges.  j t at
-    the nodes is held, (m + 1) x N, so a node softmax starts from one
+    deviation; the Jacobian, the moment pairing and the volume integral
+    read the record, and the moment center reads x alone, with no pass and
+    no window (see moment_center).  Beyond the window Phi_x - log(1 + e^t)
+    is nearly constant; the Gram tails use its values at the window edges.
+    j t at the nodes is held, (m + 1) x N, so a node softmax starts from one
     subtraction.
     """
 
@@ -202,16 +202,10 @@ class _DSpace:
                                 (ev.mu[0] / self.m, 1.0 - ev.mu[-1] / self.m))
 
     def moment_center(self, x):
-        """int t dmu_x over the line, the tail masses at -T and T included.
-
-        By parts, int_{-T}^{T} t Phi_x'' dt = T Phi_x'(T) + T Phi_x'(-T)
-        - Phi_x(T) + Phi_x(-T), and the tail masses add -T Phi_x'(-T) and
-        T (1 - Phi_x'(T)); the center is T - Phi_x(T) + Phi_x(-T), read off
-        the softmax's S = m Phi_x at the two window edges.
-        """
-        T = self.quad.window
-        S = self.softmax(x, np.array([-T, T]))[1]
-        return (self.m * T - S[1] + S[0]) / self.m
+        """int t dmu_x over the line, (x_m - x_0)/m: by parts it is the limit
+        of R - Phi_x(R) + Phi_x(-R) as R -> oo, and Phi_x tends to -x_0/m at
+        -oo and to t - x_m/m at +oo.  Linear in x: no pass, no window."""
+        return (x[-1] - x[0]) / self.m
 
     def jacobian(self, ev):
         """A_il = dG_i[psi_l]/G_i for the potential directions psi_l = dPhi/dx_l
@@ -452,14 +446,15 @@ def _gauss_newton(ds, x0, opts):
     """Newton (exact Jacobian) on R(x) = log((m+1) G(Phi_x)) - x.
 
     The scale and torus null directions are deflated by the augmented rows
-    1^T dx = 0 and j^T dx = 0 (the moment-centering constraint).  The roots
-    are exactly the balanced diagonals.  The step length is
-    measured, not set: the trials x + a dx, a = 1, 1/2, ..., 1/64, are
-    moment-centered and evaluated in turn, and the first whose residual is
-    below (1 - 1e-4 a) times the last one is taken (Dennis & Schnabel 1983,
-    ch. 6); if none is, the step declines.  The solve also stops early once
-    three steps in a row fail to halve the residual.  Returns _iterate's
-    (evaluation, history).
+    1^T dx = 0 and j^T dx = 0, gauge rows transversal to the directions 1
+    and j; _centered, not the row j^T dx = 0, moves each trial to moment
+    center 0.  The roots are exactly the balanced diagonals.  The step
+    length is measured, not set: the trials x + a dx, a = 1, 1/2, ...,
+    1/64, are moment-centered and evaluated in turn, and the first whose
+    residual is below (1 - 1e-4 a) times the last one is taken (Dennis &
+    Schnabel 1983, ch. 6); if none is, the step declines.  The solve also
+    stops early once three steps in a row fail to halve the residual.
+    Returns _iterate's (evaluation, history).
     """
     m = ds.m
 
@@ -603,15 +598,16 @@ def balanced_family(m_range, P_seed, opts=SolverOptions()):
 
 def uniqueness_probe(m, seeds, opts=SolverOptions()):
     """Balanced solves from several seeds; pairwise sup-distances of the
-    moment-centered solutions.  Passes when all distances are <= 1e-6."""
+    moment-centered solutions on the nodes of the converged one with the
+    smallest window.  Passes when all distances are <= 1e-6."""
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
     results = [newton_balance(m, seed, opts) for seed in seeds]
     kept = [i for i, res in enumerate(results) if res.converged]
     excluded = [i for i, res in enumerate(results) if not res.converged]
-    T = min(results[i].potential.window for i in kept) if kept else 0.0
-    grid = np.linspace(-T, T, 4097)
-    phi = {i: results[i].potential.phi(grid) for i in kept}
+    quad = min((results[i].potential.quad for i in kept),
+               key=lambda q: q.window, default=None)
+    phi = {i: results[i].potential.phi(quad.nodes) for i in kept}
     dist = np.zeros((len(results), len(results)))
     for a in kept:
         for b in kept:

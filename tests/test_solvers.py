@@ -5,8 +5,8 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 from bergbal.model import (
-    MIN_GRID, _volume_integral, default_window, hamiltonian_moment, integrate,
-    make_fs_potential, make_perturbed_potential, solve_grid,
+    MIN_GRID, Quadrature, _volume_integral, default_window, hamiltonian_moment,
+    integrate, make_fs_potential, make_perturbed_potential, solve_grid,
     translate_potential,
 )
 from bergbal.solvers import (
@@ -77,7 +77,21 @@ def test_tk_bump(bump):
     assert res.converged
     assert res.iterations <= 500
     assert res.final_residual <= 1e-8
-    assert abs(res.diagnostics["moment_center"]) < 1e-10
+    assert abs(res.diagnostics["moment_center"]) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [2, 5, 8, 12])
+def test_fixed_point_rate_is_lambda2(bump, off, m):
+    # near the round metric the plain map contracts at the round Jacobian's
+    # slow eigenvalue lambda_2 = 1 - 12/((m+2)(m+3)) (see round_floors):
+    # the median of the last 8 ratios of the solve-node residuals
+    lam2 = 1.0 - 12.0 / ((m + 2) * (m + 3))
+    for seed in (bump, off):
+        res = tk_iterate(m, seed, SolverOptions(tolerance=1e-11))
+        assert res.converged
+        r = res.residual_history[:-1]
+        rate = np.median(r[1:][-8:] / r[:-1][-8:])
+        assert abs(rate / lam2 - 1.0) <= 1e-4
 
 
 def test_newton_quadratic(newton8):
@@ -170,13 +184,14 @@ def _softmax_columns(monkeypatch):
 def test_t_balance_reuses_inner_evaluation(off, monkeypatch):
     # the moment pairing reads the deviation of the inner solve's last
     # evaluation, so t_balance makes no exponential pass beyond Newton's;
-    # the moment center's 2-column softmax is not a pass
+    # the moment center reads x alone, so no solve makes a 2-column softmax
     calls = _softmax_columns(monkeypatch)
     newton_balance(8, off)
-    direct = sum(n > 2 for n in calls)
+    direct = list(calls)
     calls.clear()
     t_balance(8, off)
-    assert sum(n > 2 for n in calls) == direct == 7
+    assert calls == direct and len(calls) == 7
+    assert 2 not in calls
 
 
 @pytest.mark.parametrize("m, opts", [
@@ -314,6 +329,17 @@ def test_uniqueness(bump, off):
     assert np.allclose(rep.distances, rep.distances.T)
 
 
+def test_uniqueness_on_the_seed_nodes(bump, off):
+    # the distances are sups over the nodes of the kept solution with the
+    # smallest window: bump's, at window 20 against 22
+    wide = make_perturbed_potential(BUMP, window=22.0, grid_size=512)
+    rep = uniqueness_probe(8, [wide, bump, off])
+    assert rep.passed
+    phi = [res.potential.phi(bump.quad.nodes) for res in rep.results]
+    assert rep.max_distance == max(np.max(np.abs(a - b))
+                                   for a in phi for b in phi)
+
+
 def test_uniqueness_without_converged_seeds(bump, off):
     rep = uniqueness_probe(8, [bump, off], SolverOptions(max_iterations=1))
     assert rep.excluded == [0, 1]
@@ -342,7 +368,7 @@ def test_translated_seed_returns_centered(fs25, solve, m, s):
     P = res.potential
     assert res.converged
     assert np.max(np.abs(P.phi(P.quad.nodes))) <= 1e-9
-    assert abs(res.diagnostics["moment_center"]) <= 1e-9
+    assert abs(res.diagnostics["moment_center"]) <= 1e-14
 
 
 def test_uniqueness_across_the_torus():
@@ -373,16 +399,19 @@ def _seeded(desc, m):
 
 @pytest.mark.parametrize("m", [8, 40, 200])
 def test_moment_center_closed_form(m):
-    # T - Phi_x(T) + Phi_x(-T) against the quadrature of t dmu with the
-    # tail masses at the window edges; x + 0.7 j translates Phi_x by 0.7
+    # (x_m - x_0)/m against the quadrature of t dmu on window 60, where the
+    # tail masses at the window edges are below rounding; x + 0.7 j
+    # translates Phi_x by 0.7
     ds, x = _seeded(OFF, m)
     x = x + 0.7 * ds.j
-    ev = ds.evaluate(x)
-    quadrature = _volume_integral(ds.quad, ds.t, ev.dens,
+    wide = _DSpace(m, Quadrature(60.0, 1024, 8))
+    ev = wide.evaluate(x, wide.seed_quad)
+    quadrature = _volume_integral(ev.quad, ev.quad.nodes, ev.dens,
                                   (ev.mu[0] / m, 1.0 - ev.mu[-1] / m))
     center = ds.moment_center(x)
+    assert center == wide.moment_center(x)
     assert abs(center - 0.7) < 0.01
-    assert abs(center - quadrature) <= 1e-11
+    assert abs(center - quadrature) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [8, 40, 200])
