@@ -15,15 +15,18 @@ demonstrates numerically.
 """
 import numpy as np
 
-from .model import MAX_ARRAY_BYTES
-
 _I1 = (-3.0 * np.pi / 4.0, 3.0 * np.pi / 4.0)
 _I2 = (np.pi / 4.0, 7.0 * np.pi / 4.0)
 _MAX_IM = 50.0
+_PANEL = 0.04
+# the highest frequency |Re xi| + degree the panel sums resolve: samples with
+# |a_k|, |b_k| <= a_0 read integer discrepancies up to 4.6e-12 (2.7e-11 at 285)
+MAX_FREQUENCY = 270
 
 
 class CircleSample:
-    """Trigonometric polynomial S(theta) = a0 + sum a_k cos k theta + b_k sin k theta.
+    """Trigonometric polynomial S(theta) = a0 + sum a_k cos k theta + b_k sin k theta
+    = Re sum_k c_k e^{i k theta}, k = 0..degree: c_0 = a_0, c_k = a_k - i b_k.
 
     Dense uniform samples are reduced to coefficients by FFT (trigonometric
     interpolation), so periodicity is exact in either construction.
@@ -31,18 +34,15 @@ class CircleSample:
 
     def __init__(self, cos_coeffs, sin_coeffs=()):
         a = np.atleast_1d(np.asarray(cos_coeffs, dtype=float))
-        b = np.atleast_1d(np.asarray(sin_coeffs, dtype=float)) if len(sin_coeffs) \
-            else np.zeros(0)
+        b = np.atleast_1d(np.asarray(sin_coeffs, dtype=float))
         if a.size == 0:
             raise ValueError("need at least the constant coefficient")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("coefficients must be finite")
-        n = max(a.size, b.size + 1)
-        self.cos_coeffs = np.zeros(n)
-        self.cos_coeffs[:a.size] = a
-        self.sin_coeffs = np.zeros(max(n - 1, 0))
-        self.sin_coeffs[:b.size] = b
-        self.degree = n - 1
+        self.coeffs = np.zeros(max(a.size, b.size + 1), dtype=complex)
+        self.coeffs.real[:a.size] = a
+        self.coeffs.imag[1:] = -np.pad(b, (0, self.coeffs.size - 1 - b.size))
+        self.degree = self.coeffs.size - 1
 
     @classmethod
     def from_samples(cls, values):
@@ -51,39 +51,28 @@ class CircleSample:
             raise ValueError("need a 1-d array of at least 4 uniform samples")
         if not np.all(np.isfinite(v)):
             raise ValueError("samples must be finite")
-        n = v.size
-        c = np.fft.rfft(v) / n
-        a = np.concatenate([[c[0].real], 2.0 * c[1:].real])
-        b = -2.0 * c[1:].imag
-        if n % 2 == 0:
-            a[-1] *= 0.5                       # Nyquist mode is shared
-        return cls(a, b)
+        c = np.fft.rfft(v) / v.size
+        c[1:(v.size + 1) // 2] *= 2.0          # a Nyquist mode is shared
+        return cls(c.real, -c.imag[1:])
 
     def __call__(self, theta):
-        th = np.asarray(theta, dtype=float)
-        out = np.full_like(th, self.cos_coeffs[0])
-        for k in range(1, self.degree + 1):
-            out = out + self.cos_coeffs[k] * np.cos(k * th)
-            if k - 1 < self.sin_coeffs.size:
-                out = out + self.sin_coeffs[k - 1] * np.sin(k * th)
-        return out
+        k = np.arange(self.degree + 1)
+        return (np.exp(1j * np.multiply.outer(theta, k)) @ self.coeffs).real
 
     def coefficient(self, m):
         """Complex Fourier coefficient c_m with S = sum c_m e^{i m theta}."""
         k = abs(int(m))
         if k > self.degree:
             return 0.0 + 0.0j
-        if k == 0:
-            return complex(self.cos_coeffs[0])
-        a = self.cos_coeffs[k]
-        b = self.sin_coeffs[k - 1] if k - 1 < self.sin_coeffs.size else 0.0
-        c = 0.5 * complex(a, -b)
-        return c if m > 0 else np.conj(c)
+        c = complex(self.coeffs[k]) * (0.5 if k else 1.0)
+        return c if m >= 0 else c.conjugate()
 
 
 class PartitionPair:
     """Smooth partition of unity rho1 + rho2 = 1 subordinate to the two-arc
-    cover, with supports held strictly inside the arcs by the profile margin."""
+    cover, with supports held strictly inside the arcs by the profile margin.
+    The quadrature's panels are _PANEL wide, or a fifteenth of the transition
+    of rho, (1 - 2 profile) pi/2 wide, where that is narrower."""
 
     def __init__(self, profile):
         if not 0.02 <= profile <= 0.45:
@@ -95,6 +84,7 @@ class PartitionPair:
         # rho1 = 1 on |theta| <= pi/4 + half, 0 beyond 3pi/4 - half
         self.support1 = (-_I1[1] + half, _I1[1] - half)
         self.support2 = (_I2[0] + half, _I2[1] - half)
+        self.panel = min(_PANEL, (0.5 - self.profile) * np.pi / 15.0)
         self._quad = None
 
     @staticmethod
@@ -108,8 +98,7 @@ class PartitionPair:
     def rho1(self, theta):
         th = np.mod(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
         u = (np.abs(th) - 0.25 * np.pi) / (0.5 * np.pi)
-        a = self.profile
-        s = (u - a) / (1.0 - 2.0 * a)
+        s = (u - self.profile) / (1.0 - 2.0 * self.profile)
         return 1.0 - self._smoothstep(s)
 
     def rho2(self, theta):
@@ -123,7 +112,7 @@ class PartitionPair:
             pieces = []
             for (lo, hi), rho in ((self.support1, self.rho1),
                                   (self.support2, self.rho2)):
-                n_panels = max(32, int(np.ceil((hi - lo) / 0.04)))
+                n_panels = int(np.ceil((hi - lo) / self.panel))
                 edges = np.linspace(lo, hi, n_panels + 1)
                 mid = 0.5 * (edges[:-1] + edges[1:])
                 hw = 0.5 * (edges[1] - edges[0])
@@ -149,27 +138,29 @@ def entire_extension(S, pair, xi):
 
     Entire in xi; equals fourier_coefficient(S, m) at every integer m for any
     valid partition, while values off the integers depend on the partition.
+    Raises beyond |Im xi| = 50 and beyond |Re xi| + degree = MAX_FREQUENCY.
     """
     xi = np.asarray(xi, dtype=complex)
     im = float(np.max(np.abs(xi.imag), initial=0.0))
     if im > _MAX_IM:
         raise ValueError("|Im xi| = %.3g exceeds the bound %.0f (integrand "
                          "grows like e^{|Im xi| 7pi/4})" % (im, _MAX_IM))
+    top = float(np.max(np.abs(xi.real), initial=0.0)) + S.degree
+    if top > MAX_FREQUENCY:
+        raise ValueError("|Re xi| + degree = %.6g exceeds the bound %d, the "
+                         "highest frequency resolved" % (top, MAX_FREQUENCY))
     total = sum(np.exp(-1j * np.multiply.outer(xi, th)) @ (w * S(th))
                 for th, w in pair.quadrature())
     return complex(total) if xi.ndim == 0 else total
 
 
-def extension_errors(m_max, pairs):
-    """The message, if any, for an m_max at which entire_extension over the
-    integers |m| <= m_max would build a (2 m_max + 1) x n_theta complex
-    array above MAX_ARRAY_BYTES, n_theta the nodes of the largest piece of
-    the partitions pairs."""
-    n = max(th.size for pair in pairs for th, _ in pair.quadrature())
-    size = 16 * (2 * m_max + 1) * n
-    if size > MAX_ARRAY_BYTES:
-        return ["%d at %d nodes needs %d bytes per array, above the maximum "
-                "%d" % (m_max, n, size, MAX_ARRAY_BYTES)]
+def extension_errors(m_max, degree):
+    """The message, if any, for an m_max whose integers |m| <= m_max carry a
+    sample of this degree past MAX_FREQUENCY (see entire_extension)."""
+    if m_max + degree > MAX_FREQUENCY:
+        return ["%d plus the sample's degree %d exceeds %d, the highest "
+                "frequency the quadrature resolves"
+                % (m_max, degree, MAX_FREQUENCY)]
     return []
 
 
@@ -189,7 +180,8 @@ class ConsistencyReport:
 def integer_consistency_report(S, partitions, m_range):
     """Agreement table between the entire extensions and the direct
     coefficients on m_range, the effect of the sin(pi xi) shift at the
-    integers, and the spread of the extensions at xi = 1/2."""
+    integers, and the spread of the extensions at xi = 1/2: one extension
+    per partition, at the integers and 1/2 together."""
     partitions = list(partitions)
     if len(partitions) < 2:
         raise ValueError("need at least two partitions to compare")
@@ -198,10 +190,11 @@ def integer_consistency_report(S, partitions, m_range):
         raise ValueError("m_range must be non-empty")
     m_arr = np.array(m_values, dtype=float)
     exact = np.array([fourier_coefficient(S, m) for m in m_values])
-    ext = np.array([entire_extension(S, pair, m_arr) for pair in partitions])
+    ext = np.array([entire_extension(S, pair, np.append(m_arr, 0.5))
+                    for pair in partitions])
+    ext, at_half = ext[:, :-1], ext[:, -1]
     disc = np.abs(ext - exact)
     shift = np.max(np.abs((ext + np.sin(np.pi * m_arr)) - ext))
-    at_half = np.array([entire_extension(S, pair, 0.5) for pair in partitions])
     spread = max(abs(a - b) for a in at_half for b in at_half)
     return ConsistencyReport(m_values, disc, shift, spread, at_half)
 

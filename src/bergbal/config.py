@@ -241,6 +241,7 @@ def parse_config(document, strict=False):
                 _check_potential(s, "seeds[%d]" % i, errors, tabulated)
             kwargs["seeds"] = doc["seeds"]
 
+    S = None        # the sample, once it is built
     if "sample" in doc:
         sample = doc["sample"]
         if not isinstance(sample, dict) or \
@@ -253,11 +254,10 @@ def parse_config(document, strict=False):
             for key in ("cos", "sin"):
                 _numbers(sample.get(key, []), "sample." + key, errors)
             if len(errors) == n_errors:
-                _build("sample", errors, CircleSample, sample["cos"],
-                       sample.get("sin", []))
+                S = _build("sample", errors, CircleSample, sample["cos"],
+                           sample.get("sin", []))
             kwargs["sample"] = sample
 
-    pairs = []      # the partitions, once every profile is a number
     if "profiles" in doc:
         profiles = doc["profiles"]
         if not isinstance(profiles, list) or len(profiles) < 2:
@@ -267,18 +267,18 @@ def parse_config(document, strict=False):
             n_errors = len(errors)
             _numbers(profiles, "profiles", errors)
             if len(errors) == n_errors:
-                pairs = [_build("profiles[%d]" % i, errors, make_partition, p)
-                         for i, p in enumerate(profiles)]
+                for i, p in enumerate(profiles):
+                    _build("profiles[%d]" % i, errors, make_partition, p)
+                    if p in profiles[:i]:
+                        errors.append("profiles: profile %g repeated" % p)
             kwargs["profiles"] = profiles
 
-    if "m_max" in doc:
-        m_max = _number(doc["m_max"], int, "m_max", errors)
-        if m_max is not None and m_max < 0:
-            errors.append("m_max: expected a non-negative integer")
-        elif m_max is not None and pairs and None not in pairs:
-            errors.extend("m_max: " + e
-                          for e in extension_errors(m_max, pairs))
-        kwargs["m_max"] = m_max
+    m_max = kwargs["m_max"] = _number(doc.get("m_max", ExperimentConfig.m_max),
+                                      int, "m_max", errors)
+    if m_max is not None and m_max < 0:
+        errors.append("m_max: expected a non-negative integer")
+    elif m_max is not None and S is not None:
+        errors.extend("m_max: " + e for e in extension_errors(m_max, S.degree))
 
     levels = []
     if "levels" in doc:

@@ -450,15 +450,13 @@ def laplacian_apply(P, f):
 
 
 def hamiltonian_moment(P):
-    """Normalized Hamiltonian of the circle generator: f = Phi' - mean(Phi').
-
-    On Fubini-Study f = tanh(t/2)/2; the range always lies in (-1/2, 1/2),
-    the moment interval of the degree-one polarization.
-    """
+    """Normalized Hamiltonian of the circle generator: f = Phi' - 1/2, 1/2
+    the mean of Phi' for every P, as Phi' pushes Phi'' dt forward to Lebesgue
+    measure on [0, 1] (Duistermaat-Heckman).  On Fubini-Study f = tanh(t/2)/2;
+    the range lies in (-1/2, 1/2), the moment interval of the degree-one
+    polarization."""
     t = P.quad.nodes
-    f1 = P.node_values("Phi1")
-    center = integrate(P, f1)
-    return grid_function(P, f1 - center, name="f_moment",
+    return grid_function(P, P.node_values("Phi1") - 0.5, name="f_moment",
                          d1=P.node_values("dens"),
                          d2=P.Phi_d(t, 3),
                          d3=P.Phi_d(t, 4),

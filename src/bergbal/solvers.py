@@ -508,8 +508,8 @@ def newton_balance(m, P0, opts=SolverOptions()):
 def t_balance(m, P0, opts=SolverOptions()):
     """The T-balanced metric at level m: the balanced solve at torus weight
     y = 0, with the moment pairing M(0) = int (K - C_m) f_moment dmu of its
-    last evaluation as diagnostics["moment_pairing"].  M reads the deviation
-    dev of that _Evaluation (see _DSpace.evaluate): no further pass.
+    last evaluation as diagnostics["moment_pairing"], f_moment = mu/m - 1/2:
+    it reads dev and mu of that _Evaluation (see _DSpace.evaluate), no pass.
 
     The torus weight is the root of M(y), and in this model that root is
     y = 0 for every seed: the moment-centered solution is the round metric,
@@ -521,11 +521,9 @@ def t_balance(m, P0, opts=SolverOptions()):
     t0 = time.perf_counter()
     ds = _DSpace(m, P0.quad)
     ev, hist = _gauss_newton(ds, _seed(m, P0), opts)
-    f1 = ev.mu / m
-    f = f1 - ds._integral(f1, ev)
     return _result(ds, ev, hist, 0.0, opts, t0, "t-balance",
                    orders=_newton_orders(hist),
-                   moment_pairing=ds._integral(ev.dev * f, ev))
+                   moment_pairing=ds._integral(ev.dev * (ev.mu / m - 0.5), ev))
 
 
 def _family_verdicts(d, s, d_floor, s_floor, all_converged):

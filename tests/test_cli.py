@@ -158,6 +158,21 @@ quadrature: {window: 12}
     assert not (out_dir / "report.json").exists()
 
 
+def test_steep_partition_run(tmp_path, capsys):
+    # a margin of 0.45 narrows rho's transition to 0.157 rad; on 0.04-rad
+    # panels this document read 4.2e-10 and failed integers_agree (exit 1)
+    cfg = _write(tmp_path, """
+command: fourier
+sample: {cos: [1.0, 1.0], sin: [0.0, 0.3]}
+profiles: [0.45, 0.15]
+""")
+    out_dir = tmp_path / "out"
+    assert main(["fourier", "--config", cfg, "--out", str(out_dir)]) == 0
+    assert "verdict integers_agree: PASS" in capsys.readouterr().out
+    rep = load_report(str(out_dir / "report.json"))
+    assert rep["outputs"]["max_integer_discrepancy"] <= 1e-12
+
+
 def test_probe_with_two_levels_is_config_error(tmp_path, capsys):
     # the probe used to solve at the top level only and exit 0
     cfg = _write(tmp_path, """

@@ -13,6 +13,7 @@ from bergbal import config
 from bergbal.config import (COMMAND_KEYS, COMMANDS, MAX_ARRAY_BYTES,
                             MAX_ORDER, ConfigError, ExperimentConfig,
                             parse_config)
+from bergbal.circle import MAX_FREQUENCY
 from bergbal.bergman import section_norms
 from bergbal.cli import main
 from bergbal.model import min_window
@@ -392,6 +393,10 @@ RUN_TIME_FAILURES = [
       "potential": _tabulated(_T, 0.01 * (-1.0) ** np.arange(_T.size))},
      "potential: tabulated input is not smooth (half-grid interpolation "
      "error 2.0e+00 relative)"),
+    ({"command": "fourier", "m_max": 400}, "m_max: 400 plus the sample's "
+     "degree 2 exceeds 270, the highest frequency the quadrature resolves"),
+    ({"command": "fourier", "profiles": [0.15, 0.15]},
+     "profiles: profile 0.15 repeated"),
 ]
 
 
@@ -411,22 +416,28 @@ def test_run_time_failures_are_config_errors(fields, error, tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("profiles, n_theta, top", [
-    ([0.15, 0.3], 1070, 31358), ([0.3, 0.02], 1170, 28678)])
-def test_m_max_bound(profiles, n_theta, top):
-    # entire_extension builds a (2 m_max + 1) x n_theta complex array, n_theta
-    # the largest piece of the partitions; checked by parse_config alone, as
-    # a run at a rejected m_max would allocate beyond the bound
-    doc = dict(MINIMAL["fourier"], profiles=profiles)
-    assert 16 * (2 * top + 1) * n_theta <= MAX_ARRAY_BYTES
-    assert parse_config(dict(doc, m_max=top)).m_max == top
-    with pytest.raises(ConfigError) as exc:
-        parse_config(dict(doc, m_max=top + 1))
-    size = 16 * (2 * top + 3) * n_theta
-    assert size > MAX_ARRAY_BYTES
-    assert exc.value.errors == [
-        "m_max: %d at %d nodes needs %d bytes per array, above the maximum %d"
-        % (top + 1, n_theta, size, MAX_ARRAY_BYTES)]
+@pytest.mark.parametrize("degree, top", [(3, 267), (20, 250)])
+def test_m_max_bound(degree, top):
+    # the integers |m| <= m_max of a degree-d sample reach the frequency
+    # m_max + d, which the extension's quadrature resolves up to
+    # MAX_FREQUENCY; checked by parse_config alone, with or without profiles
+    assert top + degree == MAX_FREQUENCY
+    sample = {"cos": [1.0, 0.5], "sin": [0.0] * (degree - 1) + [0.25]}
+    for profiles in ([0.15, 0.3], [0.45, 0.02]):
+        doc = dict(MINIMAL["fourier"], sample=sample, profiles=profiles)
+        assert parse_config(dict(doc, m_max=top)).m_max == top
+        with pytest.raises(ConfigError) as exc:
+            parse_config(dict(doc, m_max=top + 1))
+        assert exc.value.errors == [
+            "m_max: %d plus the sample's degree %d exceeds 270, the highest "
+            "frequency the quadrature resolves" % (top + 1, degree)]
+    # the default m_max 20 is checked too
+    doc = dict(MINIMAL["fourier"], sample={"cos": [1.0] * 252})
+    del doc["m_max"]
+    assert parse_config(dict(doc, sample={"cos": [1.0] * 251})).m_max == 20
+    with pytest.raises(ConfigError, match="m_max: 20 plus the sample's "
+                       "degree 251 exceeds 270"):
+        parse_config(doc)
 
 
 def test_tabulated_window_is_the_runs():

@@ -397,6 +397,29 @@ def _seeded(desc, m):
     return _DSpace(m, P.quad), _seed(m, P)
 
 
+def test_moment_map_pushes_volume_to_lebesgue(fs, bump, off):
+    # Phi' pushes dmu = Phi'' dt forward to Lebesgue measure on [0, 1]
+    # (Duistermaat-Heckman for the circle action), so int Phi'^k dmu =
+    # 1/(k + 1) for every potential; measured at most 3.3e-16
+    P = make_perturbed_potential(OFF, window=default_window(40), grid_size=512)
+    solved = newton_balance(40, P).potential
+    for P in (fs, bump, off, translate_potential(fs, 0.5), solved):
+        for k in range(4):
+            moment = integrate(P, P.node_values("Phi1") ** k)
+            assert abs(moment - 1.0 / (k + 1)) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [8, 40, 200])
+def test_moment_map_oracle_in_d_space(m):
+    # the same on the diagonal's side, Phi_x' = mu/m, on the solve's nodes
+    # and on the seed's: the reason f_moment is Phi_x' - 1/2
+    ds, x = _seeded(OFF, m)
+    for ev in (ds.evaluate(x), ds.evaluate(x, ds.seed_quad)):
+        for k in range(4):
+            moment = ds._integral((ev.mu / m) ** k, ev)
+            assert abs(moment - 1.0 / (k + 1)) <= 1e-14
+
+
 @pytest.mark.parametrize("m", [8, 40, 200])
 def test_moment_center_closed_form(m):
     # (x_m - x_0)/m against the quadrature of t dmu on window 60, where the
@@ -459,9 +482,10 @@ def test_newton_strong_bumps(m, amplitude, width, center):
 
 @pytest.mark.parametrize("m", [8, 40, 200])
 def test_softmax_S_is_scipy_logsumexp(m):
-    # S = m Phi_x at the knots (emission) and at -T, T (moment center), on
-    # the seed diagonal and on the round one, against scipy's log-sum-exp:
-    # within a few ulp of |S| (of 1 where S is near 0; measured <= 2.3)
+    # S = m Phi_x at the knots (emission) and at the window edges -T, T,
+    # the end nodes whose S the Gram tails read, on the seed diagonal and on
+    # the round one, against scipy's log-sum-exp: within a few ulp of |S|
+    # (of 1 where S is near 0; measured <= 2.3)
     ds, x0 = _seeded(OFF, m)
     T = ds.quad.window
     x1 = gammaln(ds.j + 1) + gammaln(m - ds.j + 1) - gammaln(m + 1)
