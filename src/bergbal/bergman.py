@@ -14,16 +14,15 @@ Torus reweighting scales each monomial line by e^{j y} (the lift is fixed so
 z^j has weight j; a different lift multiplies everything by a global factor).
 
 The engine is three private functions on the section rows at the nodes of a
-potential, shared by the spline potentials here and by the x = log D solvers
-(solvers._DSpace): _rows forms e^{jt - m Phi} from samples of Phi, _gram
-integrates rows against a density with exact Beta tails, and _kernel is one
-matrix-vector product of the rows with the inverse Gram weights.  _gram and
-_kernel take rows R with a per-row scale s, the row j being s_j R_j: the
-spline paths pass their rows with s = 1, and the solvers pass the softmax
-they already hold with s = e^x, so the rows e^{jt - m Phi} are never formed
-there and only the spline paths call _rows.  Both exponential passes go
-through _exp_floor, which skips the exponentials that fall below the
-smallest normal double.  Volume integrals go through model.integrate.
+potential: _rows forms e^{jt - m Phi} from samples of Phi, _gram integrates
+rows against a density with exact Beta tails, and _kernel is one
+matrix-vector product of the rows with the inverse Gram weights.  _kernel
+takes rows R with a per-row scale s, the row j being s_j R_j: the x = log D
+solvers (solvers._DSpace) pass the softmax they hold with s = e^x, so the
+rows are never formed there, and form their own Gram diagonal on nodes that
+need no tails.  Both exponential passes go through _exp_floor, which skips
+the exponentials that fall below the smallest normal double.  Volume
+integrals go through model.integrate.
 """
 import numpy as np
 from scipy.special import expit, betaln, betainc
@@ -127,16 +126,16 @@ def _rows(m, t, Phi):
     return _exp_floor(z, np.minimum(0.0, m * t) - mPhi)
 
 
-def _gram(m, quad, R, integrand, factors, tails=None, s=1.0):
-    """int e^{jt - m Phi} integrand dt, j = 0..m, from the rows s_j R_j.
+def _gram(m, quad, R, integrand, factors):
+    """int e^{jt - m Phi} integrand dt, j = 0..m, from the rows R.
 
-    The rows s_j R_j are e^{jt - m Phi}, R and integrand sampled at the nodes
-    of quad.  Beyond the window Phi must be log(1 + e^t) plus a constant c
+    The rows R are e^{jt - m Phi}, R and integrand sampled at the nodes of
+    quad.  Beyond the window Phi must be log(1 + e^t) plus a constant c
     and the integrand a multiple of its density, so each tail is fs_tails
     times its factor, that multiple times e^{-m c}.
     """
-    left, right = fs_tails(m, quad.window) if tails is None else tails
-    G = s * (R[:, 1:-1] @ (quad.inner_weights * integrand[1:-1]))
+    left, right = fs_tails(m, quad.window)
+    G = R[:, 1:-1] @ (quad.inner_weights * integrand[1:-1])
     return G + factors[0] * left + factors[1] * right
 
 

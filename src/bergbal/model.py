@@ -84,17 +84,6 @@ def discretization_errors(window, grid, order, top):
     return errors
 
 
-def solve_grid(m, window, order):
-    """Knots of a level-m balancing solve's quadrature on the seed's window
-    and order (solvers._DSpace).  Near its peak a row e^{jt - m Phi} is a
-    Gaussian of width 1/sqrt(m Phi'') >= 2/sqrt(m) on the round metric; five
-    nodes fall in that width on average at every order.  Measured at m = 40
-    to 200, orders 2 to 16, on a bench bump: the Gram diagonal within 5e-14
-    relative of 4,090 nodes (1e-11 at four nodes), and Newton's residual
-    floor stays that of 4,090 nodes, about 1e-14 (5e-14 at four)."""
-    return max(MIN_GRID, int(np.ceil(5.0 * window * np.sqrt(m) / order)) + 1)
-
-
 def _fs_pieces(t):
     # x = e^t/(1+e^t); y = Phi_fs''; w = 1-2x computed without cancellation
     x = expit(t)

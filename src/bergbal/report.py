@@ -82,9 +82,9 @@ def build_report(config_echo):
         "conventions": {
             "coordinate": "t = log|z|^2 on the punctured line",
             "reference_potential": "log(1 + e^t), volume normalized to 1",
-            "residual": ("sup of |B_m - C_m| over the solve nodes (diagnostics."
-                         "solve_nodes); final_residual and the history's last "
-                         "entry over the potential's quadrature nodes"),
+            "residual": ("sup of |B_m - C_m| over the solve nodes, a "
+                         "Gauss-Legendre rule in u = expit(t) (diagnostics."
+                         "solve_nodes), and over t = -inf and +inf"),
             "weight_character": "section j carries the factor e^{j y}",
         },
         "outputs": {},

@@ -13,42 +13,46 @@ Solving in x rather than in spline space keeps the problem exactly finite
 dimensional, so Newton can reach residuals at the floating-point floor.
 
 Each evaluation at x, _DSpace.evaluate, makes one exponential pass over an
-(m+1) x N array, N the number of nodes: the softmax p_jt = e^{jt - x_j -
+(m+1) x n array, n the number of nodes: the softmax p_jt = e^{jt - x_j -
 m Phi_x(t)}, shifted by its column maximum, from j t at the nodes held by
 _DSpace.  Everything else follows from p without another exponential: the
 section rows are e^{jt - m Phi_x} = p_jt e^{x_j} and the volume density is
 the softmax variance over m.  The moment center needs no pass at all: it is
-(x_m - x_0)/m (see _DSpace.moment_center).  evaluate hands p with the row
-scale e^x to the kernel engine of bergman.py for the Gram diagonal and the
-kernel, so the rows themselves are never formed, and returns one
+(x_m - x_0)/m (see _DSpace.moment_center).  evaluate forms the Gram diagonal
+from p with the row scale e^x and hands both to the kernel engine of
+bergman.py, so the rows themselves are never formed, and returns one
 _Evaluation record; the Jacobian, the moment pairing, the volume integral
 and every solver step read that record by name.  Off the nodes Phi_x = S/m
 comes from the same softmax at the knots, for emission.
 
-The nodes are sized to the level (model.solve_grid): 506 to 1,794 at m = 8
-to 200 where the default seed has 4,090.  The seed's Gram diagonal, the
-emitted spline and the final residual stay on the seed's quadrature: an
-iterate that meets the tolerance is evaluated there once more (see _iterate).
+The nodes are one Gauss-Legendre rule in u = expit(t), m + 64 of them (see
+_DSpace): in u the Gram integrand is smooth on [0, 1], so a solve needs no
+window, no tails and no second node set.  The residual is the sup of the
+kernel deviation over the nodes and t = -oo, +oo.  Emission stays on the
+seed's knots, and sigma is read at the seed's core nodes.
 
 Newton's Jacobian is Hankel up to known factors: p_i p_l = e^{x_a + x_b -
-x_i - x_l} p_a p_b whenever a + b = i + l, so its interior integrals are
-gathered from 2m + 1 weighted row sums of q_k = p_a p_b, a = floor(k/2),
-b = k - a, instead of an (m+1) x N x (m+1) product.  The squared offset
+x_i - x_l} p_a p_b whenever a + b = i + l, so its integrals are gathered
+from 2m + 1 weighted row sums of q_k = p_a p_b, a = floor(k/2), b = k - a,
+instead of an (m+1) x n x (m+1) product.  The squared offset
 e^2 = (k/2 - mu)^2 in those sums comes from the deviations d2 = (j - mu)^2:
 e^2 = d2_a at even k = 2a and (d2_a + d2_{a+1})/2 - 1/4 at odd k = 2a + 1
 (see _DSpace.jacobian).
 """
 import collections
 import dataclasses
+import functools
 import time
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from .model import (Quadrature, fs_derivative, solve_grid, _from_knot_values,
-                    _volume_integral)
-from .bergman import (section_norms, fs_tails, c_of_m, _exp_floor, _gram,
-                      _kernel)
+from .model import fs_derivative, _from_knot_values
+from .bergman import section_norms, c_of_m, _exp_floor, _kernel
+
+# nodes of the u-rule beyond the level: n = m + EXTRA_NODES (see _DSpace)
+EXTRA_NODES = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,38 +116,60 @@ class UniquenessReport:
 
 # one iterate's evaluation, read by field name (see _DSpace.evaluate)
 _Evaluation = collections.namedtuple("_Evaluation",
-                                     "x p mu d2 k2 Phi dens G dev sup quad")
+                                     "x p mu d2 k2 dens G dev sup")
+
+
+@functools.lru_cache(maxsize=None)
+def _u_rule(n):
+    """The n-point Gauss-Legendre rule in u = expit(t) on [0, 1] as nodes
+    t = log u - log(1 - u) and dt-weights w_u / (u (1 - u)), by Golub-Welsch
+    on the shifted Legendre Jacobi matrix (diagonal 1/2, off-diagonal
+    k / (2 sqrt(4 k^2 - 1))): its end weights are within 1e-12 of a 40-digit
+    reference at n = 216, where those of leggauss are off by 8.7e-11.  1 - u
+    is read from the mirrored node, exact near u = 1, and w_u symmetrized.
+    Cached, read-only: n = m + EXTRA_NODES takes one value per level."""
+    k = np.arange(1.0, n)
+    u, V = eigh_tridiagonal(np.full(n, 0.5),
+                            k / (2.0 * np.sqrt(4.0 * k * k - 1.0)))
+    v = u[::-1]
+    w = V[0] ** 2
+    w = 0.5 * (w + w[::-1]) / (u * v)
+    t = np.log(u) - np.log(v)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 class _DSpace:
-    """Shared arrays for one solve at level m on nodes sized to the level.
+    """Shared arrays for one solve at level m: the u-rule, and the seed's
+    quadrature quad for emission (its knots) and sigma (its core nodes).
 
-    quad is the seed's quadrature; self.quad and its nodes t are the
-    solve's: model.solve_grid knots on quad's window and order, or quad
-    itself where that is no coarser.
+    The nodes t and dt-weights w are _u_rule(m + EXTRA_NODES).  With
+    u = expit(t), G_j = e^{x_j} int_0^1 p_j k2 / (m u (1 - u)) du has an
+    integrand smooth on [0, 1] for every x, and on the round diagonal a
+    Bernstein polynomial of degree m (Zelditch, "Bernstein polynomials,
+    Bergman kernels and toric Kahler varieties", J. Symplectic Geom. 7,
+    2009): no window, no tails.  Against n = 4m + 160 over every Newton and
+    fixed-point iterate, m + 64 nodes are within 6e-15 on strong bumps at
+    m = 5, 8 and 12 (m + 16: 3e-6) and within 3e-14 on the benchmark's bumps.
+    At m >= 40 far trial iterates of strong bumps are inexact: their G is off
+    by 2e-1 to 6e-1 against a window-40, 4,096-knot reference (1e-2 to 3e-1
+    on the t-window nodes this rule replaced), with the same iteration
+    counts, histories to two digits and outputs to 3e-14.
 
-    evaluate is the one exponential pass of an iterate, and its _Evaluation
-    record carries the rows' softmax, the Gram diagonal and the kernel
-    deviation; the Jacobian, the moment pairing and the volume integral
-    read the record, and the moment center reads x alone, with no pass and
-    no window (see moment_center).  Beyond the window Phi_x - log(1 + e^t)
-    is nearly constant; the Gram tails use its values at the window edges.
-    j t at the nodes is held, (m + 1) x N, so a node softmax starts from one
-    subtraction.
+    evaluate is the one exponential pass of an iterate; the Jacobian, the
+    moment pairing and the volume integral read its _Evaluation record, and
+    moment_center reads x alone.  j t at the nodes is held, (m + 1) x n, so
+    a node softmax starts from one subtraction.
     """
 
     def __init__(self, m, quad):
         self.m = int(m)
-        self.seed_quad = quad
-        grid = solve_grid(self.m, quad.window, quad.order)
-        self.quad = quad if grid >= quad.grid_size else \
-            Quadrature(quad.window, grid, quad.order)
-        self.t = self.quad.nodes
-        self.core = np.abs(quad.nodes) <= min(10.0, 0.5 * quad.window)
+        self.quad = quad
+        self.t, self.w = _u_rule(self.m + EXTRA_NODES)
+        self.core = quad.nodes[np.abs(quad.nodes)
+                               <= min(10.0, 0.5 * quad.window)]
         self.j = np.arange(self.m + 1, dtype=float)
         self.jt = np.multiply.outer(self.j, self.t)
-        self.tails = fs_tails(self.m, quad.window)
-        self.fs0 = fs_derivative(self.t, 0)
 
     def softmax(self, x, t=None):
         """p_jt = e^{jt - x_j} / sum_l e^{lt - x_l} and S_t = m Phi_x(t) at
@@ -171,49 +197,40 @@ class _DSpace:
         d2 *= d2
         return mu, d2, np.einsum("jt,jt->t", p, d2)
 
-    def _tail_factors(self, Phi):
-        """e^{-m c} for the tail constants c = Phi_x - log(1 + e^t) at -T, T."""
-        return (np.exp(-self.m * (Phi[0] - self.fs0[0])),
-                np.exp(-self.m * (Phi[-1] - self.fs0[-1])))
-
-    def evaluate(self, x, quad=None):
-        """The _Evaluation of x at the nodes (of quad if given): the softmax
-        p, its mean mu, the squared deviations d2 = (j - mu)^2, the variance
-        k2, Phi_x, the density Phi_x'' = k2 / m, the Gram diagonal G of the
-        rows e^{jt - m Phi_x} = p_jt e^{x_j}, the deviation dev = B_m - C_m
-        and sup |dev|.  The Gram diagonal and the kernel read p with the row
-        scale e^x, so the rows are never formed and p is left as it is."""
-        p, S = self.softmax(x, None if quad is None else quad.nodes)
-        quad = self.quad if quad is None else quad
+    def evaluate(self, x):
+        """The _Evaluation of x at the nodes: the softmax p, its mean mu, the
+        squared deviations d2 = (j - mu)^2, the variance k2, the density
+        Phi_x'' = k2 / m, the Gram diagonal G of the rows e^{jt - m Phi_x} =
+        p_jt e^{x_j}, read with the row scale e^x so that the rows are never
+        formed, the deviation dev = B_m - C_m and its sup, which takes t = -oo
+        and +oo too: there p is e_0 and e_m, and dev is e^{x_0}/(m G_0) - C_m
+        and e^{x_m}/(m G_m) - C_m."""
+        p = self.softmax(x)[0]
         mu, d2, k2 = self._moments(p)
-        Phi, dens = S / self.m, k2 / self.m
+        dens = k2 / self.m
         ex = np.exp(x)
-        G = _gram(self.m, quad, p, dens, self._tail_factors(Phi),
-                  self.tails, ex)
-        dev = _kernel(self.m, p, G, ex)
-        dev -= c_of_m(self.m)
-        return _Evaluation(x, p, mu, d2, k2, Phi, dens, G, dev,
-                           float(np.max(np.abs(dev))), quad)
+        G = ex * (p @ (self.w * dens))
+        dev = _kernel(self.m, p, G, ex) - c_of_m(self.m)
+        ends = ex[[0, -1]] / G[[0, -1]] / self.m - c_of_m(self.m)
+        sup = max(np.abs(dev).max(), np.abs(ends).max())
+        return _Evaluation(x, p, mu, d2, k2, dens, G, dev, float(sup))
 
     def _integral(self, vals, ev):
-        """Volume integral against Phi_x; the tail masses are Phi_x'(-T) =
-        mu_0/m and 1 - Phi_x'(T) = 1 - mu_m/m."""
-        return _volume_integral(ev.quad, vals, ev.dens,
-                                (ev.mu[0] / self.m, 1.0 - ev.mu[-1] / self.m))
+        """Volume integral of vals, sampled at the nodes, against Phi_x."""
+        return float(self.w @ (vals * ev.dens))
 
     def moment_center(self, x):
         """int t dmu_x over the line, (x_m - x_0)/m: by parts it is the limit
         of R - Phi_x(R) + Phi_x(-R) as R -> oo, and Phi_x tends to -x_0/m at
-        -oo and to t - x_m/m at +oo.  Linear in x: no pass, no window."""
+        -oo and to t - x_m/m at +oo.  Linear in x: no pass."""
         return (x[-1] - x[0]) / self.m
 
     def jacobian(self, ev):
         """A_il = dG_i[psi_l]/G_i for the potential directions psi_l = dPhi/dx_l
-        = -p_l/m, including the constant-tail contributions.  The interior
-        integrand -m psi_l Phi'' + psi_l'' is p_l (2 k2 - d2_l) / m, since
-        p_l'' = p_l (d2_l - k2), and the row i is p_i e^{x_i}.
+        = -p_l/m.  The integrand -m psi_l Phi'' + psi_l'' is p_l (2 k2 -
+        d2_l) / m, since p_l'' = p_l (d2_l - k2), and the row i is p_i e^{x_i}.
 
-        The interior sum is Hankel up to known factors.  With k = i + l,
+        The sum over the nodes is Hankel up to known factors.  With k = i + l,
         a = floor(k/2), b = k - a and q_k = p_a p_b, p_i p_l = e^{x_a + x_b
         - x_i - x_l} q_k; with L = l - k/2 and e = k/2 - mu = (d_a + d_b)/2,
         d_l = L + e, so
@@ -222,17 +239,15 @@ class _DSpace:
                 = e^{x_a + x_b - x_i - x_l} (hK_k - L^2 h1_k - 2 L e1_k - e2_k),
 
         where h1, hK, e1 and e2 are the sums of w q_k times 1, 2 k2, e and
-        e^2.  So 2m + 1 weighted row sums, O(mN), replace an O(m^2 N)
+        e^2.  So 2m + 1 weighted row sums, O(mn), replace an O(m^2 n)
         product, and A is a gather from them.  e1 = (k/2) h1 - sum w q_k mu
         enters only as 2 L e1; e^2 is taken from d2, which keeps it exact
         where e is small: d2_a at even k = 2a, (d2_a + d2_{a+1})/2 - 1/4 at
         odd k = 2a + 1.  (Expanded in raw moments of mu, e2 cancels by a factor
         of up to 6e6 at k = 2m, m = 200.)
         """
-        m = self.m
-        w = self.quad.inner_weights
-        P, D2 = ev.p[:, 1:-1], ev.d2[:, 1:-1]
-        W = np.stack([np.ones_like(w), ev.mu[1:-1], 2.0 * ev.k2[1:-1]])
+        m, w, P, D2 = self.m, self.w, ev.p, ev.d2
+        W = np.stack([np.ones_like(w), ev.mu, 2.0 * ev.k2])
         h = np.empty((3, 2 * m + 1))    # h1, sum w q mu, hK by k
         e2 = np.empty(2 * m + 1)
         # one buffer: q_k = p_i^2 at k = 2i, then p_i p_{i+1} at k = 2i + 1
@@ -254,34 +269,23 @@ class _DSpace:
         x = ev.x
         A *= np.exp((x[k // 2] + x[k - k // 2])[K] - x - np.log(ev.G)[:, None])
         A /= m
-        cL, cR = self._tail_factors(ev.Phi)
-        A += (np.outer(cL * self.tails[0], ev.p[:, 0])
-              + np.outer(cR * self.tails[1], ev.p[:, -1])) / ev.G[:, None]
         return A
-
-    def confirm(self, ev):
-        """The evaluation of ev's iterate on the seed's nodes."""
-        seed = self.seed_quad
-        return ev if self.quad is seed else self.evaluate(ev.x, seed)
 
     def potential(self, x):
         # emit on the seed's own quadrature: a finer grid would only amplify
         # the float noise of the knot values in the spline's edge derivatives
-        q = self.seed_quad
+        q = self.quad
         Phi = self.softmax(x, q.knots)[1] / self.m
-        vals = Phi - fs_derivative(q.knots, 0)
-        return _from_knot_values(vals, q)
+        return _from_knot_values(Phi - fs_derivative(q.knots, 0), q)
 
-    def _core_cumulants(self, ev):
-        """The softmax p, its deviations d = j - mu and d2, and the
-        cumulants k2, k3, k4 at the seed's core nodes |t| <= min(10, T/2):
-        p, mu, d2 and k2 are the core columns of ev, an evaluation on the
-        seed's nodes.  The tail nodes are excluded: there the density is
-        ~e^{-T} and evaluating sigma of a near-reference iterate divides
-        rounding noise by it."""
-        c = self.core
-        p, d2, k2 = ev.p[:, c], ev.d2[:, c], ev.k2[c]
-        d = np.subtract.outer(self.j, ev.mu[c])
+    def _core_cumulants(self, x):
+        """The softmax p of x at the seed's core nodes |t| <= min(10, T/2),
+        its deviations d = j - mu and d2, and the cumulants k2, k3, k4 there.
+        The tail nodes are excluded: there the density is ~e^{-T}, and sigma
+        of a near-reference iterate would divide rounding noise by it."""
+        p = self.softmax(x, self.core)[0]
+        mu, d2, k2 = self._moments(p)
+        d = np.subtract.outer(self.j, mu)
         k3 = np.einsum("jt,jt->t", p, d2 * d)
         k4 = np.einsum("jt,jt->t", p, d2 * d2) - 3.0 * k2 * k2
         return p, d, d2, k2, k3, k4
@@ -289,11 +293,10 @@ class _DSpace:
     def round_floors(self, residual):
         """Floors of the family curves d_m and sup|sigma_m - 2| at this level.
 
-        Each floor starts from what one evaluation on the seed's nodes
-        reports for the closed-form round diagonal x_j = -log C(m, j), the
-        exact balanced solution: d from its emitted spline, sigma from
-        _core_cumulants of that evaluation, the one reading sigma_core_err
-        takes of a solve.  Two allowances widen it:
+        Each floor starts from what the closed-form round diagonal x_j =
+        -log C(m, j), the exact balanced solution, reads: d from its emitted
+        spline, sigma from _core_cumulants, the one reading sigma_core_err
+        takes of a solve.  No evaluation is made.  Two allowances widen it:
 
         * the final residual r = sup|B_m - C_m|.  Along an eigenvector v of
           the Jacobian A of the Gram map, x -> x + e v leaves the residual
@@ -303,10 +306,11 @@ class _DSpace:
           in the sup norm, lambda_2 the largest eigenvalue of A off the
           scale and torus directions (which have eigenvalue 1).  At the round
           diagonal it is lambda_2 = 1 - 12/((m+2)(m+3)), with eigenvector
-          v_j = (j - m/2)^2 - m(m+2)/12, in closed form (within 10 e^{-T} of
-          jacobian's, see the tests).  The sigma floor gets the largest
-          first-order change of sigma over all moves of x no larger, entry
-          by entry, than that displacement of x.
+          v_j = (j - m/2)^2 - m(m+2)/12, in closed form (jacobian's to
+          rounding, see the tests), and max_t |sum_j p_j v_j| = v_0 = v_m =
+          m(m - 1)/6, reached at t = -oo and +oo.  The sigma floor gets the
+          largest first-order change of sigma over all moves of x no larger,
+          entry by entry, than that displacement of x.
         * rounding.  A diagonal displaced by more than an ulp rounds
           differently, so the solved diagonal shows a fresh sample of each
           evaluation's rounding rather than the round diagonal's.  With u
@@ -332,7 +336,6 @@ class _DSpace:
         x = gammaln(j + 1) + gammaln(m - j + 1) - gammaln(m + 1)
         P = self.potential(x)
         d_round = float(np.max(np.abs(P.phi(P.quad.nodes))))
-        ev = self.evaluate(x, self.seed_quad)
         if m == 1:
             # both entries of x are gauge directions: every diagonal is
             # round, and v = 0
@@ -341,10 +344,11 @@ class _DSpace:
             # r / ((m+1)(1 - lambda_2)), with 1 - lambda_2 = 12/((m+2)(m+3))
             dphi = residual * (m + 2) * (m + 3) / (12.0 * (m + 1))
             v = (j - 0.5 * m) ** 2 - m * (m + 2) / 12.0
-            # x displacement that moves Phi by dphi along the slow mode
-            dx = dphi * m * np.max(np.abs(v)) / np.max(np.abs(v @ ev.p))
+            # x displacement that moves Phi by dphi along the slow mode:
+            # dphi m max|v| / max_t |v . p(t)|
+            dx = 6.0 * dphi * np.max(np.abs(v)) / (m - 1)
 
-        p, d, d2, k2, k3, k4 = self._core_cumulants(ev)
+        p, d, d2, k2, k3, k4 = self._core_cumulants(x)
         # d sigma / d p_l, the p_l varied independently at sum_l p_l = 1
         jj = j[:, None]
         dk3 = d2 * d - 3.0 * jj * k2
@@ -352,7 +356,7 @@ class _DSpace:
         N = k4 * k2 - k3 * k3
         g = -m * ((dk4 * k2 + k4 * d2 - 2.0 * k3 * dk3) / k2 ** 3
                   - 3.0 * N * d2 / k2 ** 4)
-        jt = np.multiply.outer(j, self.seed_quad.nodes[self.core])
+        jt = np.multiply.outer(j, self.core)
         z = jt - x[:, None]
         eps = 0.5 * np.finfo(float).eps * (
             np.abs(jt) + np.abs(z) + (z.max(axis=0) - z) + m + 2.0)
@@ -361,7 +365,8 @@ class _DSpace:
         slope = np.sum(p * np.abs(g - np.sum(p * g, axis=0)), axis=0)
         sigma_floor = _sigma_err(m, k2, k3, k4) \
             + float(np.max(dx * slope + rounding))
-        phi_rounding = np.finfo(float).eps * np.max(np.abs(self.fs0))
+        # the largest log(1 + e^t) on the knots is at the window edge T
+        phi_rounding = np.finfo(float).eps * fs_derivative(self.quad.window, 0)
         return d_round + 2.0 * (dphi + phi_rounding), sigma_floor
 
 
@@ -381,40 +386,32 @@ def _centered(ds, x):
 
 
 def _iterate(ds, x, opts, step):
-    """The balancing loop of tk_iterate and _gauss_newton.
-
-    The seed x goes to moment center 0 like every iterate (_centered), so
-    a seed that meets the tolerance returns in that gauge.  Each step(ev,
-    hist) returns the evaluation of the next iterate, or None to decline.
-    Stops at an iterate whose sup meets the tolerance on the solve nodes
-    and on the seed's (ds.confirm), after opts.max_iterations steps or at a
-    declined step.  Returns the last iterate's seed-node evaluation and the
-    history of sups, the last one there: len(hist) - 1 steps were taken.
-    """
+    """The balancing loop of tk_iterate and _gauss_newton: it steps while
+    the sup is above the tolerance and fewer than opts.max_iterations steps
+    were taken.  The seed x goes to moment center 0 like every iterate
+    (_centered), so a seed that meets the tolerance returns in that gauge.
+    Each step(ev, hist) returns the evaluation of the next iterate, or None
+    to decline, which stops the loop.  Returns the last iterate's evaluation
+    and the history of sups: len(hist) - 1 steps were taken."""
     ev = _centered(ds, x)
     hist = [ev.sup]
-    while True:
-        read = ds.confirm(ev) if hist[-1] <= opts.tolerance else None
-        if read is not None and read.sup <= opts.tolerance:
-            break
-        nxt = step(ev, hist) if len(hist) <= opts.max_iterations else None
+    while hist[-1] > opts.tolerance and len(hist) <= opts.max_iterations:
+        nxt = step(ev, hist)
         if nxt is None:
             break
         ev = nxt
         hist.append(ev.sup)
-    read = ds.confirm(ev) if read is None else read
-    hist[-1] = read.sup
-    return read, hist
+    return ev, hist
 
 
 def _result(ds, ev, hist, y, opts, t0, mode, **diagnostics):
-    """BalanceResult of the seed-node evaluation and history _iterate
-    returned; the diagnostics gain the moment center, the solve's node
-    count and sup |sigma - 2| on the core from the exact cumulants of Phi_x
-    that _core_cumulants reads off ev."""
+    """BalanceResult of the evaluation and history _iterate returned; the
+    diagnostics gain the moment center, the solve's node count and sup
+    |sigma - 2| on the seed's core nodes from the exact cumulants of Phi_x
+    (_core_cumulants)."""
     P = ds.potential(ev.x)
     wall_time = time.perf_counter() - t0
-    k = ds._core_cumulants(ev)[3:]
+    k = ds._core_cumulants(ev.x)[3:]
     diagnostics.update(moment_center=ds.moment_center(ev.x),
                        sigma_core_err=_sigma_err(ds.m, *k),
                        solve_nodes=ds.t.size)
@@ -557,8 +554,8 @@ def balanced_family(m_range, P_seed, opts=SolverOptions()):
     In this model every balanced metric is the round one, so both curves
     measure the evaluation's own floor, which grows with m.  Each level
     therefore gets a floor per curve (d_floor, sigma_floor), computed by
-    _DSpace.round_floors: one evaluation of the closed-form round diagonal
-    on the seed's nodes, widened by what the level's final residual allows
+    _DSpace.round_floors: the closed-form round diagonal's emitted spline
+    and core sigma, widened by what the level's final residual allows
     through the closed-form slow eigenpair of the round Jacobian and, for
     sigma, by its rounding bound.  A value at or below its floor counts as
     converged.  The verdicts:
