@@ -29,7 +29,7 @@ The nodes are one Gauss-Legendre rule in u = expit(t), m + 64 of them (see
 _DSpace): in u the Gram integrand is smooth on [0, 1], so a solve needs no
 window, no tails and no second node set.  The residual is the sup of the
 kernel deviation over the nodes and t = -oo, +oo.  Emission stays on the
-seed's knots, and sigma is read at the seed's core nodes.
+seed's knots; sigma, from exact cumulants, is read on the nodes too.
 
 Newton's Jacobian is Hankel up to known factors: p_i p_l = e^{x_a + x_b -
 x_i - x_l} p_a p_b whenever a + b = i + l, so its integrals are gathered
@@ -141,7 +141,7 @@ def _u_rule(n):
 
 class _DSpace:
     """Shared arrays for one solve at level m: the u-rule, and the seed's
-    quadrature quad for emission (its knots) and sigma (its core nodes).
+    quadrature quad for emission on its knots and the d floor's rounding.
 
     The nodes t and dt-weights w are _u_rule(m + EXTRA_NODES).  With
     u = expit(t), G_j = e^{x_j} int_0^1 p_j k2 / (m u (1 - u)) du has an
@@ -157,7 +157,7 @@ class _DSpace:
     counts, histories to two digits and outputs to 3e-14.
 
     evaluate is the one exponential pass of an iterate; the Jacobian, the
-    moment pairing and the volume integral read its _Evaluation record, and
+    moment pairing, the volume integral and sigma read its _Evaluation, and
     moment_center reads x alone.  j t at the nodes is held, (m + 1) x n, so
     a node softmax starts from one subtraction.
     """
@@ -166,8 +166,6 @@ class _DSpace:
         self.m = int(m)
         self.quad = quad
         self.t, self.w = _u_rule(self.m + EXTRA_NODES)
-        self.core = quad.nodes[np.abs(quad.nodes)
-                               <= min(10.0, 0.5 * quad.window)]
         self.j = np.arange(self.m + 1, dtype=float)
         self.jt = np.multiply.outer(self.j, self.t)
 
@@ -278,25 +276,24 @@ class _DSpace:
         Phi = self.softmax(x, q.knots)[1] / self.m
         return _from_knot_values(Phi - fs_derivative(q.knots, 0), q)
 
-    def _core_cumulants(self, x):
-        """The softmax p of x at the seed's core nodes |t| <= min(10, T/2),
-        its deviations d = j - mu and d2, and the cumulants k2, k3, k4 there.
-        The tail nodes are excluded: there the density is ~e^{-T}, and sigma
-        of a near-reference iterate would divide rounding noise by it."""
-        p = self.softmax(x, self.core)[0]
-        mu, d2, k2 = self._moments(p)
-        d = np.subtract.outer(self.j, mu)
-        k3 = np.einsum("jt,jt->t", p, d2 * d)
-        k4 = np.einsum("jt,jt->t", p, d2 * d2) - 3.0 * k2 * k2
-        return p, d, d2, k2, k3, k4
+    def _cumulants(self, ev):
+        """d = j - mu and the cumulants k3, k4 of ev's softmax, no pass.
+        Sigma needs points, not quadrature.  The nodes span |t| <= 8.1, 8.9
+        and 10.8 at m = 5, 40 and 200, where the rows put their mass, and
+        none lies in the far tails, where the density is ~e^{-|t|} and
+        sigma would divide rounding noise by it."""
+        d = np.subtract.outer(self.j, ev.mu)
+        k3 = np.einsum("jt,jt->t", ev.p, ev.d2 * d)
+        k4 = np.einsum("jt,jt->t", ev.p, ev.d2 * ev.d2) - 3.0 * ev.k2 ** 2
+        return d, k3, k4
 
     def round_floors(self, residual):
         """Floors of the family curves d_m and sup|sigma_m - 2| at this level.
 
         Each floor starts from what the closed-form round diagonal x_j =
         -log C(m, j), the exact balanced solution, reads: d from its emitted
-        spline, sigma from _core_cumulants, the one reading sigma_core_err
-        takes of a solve.  No evaluation is made.  Two allowances widen it:
+        spline, sigma from _cumulants of its one evaluation, the reading
+        sigma_core_err takes of a solve.  Two allowances widen it:
 
         * the final residual r = sup|B_m - C_m|.  Along an eigenvector v of
           the Jacobian A of the Gram map, x -> x + e v leaves the residual
@@ -348,7 +345,9 @@ class _DSpace:
             # dphi m max|v| / max_t |v . p(t)|
             dx = 6.0 * dphi * np.max(np.abs(v)) / (m - 1)
 
-        p, d, d2, k2, k3, k4 = self._core_cumulants(x)
+        ev = self.evaluate(x)
+        p, d2, k2 = ev.p, ev.d2, ev.k2
+        d, k3, k4 = self._cumulants(ev)
         # d sigma / d p_l, the p_l varied independently at sum_l p_l = 1
         jj = j[:, None]
         dk3 = d2 * d - 3.0 * jj * k2
@@ -356,10 +355,9 @@ class _DSpace:
         N = k4 * k2 - k3 * k3
         g = -m * ((dk4 * k2 + k4 * d2 - 2.0 * k3 * dk3) / k2 ** 3
                   - 3.0 * N * d2 / k2 ** 4)
-        jt = np.multiply.outer(j, self.core)
-        z = jt - x[:, None]
+        z = self.jt - x[:, None]
         eps = 0.5 * np.finfo(float).eps * (
-            np.abs(jt) + np.abs(z) + (z.max(axis=0) - z) + m + 2.0)
+            np.abs(self.jt) + np.abs(z) + (z.max(axis=0) - z) + m + 2.0)
         rounding = np.sum(np.abs(g) * p * eps, axis=0)
         # sum_l |d sigma / d x_l|, with d sigma / d x_l = -p_l (g_l - <g>)
         slope = np.sum(p * np.abs(g - np.sum(p * g, axis=0)), axis=0)
@@ -407,13 +405,13 @@ def _iterate(ds, x, opts, step):
 def _result(ds, ev, hist, y, opts, t0, mode, **diagnostics):
     """BalanceResult of the evaluation and history _iterate returned; the
     diagnostics gain the moment center, the solve's node count and sup
-    |sigma - 2| on the seed's core nodes from the exact cumulants of Phi_x
-    (_core_cumulants)."""
+    |sigma - 2| over the solve's nodes from the exact cumulants of Phi_x in
+    that evaluation (_DSpace._cumulants)."""
     P = ds.potential(ev.x)
     wall_time = time.perf_counter() - t0
-    k = ds._core_cumulants(ev.x)[3:]
+    k3, k4 = ds._cumulants(ev)[1:]
     diagnostics.update(moment_center=ds.moment_center(ev.x),
-                       sigma_core_err=_sigma_err(ds.m, *k),
+                       sigma_core_err=_sigma_err(ds.m, ev.k2, k3, k4),
                        solve_nodes=ds.t.size)
     return BalanceResult(ds.m, P, y, hist, hist[-1] <= opts.tolerance,
                          len(hist) - 1, wall_time, mode, diagnostics)
@@ -555,10 +553,10 @@ def balanced_family(m_range, P_seed, opts=SolverOptions()):
     measure the evaluation's own floor, which grows with m.  Each level
     therefore gets a floor per curve (d_floor, sigma_floor), computed by
     _DSpace.round_floors: the closed-form round diagonal's emitted spline
-    and core sigma, widened by what the level's final residual allows
-    through the closed-form slow eigenpair of the round Jacobian and, for
-    sigma, by its rounding bound.  A value at or below its floor counts as
-    converged.  The verdicts:
+    and its sigma on the solve's nodes, widened by what the level's final
+    residual allows through the closed-form slow eigenpair of the round
+    Jacobian and, for sigma, by its rounding bound.  A value at or below its
+    floor counts as converged.  The verdicts:
 
     * all_converged: every level converged;
     * d_non_increasing: each d_m is at its floor or at most 1.1 times the

@@ -180,13 +180,14 @@ def _softmax_columns(monkeypatch):
 def test_t_balance_reuses_inner_evaluation(off, monkeypatch):
     # the moment pairing reads the deviation of the inner solve's last
     # evaluation, so t_balance makes no exponential pass beyond Newton's;
-    # the moment center reads x alone, so no solve makes a 2-column softmax
+    # the moment center reads x alone, so no solve makes a 2-column softmax,
+    # and sigma reads the last evaluation, so it makes none either
     calls = _softmax_columns(monkeypatch)
     newton_balance(8, off)
     direct = list(calls)
     calls.clear()
     t_balance(8, off)
-    assert calls == direct and len(calls) == 7
+    assert calls == direct and len(calls) == 6
     assert 2 not in calls
 
 
@@ -510,14 +511,14 @@ def test_newton_strong_bumps(m, amplitude, width, center):
 
 @pytest.mark.parametrize("m", [8, 40, 200])
 def test_softmax_S_is_scipy_logsumexp(m):
-    # S = m Phi_x at the knots (emission), at the seed's core nodes (sigma)
-    # and at the nodes of the u-rule, on the seed diagonal and on the round
-    # one, against scipy's log-sum-exp: within a few ulp of |S| (of 1 where
-    # S is near 0; measured <= 3.3)
+    # S = m Phi_x at the knots (emission) and at the nodes of the u-rule,
+    # on the seed diagonal and on the round one, against scipy's
+    # log-sum-exp: within a few ulp of |S| (of 1 where S is near 0;
+    # measured <= 3.3)
     ds, x0 = _seeded(OFF, m)
     x1 = gammaln(ds.j + 1) + gammaln(m - ds.j + 1) - gammaln(m + 1)
     for x in (x0, x1):
-        for t in (ds.quad.knots, ds.core, ds.t):
+        for t in (ds.quad.knots, ds.t):
             S = ds.softmax(x, None if t is ds.t else t)[1]
             ref = logsumexp(np.multiply.outer(ds.j, t) - x[:, None], axis=0)
             ulp = np.finfo(float).eps * np.maximum(np.abs(ref), 1.0)
@@ -817,26 +818,27 @@ def _eig_round_floors(ds, residual):
     x = gammaln(j + 1) + gammaln(m - j + 1) - gammaln(m + 1)
     P = ds.potential(x)
     d_round = float(np.max(np.abs(P.phi(P.quad.nodes))))
+    ev = ds.evaluate(x)
     if m == 1:
         dphi = dx = 0.0
     else:
-        lam, V = np.linalg.eig(ds.jacobian(ds.evaluate(x)))
+        lam, V = np.linalg.eig(ds.jacobian(ev))
         slow = np.argsort(-lam.real)[2]
         dphi = residual / ((m + 1) * (1.0 - lam[slow].real))
         v = V[:, slow].real
         p = ds.softmax(x, ds.quad.nodes)[0]
         dx = dphi * m * np.max(np.abs(v)) / np.max(np.abs(v @ p))
-    p, d, d2, k2, k3, k4 = ds._core_cumulants(x)
+    p, d2, k2 = ev.p, ev.d2, ev.k2
+    d, k3, k4 = ds._cumulants(ev)
     jj = j[:, None]
     dk3 = d2 * d - 3.0 * jj * k2
     dk4 = d2 * d2 - 4.0 * jj * k3 - 6.0 * k2 * d2
     N = k4 * k2 - k3 * k3
     g = -m * ((dk4 * k2 + k4 * d2 - 2.0 * k3 * dk3) / k2 ** 3
               - 3.0 * N * d2 / k2 ** 4)
-    jt = np.multiply.outer(j, ds.core)
-    z = jt - x[:, None]
+    z = ds.jt - x[:, None]
     eps = 0.5 * np.finfo(float).eps * (
-        np.abs(jt) + np.abs(z) + (z.max(axis=0) - z) + m + 2.0)
+        np.abs(ds.jt) + np.abs(z) + (z.max(axis=0) - z) + m + 2.0)
     rounding = np.sum(np.abs(g) * p * eps, axis=0)
     slope = np.sum(p * np.abs(g - np.sum(p * g, axis=0)), axis=0)
     sigma_floor = solvers._sigma_err(m, k2, k3, k4) \
@@ -851,7 +853,7 @@ def _eig_round_floors(ds, residual):
 def test_round_floors_match_eig_form(desc, m):
     # at a residual of 1e-9 the d floor is nearly all the residual's
     # allowance, so it reads the error of max_t |v . p(t)| on the seed's
-    # nodes; measured <= 6.0e-9 relative for both floors
+    # nodes; measured <= 6.2e-9 relative for both floors
     ds = _round(desc, m)[0]
     new, ref = ds.round_floors(1e-9), _eig_round_floors(ds, 1e-9)
     assert np.allclose(new, ref, rtol=1e-7, atol=0.0)
@@ -859,20 +861,73 @@ def test_round_floors_match_eig_form(desc, m):
 
 @pytest.mark.parametrize("m", [1, 40])
 def test_round_floors_one_evaluation(monkeypatch, m):
-    # no evaluation, Jacobian or eigen-decomposition: the emitted spline on
-    # the seed's knots and one softmax at its core nodes
+    # no Jacobian or eigen-decomposition: the emitted spline on the seed's
+    # knots and one evaluation on the u-rule, which sigma reads
     ds = _round(FS, m)[0]
     calls = _softmax_columns(monkeypatch)
+    evaluations = _recorded_evaluations(monkeypatch)
 
     def refused(*args):
-        raise AssertionError("round_floors needs no evaluation, Jacobian "
-                             "or eig")
+        raise AssertionError("round_floors needs no Jacobian or eig")
 
-    monkeypatch.setattr(_DSpace, "evaluate", refused)
     monkeypatch.setattr(_DSpace, "jacobian", refused)
     monkeypatch.setattr(np.linalg, "eig", refused)
     ds.round_floors(1e-9)
-    assert calls == [ds.quad.knots.size, ds.core.size]
+    assert len(evaluations) == 1
+    assert calls == [ds.quad.knots.size, m + solvers.EXTRA_NODES]
+
+
+@pytest.mark.parametrize("desc", [BUMP, OFF, BOX], ids=["bump", "off", "box"])
+@pytest.mark.parametrize("m", [8, 40, 120, 200])
+def test_sigma_reads_the_solve_nodes(monkeypatch, desc, m):
+    # sigma_core_err of an iterate one Newton step from the seed, read on
+    # the u-rule's m + 64 nodes (|t| <= 8.2 to 10.8), against the sup of
+    # the same cumulant formula over the seed's nodes |t| <= 10: within 2 %
+    # relative (measured <= 1.03 %, bump at m = 40)
+    finals = []
+    result = solvers._result
+
+    def recorded(ds, ev, *args, **kwargs):
+        finals.append((ds, ev))
+        return result(ds, ev, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_result", recorded)
+    P = make_perturbed_potential(desc, window=default_window(m), grid_size=512)
+    res = newton_balance(m, P, SolverOptions(max_iterations=1))
+    [(ds, ev)] = finals
+    assert not res.converged
+    p = ds.softmax(ev.x, P.quad.nodes[np.abs(P.quad.nodes) <= 10.0])[0]
+    mu = ds.j @ p
+    d = np.subtract.outer(ds.j, mu)
+    k2, k3, k4 = (np.einsum("jt,jt->t", p, d ** k) for k in (2, 3, 4))
+    ref = solvers._sigma_err(m, k2, k3, k4 - 3.0 * k2 * k2)
+    assert abs(res.diagnostics["sigma_core_err"] - ref) <= 0.02 * ref
+
+
+def test_solves_use_one_node_set(off, monkeypatch):
+    # every softmax of a solve is on the u-rule or, for emission, on the
+    # seed's knots: sigma makes no pass on a node set of its own
+    on_rule = []
+    softmax = _DSpace.softmax
+
+    def recorded(self, x, t=None):
+        on_rule.append(t is None or t is self.quad.knots)
+        return softmax(self, x, t)
+
+    monkeypatch.setattr(_DSpace, "softmax", recorded)
+    for solve in (newton_balance, t_balance, tk_iterate):
+        solve(8, off)
+    assert on_rule and all(on_rule)
+
+
+@pytest.mark.parametrize("m", [8, 40])
+def test_sigma_floor_is_independent_of_the_seed(m):
+    # the sigma floor reads the round diagonal on the u-rule alone, so two
+    # Fubini-Study seeds on different quadratures give it bitwise equal
+    floors = [_DSpace(m, make_fs_potential(window, size).quad)
+              .round_floors(1e-9)[1] for window, size in ((22.0, 256),
+                                                          (30.0, 512))]
+    assert floors[0] == floors[1]
 
 
 @pytest.mark.parametrize("m", [8, 40])
