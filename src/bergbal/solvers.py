@@ -31,13 +31,10 @@ window, no tails and no second node set.  The residual is the sup of the
 kernel deviation over the nodes and t = -oo, +oo.  Emission stays on the
 seed's knots; sigma, from exact cumulants, is read on the nodes too.
 
-Newton's Jacobian is Hankel up to known factors: p_i p_l = e^{x_a + x_b -
-x_i - x_l} p_a p_b whenever a + b = i + l, so its integrals are gathered
-from 2m + 1 weighted row sums of q_k = p_a p_b, a = floor(k/2), b = k - a,
-instead of an (m+1) x n x (m+1) product.  The squared offset
-e^2 = (k/2 - mu)^2 in those sums comes from the deviations d2 = (j - mu)^2:
-e^2 = d2_a at even k = 2a and (d2_a + d2_{a+1})/2 - 1/4 at odd k = 2a + 1
-(see _DSpace.jacobian).
+Newton's Jacobian A - I, the derivative of x -> log((m+1) G(Phi_x)) - x,
+is one product of the softmax with its integrands, (m+1) x n by n x (m+1),
+and a row scale (see _DSpace.jacobian).  diag(e^{-x} G)(I - A) is the
+Hessian of Donaldson's convex balancing energy, so it is symmetric.
 """
 import collections
 import dataclasses
@@ -156,10 +153,11 @@ class _DSpace:
     on the t-window nodes this rule replaced), with the same iteration
     counts, histories to two digits and outputs to 3e-14.
 
-    evaluate is the one exponential pass of an iterate; the Jacobian, the
-    moment pairing, the volume integral and sigma read its _Evaluation, and
-    moment_center reads x alone.  j t at the nodes is held, (m + 1) x n, so
-    a node softmax starts from one subtraction.
+    evaluate is the one exponential pass of an iterate.  The Jacobian (one
+    product of p with its integrands), the moment pairing, the volume
+    integral and sigma read its _Evaluation, and moment_center reads x
+    alone.  j t at the nodes is held, (m + 1) x n, so a node softmax starts
+    from one subtraction.
     """
 
     def __init__(self, m, quad):
@@ -228,45 +226,20 @@ class _DSpace:
         = -p_l/m.  The integrand -m psi_l Phi'' + psi_l'' is p_l (2 k2 -
         d2_l) / m, since p_l'' = p_l (d2_l - k2), and the row i is p_i e^{x_i}.
 
-        The sum over the nodes is Hankel up to known factors.  With k = i + l,
-        a = floor(k/2), b = k - a and q_k = p_a p_b, p_i p_l = e^{x_a + x_b
-        - x_i - x_l} q_k; with L = l - k/2 and e = k/2 - mu = (d_a + d_b)/2,
-        d_l = L + e, so
-
-            sum_t w p_i p_l (2 k2 - d2_l)
-                = e^{x_a + x_b - x_i - x_l} (hK_k - L^2 h1_k - 2 L e1_k - e2_k),
-
-        where h1, hK, e1 and e2 are the sums of w q_k times 1, 2 k2, e and
-        e^2.  So 2m + 1 weighted row sums, O(mn), replace an O(m^2 n)
-        product, and A is a gather from them.  e1 = (k/2) h1 - sum w q_k mu
-        enters only as 2 L e1; e^2 is taken from d2, which keeps it exact
-        where e is small: d2_a at even k = 2a, (d2_a + d2_{a+1})/2 - 1/4 at
-        odd k = 2a + 1.  (Expanded in raw moments of mu, e2 cancels by a factor
-        of up to 6e6 at k = 2m, m = 200.)
+        So A is one (m+1) x n by n x (m+1) product, p M^T with the integrands
+        M = p (2 k2 - d2) w / m, after which row i is scaled by e^{x_i}/G_i.
+        Scaling the rows of p before the product forms a scaled copy of p
+        and is slower at m = 200.  The product costs O(m^2 n), but on the
+        u-rule n = m + 64: it is faster than a Hankel gather from 2m + 1 row
+        sums, O(m n), up to m = 120 and slower by under 1 ms a call at
+        m = 200, so the gather's index arrays and exponential factors do not
+        pay.
         """
-        m, w, P, D2 = self.m, self.w, ev.p, ev.d2
-        W = np.stack([np.ones_like(w), ev.mu, 2.0 * ev.k2])
-        h = np.empty((3, 2 * m + 1))    # h1, sum w q mu, hK by k
-        e2 = np.empty(2 * m + 1)
-        # one buffer: q_k = p_i^2 at k = 2i, then p_i p_{i+1} at k = 2i + 1
-        q = np.multiply(P, P)
-        q *= w
-        h[:, 0::2] = W @ q.T
-        e2[0::2] = np.einsum("jt,jt->j", q, D2)
-        q = np.multiply(P[:-1], P[1:], out=q[:-1])
-        q *= w
-        h[:, 1::2] = W @ q.T
-        e2[1::2] = 0.5 * (np.einsum("jt,jt->j", q, D2[:-1])
-                          + np.einsum("jt,jt->j", q, D2[1:])) - 0.25 * h[0, 1::2]
-        h1, hmu, hK = h
-        k = np.arange(2 * m + 1)
-        e1 = 0.5 * k * h1 - hmu
-        K = np.add.outer(k[:m + 1], k[:m + 1])
-        L = 0.5 * (self.j - self.j[:, None])
-        A = (hK - e2)[K] - L * (L * h1[K] + 2.0 * e1[K])
-        x = ev.x
-        A *= np.exp((x[k // 2] + x[k - k // 2])[K] - x - np.log(ev.G)[:, None])
-        A /= m
+        M = np.subtract(2.0 * ev.k2, ev.d2)
+        M *= ev.p
+        M *= self.w / self.m
+        A = ev.p @ M.T
+        A *= (np.exp(ev.x) / ev.G)[:, None]
         return A
 
     def potential(self, x):
