@@ -158,6 +158,9 @@ def _probe_command(cfg, report):
     report["outputs"]["max_distance"] = rep.max_distance
     report["outputs"]["distances"] = rep.distances
     report["outputs"]["excluded_seeds"] = rep.excluded
+    report["outputs"]["seeds"] = [
+        {"iterations": res.iterations, "final_residual": res.final_residual}
+        for res in rep.results]
     for i, res in enumerate(rep.results):
         report["verdicts"]["seed%d_converged" % i] = res.converged
         report["timing"]["seed%d" % i] = res.wall_time

@@ -34,7 +34,11 @@ seed's knots; sigma, from exact cumulants, is read on the nodes too.
 Newton's Jacobian A - I, the derivative of x -> log((m+1) G(Phi_x)) - x,
 is one product of the softmax with its integrands, (m+1) x n by n x (m+1),
 and a row scale (see _DSpace.jacobian).  diag(e^{-x} G)(I - A) is the
-Hessian of Donaldson's convex balancing energy, so it is symmetric.
+Hessian of Donaldson's convex balancing energy, so it is symmetric, and its
+null directions 1 and j (scale and torus) make w = e^{-x} G and j w left
+null vectors of A - I: they span the complement of its range.  So Newton's
+step is one square solve, with columns 0 and m of A - I replaced by w and
+j w, in the gauge dx_0 = dx_m = 0 (see _newton_step).
 """
 import collections
 import dataclasses
@@ -410,31 +414,55 @@ def tk_iterate(m, P0, opts=SolverOptions()):
     return _result(ds, ev, hist, None, opts, t0, "fixed-point")
 
 
+def _newton_step(ds, ev):
+    """Newton's step dx for R(x) = log((m+1) G(Phi_x)) - x at ev, from one
+    square solve; None if that system is singular.
+
+    J = A - I has the null directions 1 and j: R does not see the scale,
+    and _centered removes the torus.  So dx is fixed in the gauge dx_0 =
+    dx_m = 0, as no nonzero a + b j vanishes at 0 and m.  Since diag(w)(I -
+    A), w = e^{-x} G, is symmetric and annihilates 1 and j, w and j w are
+    left null vectors of J and span the complement of its range.  With them
+    in columns 0 and m the system is square and regular; its entries 0 and
+    m, the coefficients of R's part off the range, are dropped.  What is
+    left is the least-squares step up to span{1, j}.
+    """
+    m = ds.m
+    J = ds.jacobian(ev)
+    J[np.diag_indices(m + 1)] -= 1.0
+    w = np.exp(-ev.x) * ev.G
+    J[:, 0] = w
+    J[:, m] = ds.j * w
+    try:
+        dx = np.linalg.solve(J, ev.x - np.log((m + 1) * ev.G))
+    except np.linalg.LinAlgError:
+        return None
+    dx[[0, m]] = 0.0
+    return dx
+
+
 def _gauss_newton(ds, x0, opts):
     """Newton (exact Jacobian) on R(x) = log((m+1) G(Phi_x)) - x.
 
-    The scale and torus null directions are deflated by the augmented rows
-    1^T dx = 0 and j^T dx = 0, gauge rows transversal to the directions 1
-    and j; _centered, not the row j^T dx = 0, moves each trial to moment
-    center 0.  The roots are exactly the balanced diagonals.  The step
-    length is measured, not set: the trials x + a dx, a = 1, 1/2, ...,
+    Each step solves one square system (_newton_step), in the gauge
+    dx_0 = dx_m = 0 for the scale and torus null directions 1 and j;
+    _centered then moves each trial to moment center 0.  A singular system
+    declines the step.  The roots are exactly the balanced diagonals.  The
+    step length is measured, not set: the trials x + a dx, a = 1, 1/2, ...,
     1/64, are moment-centered and evaluated in turn, and the first whose
     residual is below (1 - 1e-4 a) times the last one is taken (Dennis &
     Schnabel 1983, ch. 6); if none is, the step declines.  The solve also
     stops early once three steps in a row fail to halve the residual.
     Returns _iterate's (evaluation, history).
     """
-    m = ds.m
 
     def step(ev, hist):
         if len(hist) >= 4 and all(
                 b > 0.5 * a for a, b in zip(hist[-4:-1], hist[-3:])):
             return None
-        R = np.log((m + 1) * ev.G) - ev.x
-        J = ds.jacobian(ev) - np.eye(m + 1)
-        Jaug = np.vstack([J, np.ones(m + 1), ds.j])
-        rhs = np.concatenate([-R, [0.0, 0.0]])
-        dx, *_ = np.linalg.lstsq(Jaug, rhs, rcond=None)
+        dx = _newton_step(ds, ev)
+        if dx is None:
+            return None
         for a in 0.5 ** np.arange(7):
             trial = _centered(ds, ev.x + a * dx)
             if trial.sup < (1.0 - 1e-4 * a) * hist[-1]:

@@ -201,6 +201,25 @@ levels: [1]
     assert code == 0
 
 
+def test_probe_reports_its_seed_solves(tmp_path):
+    # each seed's Newton steps and final residual reach report.json: the
+    # round seed is balanced already, the bump takes steps
+    cfg = _write(tmp_path, """
+command: probe
+seeds: [{type: gaussian-bump, amplitude: 0.07, width: 1.3, center: 0.45},
+        {type: fubini-study}]
+levels: [8]
+""")
+    out = tmp_path / "out"
+    assert main(["probe", "--config", cfg, "--out", str(out)]) == 0
+    report = load_report(out / "report.json")
+    bump, fs = report["outputs"]["seeds"]
+    assert bump["iterations"] > 0 and fs["iterations"] == 0
+    for seed in (bump, fs):
+        assert isinstance(seed["iterations"], int)
+        assert 0.0 <= seed["final_residual"] <= 1e-8
+
+
 def test_help_lists_exit_codes(capsys):
     assert main(["--help"]) == 0
     out = " ".join(capsys.readouterr().out.split())

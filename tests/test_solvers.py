@@ -18,6 +18,8 @@ from bergbal.bergman import WindowError, _rows, c_of_m, _LOG_TINY
 
 BUMP = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.0}
 OFF = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.5}
+# a bump from the bench box
+BOX = {"type": "gaussian-bump", "amplitude": 0.07, "width": 1.3, "center": 0.45}
 FS = {"type": "fubini-study"}
 GRID = np.linspace(-18.0, 18.0, 2001)
 
@@ -590,6 +592,69 @@ def test_hessian_is_symmetric(desc, m):
     assert np.max(np.abs(H - H.T)) <= 1e-12 * np.max(np.abs(H))
 
 
+@pytest.mark.parametrize("desc", [BUMP, OFF, "round"],
+                         ids=["bump", "off", "round"])
+@pytest.mark.parametrize("m", [8, 40, 120, 200])
+def test_jacobian_left_null_vectors(desc, m):
+    # H 1 = H j = 0 and H symmetric make w = e^{-x} G and j w left null
+    # vectors of J = A - I, the fact _newton_step rests on: to 1e-12 of
+    # max|J| on the seeds and on the closed-form round diagonal (measured
+    # <= 5.3e-14)
+    ds, x = _round(FS, m) if desc == "round" else _seeded(desc, m)
+    ev = ds.evaluate(x)
+    J = ds.jacobian(ev) - np.eye(m + 1)
+    w = np.exp(-x) * ev.G
+    gap = max(np.max(np.abs(w @ J)), np.max(np.abs((ds.j * w) @ J)))
+    assert gap <= 1e-12 * np.max(np.abs(J))
+
+
+def _lstsq_step(ds, ev):
+    """Newton's step by least squares on J = A - I with the gauge rows
+    1^T dx = 0 and j^T dx = 0 appended: the reference _newton_step
+    replaced."""
+    m = ds.m
+    J = ds.jacobian(ev) - np.eye(m + 1)
+    Jaug = np.vstack([J, np.ones(m + 1), ds.j])
+    rhs = np.concatenate([ev.x - np.log((m + 1) * ev.G), [0.0, 0.0]])
+    return np.linalg.lstsq(Jaug, rhs, rcond=None)[0]
+
+
+@pytest.mark.parametrize("desc", [BOX, OFF, BUMP], ids=["box", "off", "bump"])
+@pytest.mark.parametrize("m", [8, 40, 120, 200])
+def test_newton_step_matches_lstsq(desc, m):
+    # the square solve's step from the seed equals the least-squares one up
+    # to span{1, j}: to 1e-8 relative once that span is projected out
+    # (measured <= 1.4e-10)
+    ds, x = _seeded(desc, m)
+    ev = ds.evaluate(x)
+    Q = np.linalg.qr(np.stack([np.ones(m + 1), ds.j], axis=1))[0]
+    ref = _lstsq_step(ds, ev)
+    gap = solvers._newton_step(ds, ev) - ref
+    for v in (gap, ref):
+        v -= Q @ (Q.T @ v)
+    assert np.linalg.norm(gap) <= 1e-8 * np.linalg.norm(ref)
+
+
+def test_newton_makes_no_lstsq_call(off, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("Newton's step is one square solve, no lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    res = newton_balance(40, off)
+    assert res.converged and res.iterations > 0
+
+
+def test_singular_newton_system_declines(off, monkeypatch):
+    # A = I makes J = A - I zero, so the square system is singular: the
+    # solve declines its first step, converged = False with the seed's sup
+    monkeypatch.setattr(_DSpace, "jacobian",
+                        lambda self, ev: np.eye(self.m + 1))
+    res = newton_balance(8, off)
+    assert not res.converged and res.iterations == 0
+    assert res.residual_history.shape == (1,)
+    assert np.isfinite(res.final_residual) and res.final_residual > 1e-8
+
+
 def _parent_evaluation(ds, x):
     """G and dev of ds.evaluate(x) in the form that the row scale replaces:
     the softmax exponentiated by np.exp alone, the rows E = p e^x formed,
@@ -671,10 +736,7 @@ def test_softmax_exponentials_plain_at_low_levels(m, monkeypatch):
         assert np.array_equal(out, _assert_exp_floor(z, low, out))
 
 
-# a bump from the bench box, on the window of the top bench level
-BOX = {"type": "gaussian-bump", "amplitude": 0.07, "width": 1.3, "center": 0.45}
-
-
+# BOX on the window of the top bench level
 @pytest.fixture(scope="module")
 def box():
     return make_perturbed_potential(BOX, window=default_window(200),
