@@ -203,7 +203,8 @@ def parse_config(document, strict=False):
     """
     if isinstance(document, str):
         try:
-            doc = yaml.safe_load(document)
+            loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml
+            doc = yaml.load(document, Loader=loader)
         except yaml.YAMLError as e:
             raise ConfigError(["not well-formed YAML: %s" % e])
     else:

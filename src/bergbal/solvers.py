@@ -54,6 +54,8 @@ from .bergman import section_norms, c_of_m, _exp_floor, _kernel
 
 # nodes of the u-rule beyond the level: n = m + EXTRA_NODES (see _DSpace)
 EXTRA_NODES = 64
+# entries of p below this are zero in the Jacobian (see _DSpace.jacobian)
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -160,8 +162,11 @@ class _DSpace:
     evaluate is the one exponential pass of an iterate.  The Jacobian (one
     product of p with its integrands), the moment pairing, the volume
     integral and sigma read its _Evaluation, and moment_center reads x
-    alone.  j t at the nodes is held, (m + 1) x n, so a node softmax starts
-    from one subtraction.
+    alone.  An evaluation's terms that depend on the nodes alone are held:
+    j t, (m + 1) x n, so a node softmax starts from one subtraction; low =
+    min(0, m t), the node part of _exp_floor's column bound; and C = C_m.
+    At m <= 12 an array holds under 1,000 entries, a NumPy call costs about
+    as much as its arithmetic, and an evaluation costs its call count.
     """
 
     def __init__(self, m, quad):
@@ -170,21 +175,24 @@ class _DSpace:
         self.t, self.w = _u_rule(self.m + EXTRA_NODES)
         self.j = np.arange(self.m + 1, dtype=float)
         self.jt = np.multiply.outer(self.j, self.t)
+        self.low = np.minimum(0.0, self.m * self.t)
+        self.C = c_of_m(self.m)
 
     def softmax(self, x, t=None):
         """p_jt = e^{jt - x_j} / sum_l e^{lt - x_l} and S_t = m Phi_x(t) at
         the points t (the nodes if None), in one exponential pass: z = jt -
         x is shifted by its column maximum a, exponentiated in place by
-        bergman._exp_floor, with the column bound min(0, m t) - max(x) - a,
-        and divided by its column sums s; S = a + log s."""
+        bergman._exp_floor, with the column bound min(0, m t) - max(x) - a
+        (its first term held at the nodes), and divided by its column sums
+        s; S = a + log s."""
         if t is None:
-            t, p = self.t, self.jt - x[:, None]
+            low, p = self.low, self.jt - x[:, None]
         else:
-            p = np.multiply.outer(self.j, t)
+            low, p = np.minimum(0.0, self.m * t), np.multiply.outer(self.j, t)
             p -= x[:, None]
         a = p.max(axis=0)
         p -= a
-        _exp_floor(p, np.minimum(0.0, self.m * t) - x.max() - a)
+        _exp_floor(p, low - x.max() - a)
         s = p.sum(axis=0)
         p /= s
         return p, a + np.log(s)
@@ -204,15 +212,16 @@ class _DSpace:
         p_jt e^{x_j}, read with the row scale e^x so that the rows are never
         formed, the deviation dev = B_m - C_m and its sup, which takes t = -oo
         and +oo too: there p is e_0 and e_m, and dev is e^{x_0}/(m G_0) - C_m
-        and e^{x_m}/(m G_m) - C_m."""
+        and e^{x_m}/(m G_m) - C_m, two scalars formed as such."""
+        m, C = self.m, self.C
         p = self.softmax(x)[0]
         mu, d2, k2 = self._moments(p)
-        dens = k2 / self.m
+        dens = k2 / m
         ex = np.exp(x)
         G = ex * (p @ (self.w * dens))
-        dev = _kernel(self.m, p, G, ex) - c_of_m(self.m)
-        ends = ex[[0, -1]] / G[[0, -1]] / self.m - c_of_m(self.m)
-        sup = max(np.abs(dev).max(), np.abs(ends).max())
+        dev = _kernel(m, p, G, ex) - C
+        sup = max(np.abs(dev).max(), abs(ex[0] / G[0] / m - C),
+                  abs(ex[-1] / G[-1] / m - C))
         return _Evaluation(x, p, mu, d2, k2, dens, G, dev, float(sup))
 
     def _integral(self, vals, ev):
@@ -232,17 +241,21 @@ class _DSpace:
 
         So A is one (m+1) x n by n x (m+1) product, p M^T with the integrands
         M = p (2 k2 - d2) w / m, after which row i is scaled by e^{x_i}/G_i.
-        Scaling the rows of p before the product forms a scaled copy of p
-        and is slower at m = 200.  The product costs O(m^2 n), but on the
-        u-rule n = m + 64: it is faster than a Hankel gather from 2m + 1 row
-        sums, O(m n), up to m = 120 and slower by under 1 ms a call at
-        m = 200, so the gather's index arrays and exponential factors do not
-        pay.
+        Both factors read a copy of p with its entries below sqrt(DBL_MIN)
+        set to zero: at m >= 120 many entries of p are tiny normals whose
+        pairwise products underflow, and the product ran 4-5 times slower
+        on them (1.3 ms against 0.5 ms at m = 200).  A dropped term is below
+        sqrt(DBL_MIN) |(2 k2 - d2) w / m|, under the rounding of every entry
+        of A, so A is unchanged, bit for bit on the seeds up to m = 200.
+        The product costs O(m^2 n), but on the u-rule n = m + 64: it is
+        faster than a Hankel gather from 2m + 1 row sums, O(m n), up to
+        m = 200, so the gather's index arrays and exponentials do not pay.
         """
+        p = np.where(ev.p < _SQRT_TINY, 0.0, ev.p)
         M = np.subtract(2.0 * ev.k2, ev.d2)
-        M *= ev.p
+        M *= p
         M *= self.w / self.m
-        A = ev.p @ M.T
+        A = p @ M.T
         A *= (np.exp(ev.x) / ev.G)[:, None]
         return A
 

@@ -48,13 +48,24 @@ def test_minimal_configs_parse():
         assert cfg.warnings == []
 
 
-def test_yaml_text_and_echo():
-    cfg = parse_config("""
+ECHO_TEXT = """
 command: newton
 potential: {type: fubini-study}
 levels: [6]
 solver: {tolerance: 1.0e-10, max_iterations: 40}
-""")
+"""
+# YAML reads 1e-10 (no decimal point) as a string
+TYPED_TEXT = """command: newton
+potential: {type: fubini-study}
+levels: [4]
+solver: {tolerance: 1e-10}
+"""
+LIST_TEXT = "- just\n- a list\n"
+MALFORMED_TEXT = "command: [unclosed"
+
+
+def test_yaml_text_and_echo():
+    cfg = parse_config(ECHO_TEXT)
     assert cfg.solver.tolerance == 1e-10
     assert cfg.solver.max_iterations == 40
     echo = cfg.echo()
@@ -108,12 +119,37 @@ def test_golden_echo():
 
 def test_malformed_yaml():
     with pytest.raises(ConfigError, match="not well-formed"):
-        parse_config("command: [unclosed")
+        parse_config(MALFORMED_TEXT)
 
 
 def test_top_level_must_be_mapping():
     with pytest.raises(ConfigError, match="top level"):
-        parse_config("- just\n- a list\n")
+        parse_config(LIST_TEXT)
+
+
+def _typed(obj):
+    """obj with every scalar paired with its type, so that == tells 1 from
+    1.0 and True from 1."""
+    if isinstance(obj, dict):
+        return {_typed(k): _typed(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_typed(v) for v in obj]
+    return type(obj), obj
+
+
+def test_libyaml_loader_reads_as_the_python_one():
+    # parse_config loads with libyaml's safe loader where PyYAML has it:
+    # every text here and the dump of every MINIMAL and FULL config load to
+    # the same objects under both loaders, and both refuse the malformed one
+    fast = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    texts = [ECHO_TEXT, TYPED_TEXT, LIST_TEXT] + [
+        yaml.safe_dump(doc) for doc in [*MINIMAL.values(), FULL]]
+    for text in texts:
+        assert _typed(yaml.load(text, Loader=fast)) == \
+            _typed(yaml.load(text, Loader=yaml.SafeLoader)), text
+    for loader in (fast, yaml.SafeLoader):
+        with pytest.raises(yaml.YAMLError):
+            yaml.load(MALFORMED_TEXT, Loader=loader)
 
 
 def test_unknown_command():
@@ -158,9 +194,8 @@ def test_solver_fields_are_typed():
         parse_config(doc)
     assert exc.value.errors == ["solver.tolerance: expected a number",
                                 "solver.max_iterations: expected an integer"]
-    text = "command: newton\npotential: {type: fubini-study}\nlevels: [4]\n"
     with pytest.raises(ConfigError, match="solver.tolerance: expected a number"):
-        parse_config(text + "solver: {tolerance: 1e-10}\n")
+        parse_config(TYPED_TEXT)
     # no silent truncation to 2, no boolean read as 1.0
     for key, value, expected in (("max_iterations", 2.5, "an integer"),
                                  ("max_iterations", True, "an integer"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import sympy
+from scipy.interpolate import make_interp_spline
 
 from bergbal import model
 from bergbal.model import (
@@ -9,8 +10,10 @@ from bergbal.model import (
     make_fs_potential, make_perturbed_potential, scalar_curvature,
     translate_potential,
 )
+from bergbal.solvers import newton_balance
 
 BUMP = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.0}
+OFF = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.5}
 
 
 @pytest.fixture(scope="module")
@@ -268,3 +271,52 @@ def test_derivative_fallback_matches_attached(fs):
     f_plain = GridFunction(vals, t)
     d2 = f_plain.derivative(2)
     assert np.max(np.abs(d2 - (t ** 2 - 1) * vals)) < 1e-7
+
+
+def _recorded_potentials(monkeypatch):
+    """The list of (potential, knot values) of every RadialPotential built."""
+    built = []
+    init = model.RadialPotential.__init__
+
+    def recorded(self, quad, phi_knot_values, *args, **kwargs):
+        init(self, quad, phi_knot_values, *args, **kwargs)
+        built.append((self, np.asarray(phi_knot_values, dtype=float)))
+
+    monkeypatch.setattr(model.RadialPotential, "__init__", recorded)
+    return built
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_perturbed_potential(BUMP, window=20.0, grid_size=512),
+    lambda: make_fs_potential(window=20.0, grid_size=512),
+    lambda: translate_potential(
+        make_perturbed_potential(BUMP, window=20.0, grid_size=512), 0.7),
+    lambda: newton_balance(
+        8, make_perturbed_potential(OFF, window=20.0, grid_size=512))],
+    ids=["bump", "fs", "translate", "newton"])
+def test_derivative_splines_are_the_eager_ones(build, monkeypatch):
+    # each phi^(k), built on first use, is bit for bit the derivative of
+    # the spline through the knot values before the gauge shift
+    built = _recorded_potentials(monkeypatch)
+    build()
+    assert built
+    for P, vals in built:
+        spline = make_interp_spline(P.quad.knots, vals, k=5)
+        t = P.quad.nodes
+        for k in range(1, 6):
+            assert np.array_equal(P.phi_d(t, k), spline.derivative(k)(t)), k
+
+
+def test_solver_output_builds_two_derivative_splines(bump, monkeypatch):
+    # emission reads phi' and phi'' alone, in the decay and positivity
+    # checks, so a solve builds no other derivative spline
+    orders = []
+    derivative = model.BSpline.derivative
+
+    def recorded(self, nu=1):
+        orders.append(nu)
+        return derivative(self, nu)
+
+    monkeypatch.setattr(model.BSpline, "derivative", recorded)
+    res = newton_balance(8, bump)
+    assert res.converged and sorted(orders) == [1, 2]

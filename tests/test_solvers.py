@@ -14,7 +14,9 @@ from bergbal.solvers import (
 )
 from bergbal import model, runner, solvers
 from bergbal.config import parse_config
-from bergbal.bergman import WindowError, _rows, c_of_m, _LOG_TINY
+from bergbal.bergman import (
+    WindowError, _exp_floor, _kernel, _rows, c_of_m, _LOG_TINY,
+)
 
 BUMP = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.0}
 OFF = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.5}
@@ -683,6 +685,73 @@ def test_evaluate_matches_parent_form(m):
         G, dev = _parent_evaluation(ds, x)
         assert np.max(np.abs(ev.G / G - 1.0)) <= 1e-13
         assert np.max(np.abs(ev.dev - dev)) <= 1e-13 * c_of_m(m)
+
+
+def _reference_softmax(ds, x):
+    """ds.softmax(x) with its column bound formed from the nodes t."""
+    p = ds.jt - x[:, None]
+    a = p.max(axis=0)
+    p -= a
+    _exp_floor(p, np.minimum(0.0, ds.m * ds.t) - x.max() - a)
+    s = p.sum(axis=0)
+    p /= s
+    return p, a + np.log(s)
+
+
+def _reference_evaluate(ds, x):
+    """ds.evaluate(x) in the form that the held node terms replace:
+    _reference_softmax, _moments, c_of_m at each use, and the two ends read
+    by fancy indexing."""
+    m = ds.m
+    p = _reference_softmax(ds, x)[0]
+    mu, d2, k2 = ds._moments(p)
+    dens = k2 / m
+    ex = np.exp(x)
+    G = ex * (p @ (ds.w * dens))
+    dev = _kernel(m, p, G, ex) - c_of_m(m)
+    ends = ex[[0, -1]] / G[[0, -1]] / m - c_of_m(m)
+    sup = max(np.abs(dev).max(), np.abs(ends).max())
+    return solvers._Evaluation(x, p, mu, d2, k2, dens, G, dev, float(sup))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 12, 40, 120, 200, "overshoot"])
+def test_evaluate_matches_reference(m, monkeypatch):
+    # every field bit for bit, on the seeds and on a far trial iterate
+    if m == "overshoot":
+        cases = [_overshoot_trial(monkeypatch)]
+    else:
+        cases = [_seeded(desc, m) for desc in (BUMP, OFF)]
+    for ds, x in cases:
+        ev, ref = ds.evaluate(x), _reference_evaluate(ds, x)
+        for field, a, b in zip(ev._fields, ev, ref):
+            assert np.array_equal(a, b), field
+        assert np.array_equal(ds.softmax(x)[1], _reference_softmax(ds, x)[1])
+
+
+def _unfloored_jacobian(ds, ev):
+    """ds.jacobian(ev) from p as it is, with no entry set to zero."""
+    M = np.subtract(2.0 * ev.k2, ev.d2)
+    M *= ev.p
+    M *= ds.w / ds.m
+    A = ev.p @ M.T
+    A *= (np.exp(ev.x) / ev.G)[:, None]
+    return A
+
+
+@pytest.mark.parametrize("m", [8, 40, 120, 200, "overshoot"])
+def test_jacobian_floor_leaves_a_unchanged(m, monkeypatch):
+    # the entries of p below sqrt(DBL_MIN) that jacobian drops are below
+    # the rounding of every entry of A: bit for bit on the seeds and on a
+    # far trial iterate, and at m >= 120 there are such entries to drop
+    if m == "overshoot":
+        cases = [_overshoot_trial(monkeypatch)]
+    else:
+        cases = [_seeded(desc, m) for desc in (BOX, OFF, BUMP)]
+    for ds, x in cases:
+        ev = ds.evaluate(x)
+        assert np.array_equal(ds.jacobian(ev), _unfloored_jacobian(ds, ev))
+        if ds.m >= 120:
+            assert np.any((ev.p > 0.0) & (ev.p < solvers._SQRT_TINY))
 
 
 def _softmax_exponents(ds, x, monkeypatch):
