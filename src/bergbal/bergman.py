@@ -20,9 +20,10 @@ matrix-vector product of the rows with the inverse Gram weights.  _kernel
 takes rows R with a per-row scale s, the row j being s_j R_j: the x = log D
 solvers (solvers._DSpace) pass the softmax they hold with s = e^x, so the
 rows are never formed there, and form their own Gram diagonal on nodes that
-need no tails.  Both exponential passes go through _exp_floor, which skips
-the exponentials that fall below the smallest normal double.  Volume
-integrals go through model.integrate.
+need no tails; a solve's seed is _rows of its input on those nodes.  Both
+exponential passes go through _exp_floor, which skips the exponentials that
+fall below the smallest normal double.  Volume integrals go through
+model.integrate.
 """
 import numpy as np
 from scipy.special import expit, betaln, betainc
@@ -145,11 +146,18 @@ def _kernel(m, R, weights, s=1.0):
     return ((s / weights) @ R) / m
 
 
+def _check_window(m, window):
+    """m as an int: a ValueError unless it is a level in [1, MAX_LEVEL], and
+    a WindowError unless the window is wide enough for it."""
+    m = _check_level(m)
+    for _, message in discretization_errors(window, None, None, m):
+        raise WindowError("window " + message)
+    return m
+
+
 def _norms_and_rows(m, P):
     """section_norms(m, P) and the rows it integrates, at all nodes."""
-    m = _check_level(m)
-    for _, message in discretization_errors(P.window, None, None, m):
-        raise WindowError("window " + message)
+    m = _check_window(m, P.window)
     factors = (np.exp(-m * P.c_minus), np.exp(-m * P.c_plus))
     E = _rows(m, P.quad.nodes, P.node_values("Phi"))
     G = _gram(m, P.quad, E, P.node_values("dens"), factors)

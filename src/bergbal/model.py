@@ -16,7 +16,7 @@ sigma is 2 for every metric in the class (Gauss-Bonnet).
 """
 import numpy as np
 from scipy.special import expit
-from scipy.interpolate import BSpline, make_interp_spline
+from scipy.interpolate import make_interp_spline
 
 DECAY_TOL = 1e-10
 # the bounds of discretization_errors: leggauss(order) diagonalizes an order
@@ -185,12 +185,11 @@ class RadialPotential:
 
     phi lives on the knots of quad, a read-only Quadrature that potentials
     built from one another share: make_fs_potential and
-    make_perturbed_potential build one, and a solve's output, a translate
-    and every family level (_from_knot_values) keep their seed's.
-    Immutable after construction; derived node arrays are cached.  The
-    spline of phi^(k) is built on first use from the coefficients as they
-    were before the gauge shift, so it is bit for bit the one an eager build
-    gives: a solver output reads only k = 1 and 2.
+    make_perturbed_potential build one, and a translate and the spline of a
+    solve's output (_from_knot_values) keep their seed's.  Immutable after
+    construction; derived node arrays are cached.  The splines of phi^(k),
+    k = 1..5, are built before the gauge shift: a constant, it would change
+    them only by rounding.
     """
 
     def __init__(self, quad, phi_knot_values, decay_tol=DECAY_TOL):
@@ -201,8 +200,7 @@ class RadialPotential:
         if vals.shape != quad.knots.shape:
             raise ValueError("knot value array has wrong length")
         self._spline = make_interp_spline(quad.knots, vals, k=5)
-        self._unshifted = self._spline.c
-        self._dsplines = {}
+        self._dsplines = [self._spline.derivative(k) for k in range(1, 6)]
         # additive gauge: mean-zero against the Fubini-Study measure
         c0 = self._fs_mean(self._spline(quad.nodes))
         self._spline.c = self._spline.c - c0
@@ -221,8 +219,8 @@ class RadialPotential:
 
     def _check_decay(self):
         for tb in (-self.window, self.window):
-            d1 = abs(self._dspline(1)(tb))
-            d2 = abs(self._dspline(2)(tb))
+            d1 = abs(self._dsplines[0](tb))
+            d2 = abs(self._dsplines[1](tb))
             if d1 > self.decay_tol or d2 > self.decay_tol:
                 raise ValueError(
                     "perturbation does not settle at the window: "
@@ -236,14 +234,6 @@ class RadialPotential:
             i = bad[np.argmin(dens[bad])]
             raise PositivityError(self.quad.nodes[i], dens[i])
 
-    def _dspline(self, k):
-        """The spline of phi^(k), built on first use."""
-        if k not in self._dsplines:
-            s = self._spline
-            self._dsplines[k] = BSpline.construct_fast(
-                s.t, self._unshifted, s.k).derivative(k)
-        return self._dsplines[k]
-
     # -- pointwise evaluation, valid for all real t ------------------------
 
     def phi(self, t):
@@ -256,7 +246,7 @@ class RadialPotential:
         if k not in (1, 2, 3, 4, 5):
             raise ValueError("k out of range: %r" % (k,))
         t = np.asarray(t, dtype=float)
-        out = self._dspline(k)(np.clip(t, -self.window, self.window))
+        out = self._dsplines[k - 1](np.clip(t, -self.window, self.window))
         return np.where(np.abs(t) > self.window, 0.0, out)
 
     def Phi(self, t):
@@ -367,7 +357,8 @@ def _resample_tabulated(desc, knots, window):
 
 
 def _from_knot_values(vals, quad):
-    """Internal constructor for solver outputs: the potential with knot
+    """Internal constructor for a solve's spline (see
+    solvers.BalanceResult.potential) and translates: the potential with knot
     values vals on the shared, read-only quadrature quad (its seed's).
 
     Positivity and shape validation still apply; the decay tolerance is

@@ -2,8 +2,9 @@
 
 The CSVs hold the table numbers.  Tables are plot-ready: one row per
 quadrature node in a run's one table of node samples (the node t, then a
-column per sampled quantity and level), one row per iteration for residual
-histories.  A CSV has a header row of column names, then one row per entry;
+column per sampled quantity and level; a solve's phi and density are read
+exactly from its diagonal x at the nodes), one row per iteration for
+residual histories.  A CSV has a header row of column names, then one row per entry;
 a cell writes a float as %.17g, a bool as 1 or 0 and anything else as str().
 
 report.json holds everything else, and in place of each table's columns its

@@ -4,8 +4,9 @@ Every run produces the same report structure: config echo, versions,
 conventions, command outputs, plot-ready tables (written as CSVs, which
 report.json indexes), pass/fail verdicts, and timing.  A run's samples at
 the quadrature nodes t share one table, `potential`, `beta` or `expansion`,
-whose first column is t.  Reports are deterministic up to the timing block,
-at a fixed BLAS thread count.
+whose first column is t; a solve's phi and density columns read its Phi_x
+exactly there (solvers.BalanceResult.read), with no spline.  Reports are
+deterministic up to the timing block, at a fixed BLAS thread count.
 """
 import time
 
@@ -72,9 +73,9 @@ def _solve_command(cfg, report):
         report["verdicts"]["m%d_converged" % m] = res.converged
         report["tables"].append(
             _history_table("history_m%d" % m, res.residual_history))
-        _add_node_columns(report, "potential", P, {
-            "phi_m%d" % m: res.potential.phi(P.quad.nodes),
-            "density_m%d" % m: res.potential.node_values("dens")})
+        phi, dens = res.read(P.quad.nodes)
+        _add_node_columns(report, "potential", P,
+                          {"phi_m%d" % m: phi, "density_m%d" % m: dens})
     report["outputs"]["levels"] = per_level
 
 

@@ -22,14 +22,17 @@ the softmax variance over m.  The moment center needs no pass at all: it is
 from p with the row scale e^x and hands both to the kernel engine of
 bergman.py, so the rows themselves are never formed, and returns one
 _Evaluation record; the Jacobian, the moment pairing, the volume integral
-and every solver step read that record by name.  Off the nodes Phi_x = S/m
-comes from the same softmax at the knots, for emission.
+and every solver step read that record by name.
 
 The nodes are one Gauss-Legendre rule in u = expit(t), m + 64 of them (see
 _DSpace): in u the Gram integrand is smooth on [0, 1], so a solve needs no
-window, no tails and no second node set.  The residual is the sup of the
-kernel deviation over the nodes and t = -oo, +oo.  Emission stays on the
-seed's knots; sigma, from exact cumulants, is read on the nodes too.
+window, no tails and no second node set.  The seed is the Gram diagonal of
+the input potential on the same rule (_seed).  The residual is the sup of
+the kernel deviation over the nodes and t = -oo, +oo; sigma, from exact
+cumulants, is read on the nodes too.  A solve's answer is its x: the
+BalanceResult reads phi and the density of Phi_x exactly at any points
+(_DSpace.read), with no spline, and a family level is seeded from the
+previous level's Phi_x the same way.
 
 Newton's Jacobian A - I, the derivative of x -> log((m+1) G(Phi_x)) - x,
 is one product of the softmax with its integrands, (m+1) x n by n x (m+1),
@@ -50,7 +53,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from .model import fs_derivative, _from_knot_values
-from .bergman import section_norms, c_of_m, _exp_floor, _kernel
+from .bergman import c_of_m, _check_window, _exp_floor, _kernel, _rows
 
 # nodes of the u-rule beyond the level: n = m + EXTRA_NODES (see _DSpace)
 EXTRA_NODES = 64
@@ -74,10 +77,21 @@ class SolverOptions:
 
 
 class BalanceResult:
-    def __init__(self, level, potential, torus_weight, residual_history,
+    """A solve's answer: the diagonal x = log D of Phi_x at level m, on its
+    seed's quadrature quad, with the history and diagnostics of the solve.
+
+    read(t) gives phi and the density of Phi_x exactly at any points (see
+    _DSpace.read).  Phi and density are what a solve reads of its seed, so
+    a result seeds the next level of a family.  potential is the spline
+    RadialPotential of Phi_x, built on first use, for callers that pass a
+    solution to the kernel functions: the quintic through the ungauged knot
+    values S/m - log(1 + e^t) on quad."""
+
+    def __init__(self, level, x, quad, torus_weight, residual_history,
                  converged, iterations, wall_time, mode, diagnostics=None):
         self.level = level
-        self.potential = potential
+        self.x = x
+        self.quad = quad
         self.torus_weight = torus_weight
         self.residual_history = np.asarray(residual_history, dtype=float)
         self.converged = bool(converged)
@@ -93,6 +107,20 @@ class BalanceResult:
     @property
     def final_residual(self):
         return float(self.residual_history[-1])
+
+    def read(self, t):
+        return _DSpace(self.level).read(self.x, t)
+
+    def Phi(self, t):
+        return fs_derivative(t, 0) + self.read(t)[0]
+
+    def density(self, t):
+        return self.read(t)[1]
+
+    @functools.cached_property
+    def potential(self):
+        vals = _DSpace(self.level)._phi(self.x, self.quad.knots)[0]
+        return _from_knot_values(vals, self.quad)
 
 
 class FamilyReport:
@@ -143,8 +171,7 @@ def _u_rule(n):
 
 
 class _DSpace:
-    """Shared arrays for one solve at level m: the u-rule, and the seed's
-    quadrature quad for emission on its knots and the d floor's rounding.
+    """Shared arrays for one solve at level m, on the u-rule.
 
     The nodes t and dt-weights w are _u_rule(m + EXTRA_NODES).  With
     u = expit(t), G_j = e^{x_j} int_0^1 p_j k2 / (m u (1 - u)) du has an
@@ -167,11 +194,11 @@ class _DSpace:
     min(0, m t), the node part of _exp_floor's column bound; and C = C_m.
     At m <= 12 an array holds under 1,000 entries, a NumPy call costs about
     as much as its arithmetic, and an evaluation costs its call count.
+    read, a solve's answer at other points, takes its own softmax there.
     """
 
-    def __init__(self, m, quad):
+    def __init__(self, m):
         self.m = int(m)
-        self.quad = quad
         self.t, self.w = _u_rule(self.m + EXTRA_NODES)
         self.j = np.arange(self.m + 1, dtype=float)
         self.jt = np.multiply.outer(self.j, self.t)
@@ -179,12 +206,12 @@ class _DSpace:
         self.C = c_of_m(self.m)
 
     def softmax(self, x, t=None):
-        """p_jt = e^{jt - x_j} / sum_l e^{lt - x_l} and S_t = m Phi_x(t) at
-        the points t (the nodes if None), in one exponential pass: z = jt -
-        x is shifted by its column maximum a, exponentiated in place by
+        """p_jt = e^{jt - x_j} / sum_l e^{lt - x_l} at the points t (the
+        nodes if None), in one exponential pass, with a and s: z = jt - x is
+        shifted by its column maximum a, exponentiated in place by
         bergman._exp_floor, with the column bound min(0, m t) - max(x) - a
         (its first term held at the nodes), and divided by its column sums
-        s; S = a + log s."""
+        s.  m Phi_x(t) = a + log s, which _phi forms."""
         if t is None:
             low, p = self.low, self.jt - x[:, None]
         else:
@@ -195,7 +222,24 @@ class _DSpace:
         _exp_floor(p, low - x.max() - a)
         s = p.sum(axis=0)
         p /= s
-        return p, a + np.log(s)
+        return p, a, s
+
+    def _phi(self, x, t):
+        """S/m - log(1 + e^t), with S = m Phi_x = a + log s, and the softmax
+        p at the points t."""
+        p, a, s = self.softmax(x, t)
+        return (a + np.log(s)) / self.m - fs_derivative(t, 0), p
+
+    def read(self, x, t):
+        """phi = Phi_x - log(1 + e^t) and the density Phi_x'' = k2/m at the
+        points t, exact: one softmax at the nodes and t, no spline.  phi is
+        gauged to Fubini-Study mean zero, as RadialPotential gauges a spline:
+        the mean is int phi du on the u-rule, exact to rounding because phi
+        is analytic in u, (1/m) log sum_j e^{-x_j} u^j (1 - u)^{m-j}."""
+        n = self.t.size
+        phi, p = self._phi(x, np.concatenate((self.t, t)))
+        phi = phi[n:] - (self.w * fs_derivative(self.t, 2)) @ phi[:n]
+        return phi, self._moments(p[:, n:])[2] / self.m
 
     def _moments(self, p):
         """The softmax mean mu, the squared deviations d2 = (j - mu)^2 and
@@ -259,13 +303,6 @@ class _DSpace:
         A *= (np.exp(ev.x) / ev.G)[:, None]
         return A
 
-    def potential(self, x):
-        # emit on the seed's own quadrature: a finer grid would only amplify
-        # the float noise of the knot values in the spline's edge derivatives
-        q = self.quad
-        Phi = self.softmax(x, q.knots)[1] / self.m
-        return _from_knot_values(Phi - fs_derivative(q.knots, 0), q)
-
     def _cumulants(self, ev):
         """d = j - mu and the cumulants k3, k4 of ev's softmax, no pass.
         Sigma needs points, not quadrature.  The nodes span |t| <= 8.1, 8.9
@@ -277,13 +314,14 @@ class _DSpace:
         k4 = np.einsum("jt,jt->t", ev.p, ev.d2 * ev.d2) - 3.0 * ev.k2 ** 2
         return d, k3, k4
 
-    def round_floors(self, residual):
+    def round_floors(self, residual, t):
         """Floors of the family curves d_m and sup|sigma_m - 2| at this level.
 
         Each floor starts from what the closed-form round diagonal x_j =
-        -log C(m, j), the exact balanced solution, reads: d from its emitted
-        spline, sigma from _cumulants of its one evaluation, the reading
-        sigma_core_err takes of a solve.  Two allowances widen it:
+        -log C(m, j), the exact balanced solution, reads: d from read at the
+        points t, where d_m is read, sigma from _cumulants of its one
+        evaluation, the reading sigma_core_err takes of a solve.  Two
+        allowances widen it:
 
         * the final residual r = sup|B_m - C_m|.  Along an eigenvector v of
           the Jacobian A of the Gram map, x -> x + e v leaves the residual
@@ -301,11 +339,11 @@ class _DSpace:
         * rounding.  A diagonal displaced by more than an ulp rounds
           differently, so the solved diagonal shows a fresh sample of each
           evaluation's rounding rather than the round diagonal's.  With u
-          the unit roundoff: the knot values Phi - log(1 + e^t) of phi carry
-          an absolute error up to u (|Phi| + log(1 + e^t)), about 2 u times
-          the largest log(1 + e^t).  Sigma of a round metric is pure rounding
-          noise that grows with m; its allowance is the first-order bound
-          sum_l |d sigma / d p_l| p_l eps_l, with eps_l a bound on the
+          the unit roundoff: the values S/m - log(1 + e^t) that read forms
+          carry an absolute error up to u (|Phi| + log(1 + e^t)), about 2 u
+          times the largest log(1 + e^t).  Sigma of a round metric is pure
+          rounding noise that grows with m; its allowance is the first-order
+          bound sum_l |d sigma / d p_l| p_l eps_l, with eps_l a bound on the
           relative error of the softmax p_l = e^{z_l - a} / s (see softmax).
           Forming z_l = l t - x_l rounds by u (|l t| + |z_l|) and z_l - a by
           u |z_l - a|; the exponential and the division add u each, and the
@@ -321,8 +359,7 @@ class _DSpace:
         m = self.m
         j = self.j
         x = gammaln(j + 1) + gammaln(m - j + 1) - gammaln(m + 1)
-        P = self.potential(x)
-        d_round = float(np.max(np.abs(P.phi(P.quad.nodes))))
+        d_round = float(np.max(np.abs(self.read(x, t)[0])))
         if m == 1:
             # both entries of x are gauge directions: every diagonal is
             # round, and v = 0
@@ -353,8 +390,8 @@ class _DSpace:
         slope = np.sum(p * np.abs(g - np.sum(p * g, axis=0)), axis=0)
         sigma_floor = _sigma_err(m, k2, k3, k4) \
             + float(np.max(dx * slope + rounding))
-        # the largest log(1 + e^t) on the knots is at the window edge T
-        phi_rounding = np.finfo(float).eps * fs_derivative(self.quad.window, 0)
+        # the largest log(1 + e^t) at the points is at the largest t
+        phi_rounding = np.finfo(float).eps * fs_derivative(np.max(t), 0)
         return d_round + 2.0 * (dphi + phi_rounding), sigma_floor
 
 
@@ -364,8 +401,15 @@ def _sigma_err(m, k2, k3, k4):
     return float(np.max(np.abs(sigma - 2.0)))
 
 
-def _seed(m, P):
-    return np.log((m + 1) * section_norms(m, P).entries)
+def _seed(m, P0):
+    """The _DSpace of a solve at level m and its seed x0 = log((m+1) G), G
+    the Gram diagonal of P0 on the solve's own u-rule, from P0.Phi and
+    P0.density at the nodes: a spline potential or the BalanceResult of a
+    lower level.  Raises ValueError unless m is in [1, MAX_LEVEL] and
+    WindowError unless P0's window carries level m."""
+    ds = _DSpace(_check_window(m, P0.quad.window))
+    G = _rows(ds.m, ds.t, P0.Phi(ds.t)) @ (ds.w * P0.density(ds.t))
+    return ds, np.log((ds.m + 1) * G)
 
 
 def _centered(ds, x):
@@ -392,18 +436,17 @@ def _iterate(ds, x, opts, step):
     return ev, hist
 
 
-def _result(ds, ev, hist, y, opts, t0, mode, **diagnostics):
-    """BalanceResult of the evaluation and history _iterate returned; the
-    diagnostics gain the moment center, the solve's node count and sup
-    |sigma - 2| over the solve's nodes from the exact cumulants of Phi_x in
-    that evaluation (_DSpace._cumulants)."""
-    P = ds.potential(ev.x)
+def _result(ds, ev, hist, quad, y, opts, t0, mode, **diagnostics):
+    """BalanceResult of the evaluation and history _iterate returned, on the
+    seed's quadrature quad; the diagnostics gain the moment center, the
+    solve's node count and sup |sigma - 2| over the solve's nodes from the
+    exact cumulants of Phi_x in that evaluation (_DSpace._cumulants)."""
     wall_time = time.perf_counter() - t0
     k3, k4 = ds._cumulants(ev)[1:]
     diagnostics.update(moment_center=ds.moment_center(ev.x),
                        sigma_core_err=_sigma_err(ds.m, ev.k2, k3, k4),
                        solve_nodes=ds.t.size)
-    return BalanceResult(ds.m, P, y, hist, hist[-1] <= opts.tolerance,
+    return BalanceResult(ds.m, ev.x, quad, y, hist, hist[-1] <= opts.tolerance,
                          len(hist) - 1, wall_time, mode, diagnostics)
 
 
@@ -414,17 +457,17 @@ def tk_iterate(m, P0, opts=SolverOptions()):
     each iterate moment-centered; the step is the full map, undamped.  The
     residual history records sup|B_m - C_m| of every iterate, the seed's
     included.  Non-convergence within max_iterations steps returns
-    converged = False with the full history; the returned potential is
-    always the last evaluated iterate.
+    converged = False with the full history; the returned x is always the
+    last evaluated iterate.
     """
     t0 = time.perf_counter()
-    ds = _DSpace(m, P0.quad)
+    ds, x0 = _seed(m, P0)
 
     def step(ev, hist):
         return _centered(ds, np.log((m + 1) * ev.G))
 
-    ev, hist = _iterate(ds, _seed(m, P0), opts, step)
-    return _result(ds, ev, hist, None, opts, t0, "fixed-point")
+    ev, hist = _iterate(ds, x0, opts, step)
+    return _result(ds, ev, hist, P0.quad, None, opts, t0, "fixed-point")
 
 
 def _newton_step(ds, ev):
@@ -508,9 +551,9 @@ def newton_balance(m, P0, opts=SolverOptions()):
     convergence; the result's mode is "newton-exact".
     """
     t0 = time.perf_counter()
-    ds = _DSpace(m, P0.quad)
-    ev, hist = _gauss_newton(ds, _seed(m, P0), opts)
-    return _result(ds, ev, hist, None, opts, t0, "newton-exact",
+    ds, x0 = _seed(m, P0)
+    ev, hist = _gauss_newton(ds, x0, opts)
+    return _result(ds, ev, hist, P0.quad, None, opts, t0, "newton-exact",
                    orders=_newton_orders(hist))
 
 
@@ -528,9 +571,9 @@ def t_balance(m, P0, opts=SolverOptions()):
     (4.5 |y| at m = 8, 20.5 |y| at m = 40); so no other weight is tried.
     """
     t0 = time.perf_counter()
-    ds = _DSpace(m, P0.quad)
-    ev, hist = _gauss_newton(ds, _seed(m, P0), opts)
-    return _result(ds, ev, hist, 0.0, opts, t0, "t-balance",
+    ds, x0 = _seed(m, P0)
+    ev, hist = _gauss_newton(ds, x0, opts)
+    return _result(ds, ev, hist, P0.quad, 0.0, opts, t0, "t-balance",
                    orders=_newton_orders(hist),
                    moment_pairing=ds._integral(ev.dev * (ev.mu / m - 0.5), ev))
 
@@ -557,17 +600,18 @@ def balanced_family(m_range, P_seed, opts=SolverOptions()):
     scalar curvature reference (phi = 0) and the curve sup|sigma_m - 2|.
 
     The seed's window must accommodate the largest level.  A level that fails
-    to converge truncates the report at its index.  Every level after the
-    first starts below the tolerance and takes 0 Newton steps (Fubini-Study
-    and bump families at levels 5 to 40): its warm start, the previous
-    level's solution, is already balanced there, so its d_m reads that
-    solution's re-emitted spline and Gram quadrature, not a solve of its own.
+    to converge truncates the report at its index.  Each level after the
+    first is seeded from the previous level's result, the Gram diagonal of
+    its Phi_x on the level's own u-rule (_seed), where Phi_x is analytic in
+    u.  Phi_x is round, and so balanced at every level: the level takes 0
+    Newton steps, at a residual below 1e-13 (Fubini-Study and bump families
+    at levels 5 to 40).  d_m reads phi exactly on the seed's nodes.
 
     In this model every balanced metric is the round one, so both curves
     measure the evaluation's own floor, which grows with m.  Each level
     therefore gets a floor per curve (d_floor, sigma_floor), computed by
-    _DSpace.round_floors: the closed-form round diagonal's emitted spline
-    and its sigma on the solve's nodes, widened by what the level's final
+    _DSpace.round_floors: the closed-form round diagonal's phi on the same
+    nodes and its sigma on the solve's nodes, widened by what the level's final
     residual allows through the closed-form slow eigenpair of the round
     Jacobian and, for sigma, by its rounding bound.  A value at or below its
     floor counts as converged.  The verdicts:
@@ -585,16 +629,14 @@ def balanced_family(m_range, P_seed, opts=SolverOptions()):
     results = []
     rows = []   # d_m, sup|sigma_m - 2| and their floors, per solved level
     failure_index = None
-    P = P_seed
     for i, m in enumerate(levels):
-        res = newton_balance(m, P, opts)
+        res = newton_balance(m, results[-1] if results else P_seed, opts)
         results.append(res)
         if not res.converged:
             failure_index = i
             break
-        P = res.potential
-        floors = _DSpace(m, P.quad).round_floors(res.final_residual)
-        rows.append((float(np.max(np.abs(P.phi(P.quad.nodes)))),
+        floors = _DSpace(m).round_floors(res.final_residual, res.quad.nodes)
+        rows.append((float(np.max(np.abs(res.read(res.quad.nodes)[0]))),
                      res.diagnostics["sigma_core_err"]) + floors)
     d, s, d_floor, sigma_floor = np.array(rows).reshape(-1, 4).T
     verdicts = _family_verdicts(d, s, d_floor, sigma_floor,
@@ -605,16 +647,17 @@ def balanced_family(m_range, P_seed, opts=SolverOptions()):
 
 def uniqueness_probe(m, seeds, opts=SolverOptions()):
     """Balanced solves from several seeds; pairwise sup-distances of the
-    moment-centered solutions on the nodes of the converged one with the
-    smallest window.  Passes when all distances are <= 1e-6."""
+    moment-centered solutions, read exactly on the seed's nodes of the
+    converged one with the smallest window.  Passes when all distances are
+    <= 1e-6."""
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
     results = [newton_balance(m, seed, opts) for seed in seeds]
     kept = [i for i, res in enumerate(results) if res.converged]
     excluded = [i for i, res in enumerate(results) if not res.converged]
-    quad = min((results[i].potential.quad for i in kept),
-               key=lambda q: q.window, default=None)
-    phi = {i: results[i].potential.phi(quad.nodes) for i in kept}
+    quad = min((results[i].quad for i in kept), key=lambda q: q.window,
+               default=None)
+    phi = {i: results[i].read(quad.nodes)[0] for i in kept}
     dist = np.zeros((len(results), len(results)))
     for a in kept:
         for b in kept:

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 import sympy
 from scipy.interpolate import make_interp_spline
 
-from bergbal import model
+from bergbal import bergman, model
+from bergbal.cli import main
 from bergbal.model import (
     GridFunction, PositivityError, default_window, grid_function,
     hamiltonian_moment, integrate, laplacian_apply, lichnerowicz_apply,
@@ -292,11 +295,12 @@ def _recorded_potentials(monkeypatch):
     lambda: translate_potential(
         make_perturbed_potential(BUMP, window=20.0, grid_size=512), 0.7),
     lambda: newton_balance(
-        8, make_perturbed_potential(OFF, window=20.0, grid_size=512))],
+        8, make_perturbed_potential(OFF, window=20.0, grid_size=512)
+    ).potential],
     ids=["bump", "fs", "translate", "newton"])
 def test_derivative_splines_are_the_eager_ones(build, monkeypatch):
-    # each phi^(k), built on first use, is bit for bit the derivative of
-    # the spline through the knot values before the gauge shift
+    # each phi^(k) is bit for bit the derivative of the spline through the
+    # knot values before the gauge shift, a solve's spline included
     built = _recorded_potentials(monkeypatch)
     build()
     assert built
@@ -307,16 +311,26 @@ def test_derivative_splines_are_the_eager_ones(build, monkeypatch):
             assert np.array_equal(P.phi_d(t, k), spline.derivative(k)(t)), k
 
 
-def test_solver_output_builds_two_derivative_splines(bump, monkeypatch):
-    # emission reads phi' and phi'' alone, in the decay and positivity
-    # checks, so a solve builds no other derivative spline
-    orders = []
-    derivative = model.BSpline.derivative
+@pytest.mark.parametrize("command, seeds", [
+    ("newton", 1), ("balance", 1), ("tbalance", 1), ("family", 1),
+    ("probe", 3)])
+def test_solve_commands_build_only_their_inputs(command, seeds, tmp_path,
+                                                monkeypatch):
+    # a solve's answer is its diagonal x: a CLI solve run builds one
+    # potential per input, the seeds' splines, and none for its levels,
+    # and it never integrates a spline's Gram diagonal (section_norms)
+    def refused(*args):
+        raise AssertionError("a solve reads no spline Gram diagonal")
 
-    def recorded(self, nu=1):
-        orders.append(nu)
-        return derivative(self, nu)
-
-    monkeypatch.setattr(model.BSpline, "derivative", recorded)
-    res = newton_balance(8, bump)
-    assert res.converged and sorted(orders) == [1, 2]
+    monkeypatch.setattr(bergman, "_norms_and_rows", refused)
+    built = _recorded_potentials(monkeypatch)
+    doc = {"command": command, "levels": [8] if command == "probe" else [4, 8]}
+    if command == "probe":
+        doc["seeds"] = [BUMP, OFF, {"type": "fubini-study"}]
+    else:
+        doc["potential"] = BUMP
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    assert len(built) == seeds

@@ -56,11 +56,12 @@ def test_options_validation():
 
 
 def test_result_validation(bump):
+    x = np.zeros(3)
     with pytest.raises(ValueError):
-        BalanceResult(2, bump, None, [], True, 0, 0.0, "x")
+        BalanceResult(2, x, bump.quad, None, [], True, 0, 0.0, "x")
     with pytest.raises(ValueError):
-        BalanceResult(2, bump, None, [np.nan], True, 0, 0.0, "x")
-    res = BalanceResult(2, bump, None, [1.0, 0.5], True, 1, 0.0, "x")
+        BalanceResult(2, x, bump.quad, None, [np.nan], True, 0, 0.0, "x")
+    res = BalanceResult(2, x, bump.quad, None, [1.0, 0.5], True, 1, 0.0, "x")
     assert res.final_residual == 0.5
 
 
@@ -122,8 +123,9 @@ def test_outputs_share_the_seed_quadrature(bump, newton8):
 
 
 def test_node_table_reads_the_cached_density(monkeypatch):
-    # one density pass at the nodes per potential: construction caches it,
-    # and section_norms (the seed's diagonal) and the node table read it
+    # one density pass at the nodes, the input's, which its construction
+    # caches: the seed reads the input on the u-rule, and the node table
+    # reads each level's Phi_x exactly (BalanceResult.read), no spline
     seen = []
     density = model.RadialPotential.density
 
@@ -144,18 +146,16 @@ def test_node_table_reads_the_cached_density(monkeypatch):
         {"command": "newton", "potential": BUMP, "levels": [4, 8]}))
     assert report["error"] is None
     P = solves[0][0]
-    built = [P] + [res.potential for _, res in solves]
-    assert [id(p) for p in seen] == [id(p) for p in built]
+    assert [id(p) for p in seen] == [id(P)]
     monkeypatch.undo()
     [table] = [tb for tb in report["tables"] if tb["name"] == "potential"]
     assert table["columns"]["t"] == P.quad.nodes.tolist()
     for seed, res in solves:
-        assert seed is P and res.potential.quad is P.quad
+        assert seed is P and res.quad is P.quad
         cols = table["columns"]
-        assert np.array_equal(cols["phi_m%d" % res.level],
-                              res.potential.phi(P.quad.nodes))
-        assert np.array_equal(cols["density_m%d" % res.level],
-                              res.potential.density(P.quad.nodes))
+        phi, dens = res.read(P.quad.nodes)
+        assert np.array_equal(cols["phi_m%d" % res.level], phi)
+        assert np.array_equal(cols["density_m%d" % res.level], dens)
 
 
 def test_t_balance_frozen_weight_is_newton(bump, newton8):
@@ -185,13 +185,14 @@ def test_t_balance_reuses_inner_evaluation(off, monkeypatch):
     # the moment pairing reads the deviation of the inner solve's last
     # evaluation, so t_balance makes no exponential pass beyond Newton's;
     # the moment center reads x alone, so no solve makes a 2-column softmax,
-    # and sigma reads the last evaluation, so it makes none either
+    # sigma reads the last evaluation, and nothing is emitted: one softmax
+    # per evaluation, the seed's and one per Newton step
     calls = _softmax_columns(monkeypatch)
     newton_balance(8, off)
     direct = list(calls)
     calls.clear()
     t_balance(8, off)
-    assert calls == direct and len(calls) == 6
+    assert calls == direct and len(calls) == 5
     assert 2 not in calls
 
 
@@ -230,7 +231,7 @@ def _window_quadrature(m, x, f):
     masses at its edges: the t-window form that the u-rule replaces, here on
     a window whose tails are below rounding."""
     quad = Quadrature(60.0, 1024, 8)
-    ds = _DSpace(m, quad)
+    ds = _DSpace(m)
     p = ds.softmax(x, quad.nodes)[0]
     mu, _, k2 = ds._moments(p)
     dens = k2 / m
@@ -259,16 +260,14 @@ def _recorded_evaluations(monkeypatch):
 def test_cap_returns_evaluated_iterate(bump, monkeypatch, solve, cap):
     # at the cap the last step is evaluated too: every step counts, the
     # final residual is the last evaluated iterate's own sup, and the
-    # returned potential is that iterate's
+    # returned diagonal is that iterate's
     evaluations = _recorded_evaluations(monkeypatch)
     res = solve(8, bump, SolverOptions(max_iterations=cap, tolerance=1e-14))
     assert not res.converged
     assert res.iterations == cap == len(res.residual_history) - 1
     ds, ev = evaluations[-1]
     assert res.final_residual == ev.sup
-    nodes = bump.quad.nodes
-    assert np.array_equal(res.potential.phi(nodes),
-                          ds.potential(ev.x).phi(nodes))
+    assert res.x is ev.x
 
 
 def test_t_balance_off_center(off):
@@ -298,10 +297,10 @@ def test_family(bump):
     # sits at the float floor
     assert np.all(fam.d_sup < 1e-10)
     assert fam.d_sup.size == fam.sigma_sup.size == 3
-    assert all(r.potential.quad is bump.quad for r in fam.results)
+    assert all(r.quad is bump.quad for r in fam.results)
     direct = newton_balance(10, bump)
-    gap = np.max(np.abs(fam.results[1].potential.phi(GRID)
-                        - direct.potential.phi(GRID)))
+    gap = np.max(np.abs(fam.results[1].read(GRID)[0]
+                        - direct.read(GRID)[0]))
     assert gap < 1e-7
 
 
@@ -351,6 +350,39 @@ def test_family_guards(bump):
         balanced_family([40], small)
 
 
+@pytest.mark.parametrize("desc", [BUMP, FS], ids=["bump", "fs"])
+def test_family_levels_start_balanced(desc):
+    # each level after the first is seeded from the previous level's Phi_x,
+    # read exactly on its own u-rule: Phi_x is round, so the seed is
+    # balanced to rounding and the level takes 0 steps (measured residuals
+    # 8.9e-16 to 1.6e-14; seeded from the previous level's spline they read
+    # 1.4e-13 to 4.4e-12).  The verdicts pass, as they did then
+    P = make_perturbed_potential(desc, window=default_window(40),
+                                 grid_size=512)
+    fam = balanced_family([5, 10, 20, 40], P)
+    assert all(fam.verdicts.values())
+    for res in fam.results[1:]:
+        assert res.iterations == 0 and res.final_residual <= 1e-13
+
+
+@pytest.mark.parametrize("solve", [
+    tk_iterate, newton_balance, t_balance, balanced_family,
+    uniqueness_probe], ids=["tk", "newton", "tbalance", "family", "probe"])
+def test_solve_entry_guards(bump, solve):
+    # every solve checks its level and its seed's window on entry
+    small = make_perturbed_potential(BUMP, window=16.0, grid_size=256)
+    for m, seed, error in ((0, bump, ValueError), (201, bump, ValueError),
+                           (40, small, WindowError)):
+        with pytest.raises(error) as exc:
+            if solve is balanced_family:
+                solve([m], seed)
+            elif solve is uniqueness_probe:
+                solve(m, [seed])
+            else:
+                solve(m, seed)
+        assert (error is WindowError) == isinstance(exc.value, WindowError)
+
+
 def test_uniqueness(bump, off):
     third = make_perturbed_potential(
         {"type": "gaussian-bump", "amplitude": 0.08, "width": 1.3, "center": -0.2},
@@ -368,7 +400,7 @@ def test_uniqueness_on_the_seed_nodes(bump, off):
     wide = make_perturbed_potential(BUMP, window=22.0, grid_size=512)
     rep = uniqueness_probe(8, [wide, bump, off])
     assert rep.passed
-    phi = [res.potential.phi(bump.quad.nodes) for res in rep.results]
+    phi = [res.read(bump.quad.nodes)[0] for res in rep.results]
     assert rep.max_distance == max(np.max(np.abs(a - b))
                                    for a in phi for b in phi)
 
@@ -398,9 +430,8 @@ def test_translated_seed_returns_centered(fs25, solve, m, s):
     # a torus translate of the round metric is balanced already; the solve
     # returns it moved to moment center 0, which is the round metric itself
     res = solve(m, translate_potential(fs25, s))
-    P = res.potential
     assert res.converged
-    assert np.max(np.abs(P.phi(P.quad.nodes))) <= 1e-9
+    assert np.max(np.abs(res.read(fs25.quad.nodes)[0])) <= 1e-9
     assert abs(res.diagnostics["moment_center"]) <= 1e-14
 
 
@@ -427,7 +458,7 @@ def test_newton_far_seed():
 def _seeded(desc, m):
     """_DSpace at level m on desc's default window, and its seed diagonal."""
     P = make_perturbed_potential(desc, window=default_window(m), grid_size=512)
-    return _DSpace(m, P.quad), _seed(m, P)
+    return _seed(m, P)
 
 
 def test_moment_map_pushes_volume_to_lebesgue(fs, bump, off):
@@ -473,8 +504,7 @@ def test_moment_center_closed_form(m):
 
 @pytest.mark.parametrize("m", [8, 40, 200])
 def test_moment_center_round_diagonal(m):
-    fs = make_fs_potential(window=default_window(m), grid_size=512)
-    ds = _DSpace(m, fs.quad)
+    ds = _DSpace(m)
     x = gammaln(ds.j + 1) + gammaln(m - ds.j + 1) - gammaln(m + 1)
     assert abs(ds.moment_center(x)) <= 1e-13
 
@@ -484,7 +514,8 @@ def test_gram_rows_from_softmax(m):
     # rows p_j e^{x_j} give the Gram diagonal of the rows e^{jt - m Phi_x}
     ds, x = _seeded(BUMP, m)
     ev = ds.evaluate(x)
-    ref = _rows(m, ds.t, ds.softmax(x)[1] / m) @ (ds.w * ev.dens)
+    _, a, s = ds.softmax(x)
+    ref = _rows(m, ds.t, (a + np.log(s)) / m) @ (ds.w * ev.dens)
     assert np.max(np.abs(ev.G / ref - 1.0)) <= 1e-13
 
 
@@ -515,15 +546,17 @@ def test_newton_strong_bumps(m, amplitude, width, center):
 
 @pytest.mark.parametrize("m", [8, 40, 200])
 def test_softmax_S_is_scipy_logsumexp(m):
-    # S = m Phi_x at the knots (emission) and at the nodes of the u-rule,
-    # on the seed diagonal and on the round one, against scipy's
-    # log-sum-exp: within a few ulp of |S| (of 1 where S is near 0;
-    # measured <= 3.3)
+    # S = m Phi_x = a + log s at the seed's knots (BalanceResult.potential)
+    # and at the nodes of the u-rule, on the seed diagonal and on the round
+    # one, against scipy's log-sum-exp: within a few ulp of |S| (of 1 where
+    # S is near 0; measured <= 3.3)
     ds, x0 = _seeded(OFF, m)
     x1 = gammaln(ds.j + 1) + gammaln(m - ds.j + 1) - gammaln(m + 1)
+    knots = Quadrature(default_window(m), 512, 8).knots
     for x in (x0, x1):
-        for t in (ds.quad.knots, ds.t):
-            S = ds.softmax(x, None if t is ds.t else t)[1]
+        for t in (knots, ds.t):
+            _, a, s = ds.softmax(x, None if t is ds.t else t)
+            S = a + np.log(s)
             ref = logsumexp(np.multiply.outer(ds.j, t) - x[:, None], axis=0)
             ulp = np.finfo(float).eps * np.maximum(np.abs(ref), 1.0)
             assert np.all(np.abs(S - ref) <= 4.0 * ulp)
@@ -547,7 +580,7 @@ def _overshoot_trial(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(solvers, "_centered", recorded)
         res = newton_balance(200, P, SolverOptions(max_iterations=1))
-    ds = _DSpace(200, P.quad)
+    ds = _DSpace(200)
     x = trials[1] - ds.j * ds.moment_center(trials[1])
     assert ds.evaluate(x).sup > res.residual_history[0]
     return ds, x
@@ -602,7 +635,7 @@ def test_jacobian_left_null_vectors(desc, m):
     # vectors of J = A - I, the fact _newton_step rests on: to 1e-12 of
     # max|J| on the seeds and on the closed-form round diagonal (measured
     # <= 5.3e-14)
-    ds, x = _round(FS, m) if desc == "round" else _seeded(desc, m)
+    ds, x = _round(FS, m)[:2] if desc == "round" else _seeded(desc, m)
     ev = ds.evaluate(x)
     J = ds.jacobian(ev) - np.eye(m + 1)
     w = np.exp(-x) * ev.G
@@ -695,7 +728,7 @@ def _reference_softmax(ds, x):
     _exp_floor(p, np.minimum(0.0, ds.m * ds.t) - x.max() - a)
     s = p.sum(axis=0)
     p /= s
-    return p, a + np.log(s)
+    return p, a, s
 
 
 def _reference_evaluate(ds, x):
@@ -725,7 +758,8 @@ def test_evaluate_matches_reference(m, monkeypatch):
         ev, ref = ds.evaluate(x), _reference_evaluate(ds, x)
         for field, a, b in zip(ev._fields, ev, ref):
             assert np.array_equal(a, b), field
-        assert np.array_equal(ds.softmax(x)[1], _reference_softmax(ds, x)[1])
+        for a, b in zip(ds.softmax(x)[1:], _reference_softmax(ds, x)[1:]):
+            assert np.array_equal(a, b)
 
 
 def _unfloored_jacobian(ds, ev):
@@ -816,8 +850,7 @@ def box():
 def test_round_diagonal_on_solve_nodes(m):
     # the Beta oracle and the round balance on the u-rule, m + 64 nodes;
     # measured <= 2.8e-13 and 3.8e-14
-    fs = make_fs_potential(window=default_window(m), grid_size=512)
-    ds = _DSpace(m, fs.quad)
+    ds = _DSpace(m)
     assert ds.t.size == m + solvers.EXTRA_NODES
     x = gammaln(ds.j + 1) + gammaln(m - ds.j + 1) - gammaln(m + 1)
     ev = ds.evaluate(x)
@@ -854,8 +887,8 @@ def test_sup_reads_the_ends(off, monkeypatch):
     (tk_iterate, 8, 1e-8)])
 def test_solve_nodes_agree_with_full_quadrature(box, monkeypatch, solve, m,
                                                 tolerance):
-    # against the same solve on a dense u-rule of 4m + 160 nodes: the same
-    # steps, and phi within 1e-13
+    # against the same solve on a dense u-rule of 4m + 160 nodes, seed
+    # included: the same steps, and phi within 1e-13
     opts = SolverOptions(tolerance=tolerance)
     res = solve(m, box, opts)
     with monkeypatch.context() as patch:
@@ -866,33 +899,34 @@ def test_solve_nodes_agree_with_full_quadrature(box, monkeypatch, solve, m,
     assert res.converged and full.converged
     assert res.iterations == full.iterations
     nodes = box.quad.nodes
-    gap = np.max(np.abs(res.potential.phi(nodes) - full.potential.phi(nodes)))
+    gap = np.max(np.abs(res.read(nodes)[0] - full.read(nodes)[0]))
     assert gap <= 1e-13
 
 
 def test_newton_on_a_coarse_seed():
-    # the solve reads its own nodes, not the seed's: on grid 64 and order 2
-    # at m = 200, where the seed's quadrature misses the Beta oracle by 41 %,
-    # Newton on a bench bump converges (measured in 6 steps to 8.7e-13, with
-    # sup|phi| 7.8e-12)
+    # the solve, seed included, reads its own nodes, not the input's
+    # quadrature: on grid 64 and order 2 at m = 200, where section_norms on
+    # that quadrature misses the Beta oracle by 41 %, Newton on a bench bump
+    # converges in 4 steps to 1.6e-12, with sup|phi| 9.7e-13
     desc = {"type": "gaussian-bump", "amplitude": 0.067, "width": 1.37,
             "center": -0.57}
     P = make_perturbed_potential(desc, window=default_window(200),
                                  grid_size=64, order=2)
     res = newton_balance(200, P)
-    assert res.converged
-    assert np.max(np.abs(res.potential.phi(P.quad.nodes))) <= 1e-10
+    assert res.converged and res.iterations <= 4
+    assert np.max(np.abs(res.read(P.quad.nodes)[0])) <= 1e-10
 
 
 ROUND_LEVELS = list(range(2, 13)) + [20, 40, 80, 120, 160, 200]
 
 
 def _round(desc, m):
-    """_DSpace at level m on desc's default window, and the round diagonal
-    x_j = -log C(m, j)."""
+    """_DSpace at level m, the round diagonal x_j = -log C(m, j), and the
+    nodes of desc on its default window."""
     P = make_perturbed_potential(desc, window=default_window(m), grid_size=512)
-    ds = _DSpace(m, P.quad)
-    return ds, gammaln(ds.j + 1) + gammaln(m - ds.j + 1) - gammaln(m + 1)
+    ds = _DSpace(m)
+    return (ds, gammaln(ds.j + 1) + gammaln(m - ds.j + 1) - gammaln(m + 1),
+            P.quad.nodes)
 
 
 def _chebyshev(m):
@@ -921,7 +955,7 @@ def test_jacobian_round_eigenpairs(m):
     # torus directions (lambda = 1), and l = 2 is the slow mode round_floors
     # takes, lambda_2 = 1 - 12/((m+2)(m+3)) with q_2 ~ (j - m/2)^2 -
     # m(m+2)/12.  Measured <= 3.7e-14
-    ds, x = _round(FS, m)
+    ds, x, _ = _round(FS, m)
     A = ds.jacobian(ds.evaluate(x))
     l = np.arange(m + 1.0)
     berezin = np.cumprod(np.concatenate(
@@ -933,14 +967,13 @@ def test_jacobian_round_eigenpairs(m):
     assert np.max(np.abs(eig - np.sort(lam))) <= 1e-12
 
 
-def _eig_round_floors(ds, residual):
+def _eig_round_floors(ds, residual, t):
     """round_floors with the slow eigenpair from a dense eig of the Jacobian,
     the third-largest eigenvalue, and max_t |v . p(t)| read on the seed's
-    nodes: the form the closed forms replace."""
+    nodes t: the form the closed forms replace."""
     m, j = ds.m, ds.j
     x = gammaln(j + 1) + gammaln(m - j + 1) - gammaln(m + 1)
-    P = ds.potential(x)
-    d_round = float(np.max(np.abs(P.phi(P.quad.nodes))))
+    d_round = float(np.max(np.abs(ds.read(x, t)[0])))
     ev = ds.evaluate(x)
     if m == 1:
         dphi = dx = 0.0
@@ -949,7 +982,7 @@ def _eig_round_floors(ds, residual):
         slow = np.argsort(-lam.real)[2]
         dphi = residual / ((m + 1) * (1.0 - lam[slow].real))
         v = V[:, slow].real
-        p = ds.softmax(x, ds.quad.nodes)[0]
+        p = ds.softmax(x, t)[0]
         dx = dphi * m * np.max(np.abs(v)) / np.max(np.abs(v @ p))
     p, d2, k2 = ev.p, ev.d2, ev.k2
     d, k3, k4 = ds._cumulants(ev)
@@ -966,8 +999,7 @@ def _eig_round_floors(ds, residual):
     slope = np.sum(p * np.abs(g - np.sum(p * g, axis=0)), axis=0)
     sigma_floor = solvers._sigma_err(m, k2, k3, k4) \
         + float(np.max(dx * slope + rounding))
-    phi_rounding = np.finfo(float).eps * np.max(np.logaddexp(0.0,
-                                                             ds.quad.nodes))
+    phi_rounding = np.finfo(float).eps * np.max(np.logaddexp(0.0, t))
     return d_round + 2.0 * (dphi + phi_rounding), sigma_floor
 
 
@@ -977,16 +1009,17 @@ def test_round_floors_match_eig_form(desc, m):
     # at a residual of 1e-9 the d floor is nearly all the residual's
     # allowance, so it reads the error of max_t |v . p(t)| on the seed's
     # nodes; measured <= 6.2e-9 relative for both floors
-    ds = _round(desc, m)[0]
-    new, ref = ds.round_floors(1e-9), _eig_round_floors(ds, 1e-9)
+    ds, _, t = _round(desc, m)
+    new, ref = ds.round_floors(1e-9, t), _eig_round_floors(ds, 1e-9, t)
     assert np.allclose(new, ref, rtol=1e-7, atol=0.0)
 
 
 @pytest.mark.parametrize("m", [1, 40])
 def test_round_floors_one_evaluation(monkeypatch, m):
-    # no Jacobian or eigen-decomposition: the emitted spline on the seed's
-    # knots and one evaluation on the u-rule, which sigma reads
-    ds = _round(FS, m)[0]
+    # no Jacobian or eigen-decomposition: one exact reading of phi on the
+    # seed's nodes, with the u-rule's for its gauge, and one evaluation on
+    # the u-rule, which sigma reads
+    ds, _, t = _round(FS, m)
     calls = _softmax_columns(monkeypatch)
     evaluations = _recorded_evaluations(monkeypatch)
 
@@ -995,9 +1028,10 @@ def test_round_floors_one_evaluation(monkeypatch, m):
 
     monkeypatch.setattr(_DSpace, "jacobian", refused)
     monkeypatch.setattr(np.linalg, "eig", refused)
-    ds.round_floors(1e-9)
+    ds.round_floors(1e-9, t)
     assert len(evaluations) == 1
-    assert calls == [ds.quad.knots.size, m + solvers.EXTRA_NODES]
+    n = m + solvers.EXTRA_NODES
+    assert calls == [n + t.size, n]
 
 
 @pytest.mark.parametrize("desc", [BUMP, OFF, BOX], ids=["bump", "off", "box"])
@@ -1028,13 +1062,13 @@ def test_sigma_reads_the_solve_nodes(monkeypatch, desc, m):
 
 
 def test_solves_use_one_node_set(off, monkeypatch):
-    # every softmax of a solve is on the u-rule or, for emission, on the
-    # seed's knots: sigma makes no pass on a node set of its own
+    # every softmax of a solve is on the u-rule: sigma makes no pass on a
+    # node set of its own, and nothing is emitted
     on_rule = []
     softmax = _DSpace.softmax
 
     def recorded(self, x, t=None):
-        on_rule.append(t is None or t is self.quad.knots)
+        on_rule.append(t is None)
         return softmax(self, x, t)
 
     monkeypatch.setattr(_DSpace, "softmax", recorded)
@@ -1047,9 +1081,9 @@ def test_solves_use_one_node_set(off, monkeypatch):
 def test_sigma_floor_is_independent_of_the_seed(m):
     # the sigma floor reads the round diagonal on the u-rule alone, so two
     # Fubini-Study seeds on different quadratures give it bitwise equal
-    floors = [_DSpace(m, make_fs_potential(window, size).quad)
-              .round_floors(1e-9)[1] for window, size in ((22.0, 256),
-                                                          (30.0, 512))]
+    floors = [_DSpace(m).round_floors(
+        1e-9, make_fs_potential(window, size).quad.nodes)[1]
+        for window, size in ((22.0, 256), (30.0, 512))]
     assert floors[0] == floors[1]
 
 
@@ -1059,7 +1093,7 @@ def test_declined_solve_returns_last_iterate(off, monkeypatch, m):
     # unconverged at the floor, either because three steps in a row failed
     # to halve the residual, read from the history, or because the last
     # step declined after its 7 trials (at m = 8).  Its final residual and
-    # potential are those of the last iterate it took
+    # diagonal are those of the last iterate it took
     evaluations = _recorded_evaluations(monkeypatch)
     res = newton_balance(m, off, SolverOptions(tolerance=1e-16))
     assert not res.converged
@@ -1073,6 +1107,80 @@ def test_declined_solve_returns_last_iterate(off, monkeypatch, m):
     assert res.final_residual == ev.sup
     assert all(trial.sup >= ev.sup * (1.0 - 1e-4)
                for _, trial in evaluations[len(evaluations) - declined:])
-    nodes = off.quad.nodes
-    assert np.array_equal(res.potential.phi(nodes),
-                          ds.potential(ev.x).phi(nodes))
+    assert res.x is ev.x
+
+
+@pytest.mark.parametrize("m", [1, 8, 40, 200])
+def test_read_round_diagonal(m):
+    # the exact reader on the round diagonal x_j = -log C(m, j), whose Phi_x
+    # is log(1 + e^t), at every node of the default window, its edge
+    # included: phi = 0 to 4 eps log(1 + e^T) and the density Phi_fs'' to
+    # 1e-11 relative (measured <= 1.32 eps log(1 + e^T) and 9e-13).  The
+    # spline once emitted from the knots missed this density by up to 128 %
+    # at the edge at m = 200
+    ds, x, t = _round(FS, m)
+    phi, dens = ds.read(x, t)
+    bound = 4.0 * np.finfo(float).eps * np.logaddexp(0.0, default_window(m))
+    assert np.max(np.abs(phi)) <= bound
+    assert np.max(np.abs(dens / model.fs_derivative(t, 2) - 1.0)) <= 1e-11
+
+
+def test_potential_is_the_knot_spline(bump, newton8):
+    # the spline of a solve, built on first use and once, is the quintic
+    # through the ungauged knot values S/m - log(1 + e^t) of Phi_x, S =
+    # a + log s, on the seed's quadrature: bit for bit, and within 1e-13 of
+    # the exact phi at the nodes
+    P = newton8.potential
+    assert P is newton8.potential and P.quad is bump.quad
+    knots = bump.quad.knots
+    _, a, s = _DSpace(8).softmax(newton8.x, knots)
+    ref = model._from_knot_values(
+        (a + np.log(s)) / 8 - model.fs_derivative(knots, 0), bump.quad)
+    for t in (bump.quad.nodes, GRID):
+        assert np.array_equal(P.phi(t), ref.phi(t))
+    assert np.array_equal(P.node_values("dens"), ref.node_values("dens"))
+    phi = newton8.read(bump.quad.nodes)[0]
+    assert np.max(np.abs(P.phi(bump.quad.nodes) - phi)) <= 1e-13
+
+
+def _legendre_mode(P, l):
+    """P_l(2 Phi' - 1) on the Fubini-Study potential P at its nodes, with
+    its derivatives in t attached: v = 2 Phi' - 1 = tanh(t/2), and d/dt =
+    ((1 - v^2)/2) d/dv maps polynomials in v to polynomials."""
+    v = np.tanh(0.5 * P.quad.nodes)
+    D = np.polynomial.Polynomial([0.5, 0.0, -0.5])
+    f = [np.polynomial.Legendre.basis(l).convert(
+        kind=np.polynomial.Polynomial)]
+    for _ in range(4):
+        f.append(D * f[-1].deriv())
+    return model.grid_function(P, f[0](v), name="P%d" % l,
+                               **{"d%d" % k: f[k](v) for k in range(1, 5)})
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_lichnerowicz_tie(fs, l):
+    # the two engines meet at the round metric (the linear form of Fine's
+    # theorem: on the time scale m^2 the balancing flow tends to the Calabi
+    # flow).  On Fubini-Study P_l(2 Phi' - 1) is an eigenfunction of the
+    # Lichnerowicz operator, L psi = -L(L - 2) psi with L = l(l + 1), on the
+    # core |t| <= 5 (measured <= 4.7e-12 relative).  The round Jacobian's
+    # eigenvalue lambda_l on the discrete Chebyshev vector q_l is the closed
+    # form of test_jacobian_round_eigenpairs, and m^2 (1 - lambda_l) tends to
+    # L(L - 2)/2 with an O(1/m) gap: it halves, to within 10 %, at each
+    # doubling of m from 50 to 200 (measured 1.84 to 1.96)
+    L = l * (l + 1.0)
+    psi = _legendre_mode(fs, l)
+    core = np.abs(fs.quad.nodes) <= 5.0
+    gap = model.lichnerowicz_apply(fs, psi).values + L * (L - 2.0) * psi.values
+    assert np.max(np.abs(gap[core])) <= 1e-10 * L * (L - 2.0)
+    gaps = []
+    for m in (50, 100, 200):
+        ds, x, _ = _round(FS, m)
+        q = _chebyshev(m)[l]
+        lam = q @ ds.jacobian(ds.evaluate(x)) @ q
+        closed = (1.0 + L / m) * np.prod((m - np.arange(l))
+                                         / (m + np.arange(l) + 2.0))
+        assert abs(lam - closed) <= 1e-12
+        gaps.append(abs(m * m * (1.0 - lam) - 0.5 * L * (L - 2.0)))
+    for a, b in zip(gaps, gaps[1:]):
+        assert 1.8 <= a / b <= 2.0
