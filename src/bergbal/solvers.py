@@ -29,7 +29,8 @@ _DSpace): in u the Gram integrand is smooth on [0, 1], so a solve needs no
 window, no tails and no second node set.  The seed is the Gram diagonal of
 the input potential on the same rule (_seed).  The residual is the sup of
 the kernel deviation over the nodes and t = -oo, +oo; sigma, from exact
-cumulants, is read on the nodes too.  A solve's answer is its x: the
+cumulants, is read on the nodes too, and so are a family's d_m, the floors
+of both and the probe's distances.  A solve's answer is its x: the
 BalanceResult reads phi and the density of Phi_x exactly at any points
 (_DSpace.read), with no spline, and a family level is seeded from the
 previous level's Phi_x the same way.
@@ -314,14 +315,14 @@ class _DSpace:
         k4 = np.einsum("jt,jt->t", ev.p, ev.d2 * ev.d2) - 3.0 * ev.k2 ** 2
         return d, k3, k4
 
-    def round_floors(self, residual, t):
+    def round_floors(self, residual):
         """Floors of the family curves d_m and sup|sigma_m - 2| at this level.
 
         Each floor starts from what the closed-form round diagonal x_j =
-        -log C(m, j), the exact balanced solution, reads: d from read at the
-        points t, where d_m is read, sigma from _cumulants of its one
-        evaluation, the reading sigma_core_err takes of a solve.  Two
-        allowances widen it:
+        -log C(m, j), the exact balanced solution, reads on the nodes, where
+        a solve is read: d from read, as d_m is, and sigma from _cumulants
+        of its one evaluation, as sigma_core_err is.  Two allowances widen
+        it:
 
         * the final residual r = sup|B_m - C_m|.  Along an eigenvector v of
           the Jacobian A of the Gram map, x -> x + e v leaves the residual
@@ -359,7 +360,7 @@ class _DSpace:
         m = self.m
         j = self.j
         x = gammaln(j + 1) + gammaln(m - j + 1) - gammaln(m + 1)
-        d_round = float(np.max(np.abs(self.read(x, t)[0])))
+        d_round = float(np.max(np.abs(self.read(x, self.t)[0])))
         if m == 1:
             # both entries of x are gauge directions: every diagonal is
             # round, and v = 0
@@ -390,8 +391,8 @@ class _DSpace:
         slope = np.sum(p * np.abs(g - np.sum(p * g, axis=0)), axis=0)
         sigma_floor = _sigma_err(m, k2, k3, k4) \
             + float(np.max(dx * slope + rounding))
-        # the largest log(1 + e^t) at the points is at the largest t
-        phi_rounding = np.finfo(float).eps * fs_derivative(np.max(t), 0)
+        # the largest log(1 + e^t) at the nodes is at the last, the largest t
+        phi_rounding = np.finfo(float).eps * fs_derivative(self.t[-1], 0)
         return d_round + 2.0 * (dphi + phi_rounding), sigma_floor
 
 
@@ -422,13 +423,15 @@ def _iterate(ds, x, opts, step):
     the sup is above the tolerance and fewer than opts.max_iterations steps
     were taken.  The seed x goes to moment center 0 like every iterate
     (_centered), so a seed that meets the tolerance returns in that gauge.
-    Each step(ev, hist) returns the evaluation of the next iterate, or None
-    to decline, which stops the loop.  Returns the last iterate's evaluation
-    and the history of sups: len(hist) - 1 steps were taken."""
+    Each step(ev) returns the evaluation of the next iterate, or None to
+    decline, which stops the loop; ev.sup is the last entry of the history.
+    So a solve ends at the tolerance, at max_iterations or at a declined
+    step, and nowhere else.  Returns the last iterate's evaluation and the
+    history of sups: len(hist) - 1 steps were taken."""
     ev = _centered(ds, x)
     hist = [ev.sup]
     while hist[-1] > opts.tolerance and len(hist) <= opts.max_iterations:
-        nxt = step(ev, hist)
+        nxt = step(ev)
         if nxt is None:
             break
         ev = nxt
@@ -463,7 +466,7 @@ def tk_iterate(m, P0, opts=SolverOptions()):
     t0 = time.perf_counter()
     ds, x0 = _seed(m, P0)
 
-    def step(ev, hist):
+    def step(ev):
         return _centered(ds, np.log((m + 1) * ev.G))
 
     ev, hist = _iterate(ds, x0, opts, step)
@@ -507,21 +510,19 @@ def _gauss_newton(ds, x0, opts):
     step length is measured, not set: the trials x + a dx, a = 1, 1/2, ...,
     1/64, are moment-centered and evaluated in turn, and the first whose
     residual is below (1 - 1e-4 a) times the last one is taken (Dennis &
-    Schnabel 1983, ch. 6); if none is, the step declines.  The solve also
-    stops early once three steps in a row fail to halve the residual.
-    Returns _iterate's (evaluation, history).
+    Schnabel 1983, ch. 6); if none is, the step declines.  So the history
+    falls strictly, and a solve held on its rounding floor ends at a
+    declined step, after its 7 trials.  Returns _iterate's (evaluation,
+    history).
     """
 
-    def step(ev, hist):
-        if len(hist) >= 4 and all(
-                b > 0.5 * a for a, b in zip(hist[-4:-1], hist[-3:])):
-            return None
+    def step(ev):
         dx = _newton_step(ds, ev)
         if dx is None:
             return None
         for a in 0.5 ** np.arange(7):
             trial = _centered(ds, ev.x + a * dx)
-            if trial.sup < (1.0 - 1e-4 * a) * hist[-1]:
+            if trial.sup < (1.0 - 1e-4 * a) * ev.sup:
                 return trial
             del trial   # free a declined trial before the next is evaluated
         return None
@@ -605,16 +606,17 @@ def balanced_family(m_range, P_seed, opts=SolverOptions()):
     its Phi_x on the level's own u-rule (_seed), where Phi_x is analytic in
     u.  Phi_x is round, and so balanced at every level: the level takes 0
     Newton steps, at a residual below 1e-13 (Fubini-Study and bump families
-    at levels 5 to 40).  d_m reads phi exactly on the seed's nodes.
+    at levels 5 to 40).  d_m reads phi exactly on the level's u-rule, where
+    its residual and sigma are read.
 
     In this model every balanced metric is the round one, so both curves
     measure the evaluation's own floor, which grows with m.  Each level
     therefore gets a floor per curve (d_floor, sigma_floor), computed by
-    _DSpace.round_floors: the closed-form round diagonal's phi on the same
-    nodes and its sigma on the solve's nodes, widened by what the level's final
-    residual allows through the closed-form slow eigenpair of the round
-    Jacobian and, for sigma, by its rounding bound.  A value at or below its
-    floor counts as converged.  The verdicts:
+    _DSpace.round_floors: the closed-form round diagonal's phi and sigma on
+    the same nodes, widened by what the level's final residual allows
+    through the closed-form slow eigenpair of the round Jacobian and, for
+    sigma, by its rounding bound.  A value at or below its floor counts as
+    converged.  The verdicts:
 
     * all_converged: every level converged;
     * d_non_increasing: each d_m is at its floor or at most 1.1 times the
@@ -635,9 +637,10 @@ def balanced_family(m_range, P_seed, opts=SolverOptions()):
         if not res.converged:
             failure_index = i
             break
-        floors = _DSpace(m).round_floors(res.final_residual, res.quad.nodes)
-        rows.append((float(np.max(np.abs(res.read(res.quad.nodes)[0]))),
-                     res.diagnostics["sigma_core_err"]) + floors)
+        ds = _DSpace(m)
+        rows.append((float(np.max(np.abs(res.read(ds.t)[0]))),
+                     res.diagnostics["sigma_core_err"])
+                    + ds.round_floors(res.final_residual))
     d, s, d_floor, sigma_floor = np.array(rows).reshape(-1, 4).T
     verdicts = _family_verdicts(d, s, d_floor, sigma_floor,
                                 failure_index is None)
@@ -647,17 +650,16 @@ def balanced_family(m_range, P_seed, opts=SolverOptions()):
 
 def uniqueness_probe(m, seeds, opts=SolverOptions()):
     """Balanced solves from several seeds; pairwise sup-distances of the
-    moment-centered solutions, read exactly on the seed's nodes of the
-    converged one with the smallest window.  Passes when all distances are
-    <= 1e-6."""
+    moment-centered solutions of those that converged, read exactly on the
+    level's u-rule, where each solve was read.  Passes when all distances
+    are <= 1e-6."""
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
     results = [newton_balance(m, seed, opts) for seed in seeds]
     kept = [i for i, res in enumerate(results) if res.converged]
     excluded = [i for i, res in enumerate(results) if not res.converged]
-    quad = min((results[i].quad for i in kept), key=lambda q: q.window,
-               default=None)
-    phi = {i: results[i].read(quad.nodes)[0] for i in kept}
+    t = _DSpace(m).t
+    phi = {i: results[i].read(t)[0] for i in kept}
     dist = np.zeros((len(results), len(results)))
     for a in kept:
         for b in kept:
