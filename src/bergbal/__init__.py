@@ -9,8 +9,8 @@ from .model import (
 from .bergman import (
     GramDiagonal, BergmanReport, WindowError, DegenerateFitError,
     section_norms, bergman_kernel, c_of_m, beta, expansion_fit,
-    weighted_bergman, c_weighted, beta_weighted,
-    gram_derivative, bergman_derivative,
+    weighted_bergman, c_weighted, beta_weighted, beta_report, beta_at,
+    kernel_at, gram_derivative, bergman_derivative,
 )
 from .solvers import (
     SolverOptions, BalanceResult, FamilyReport, tk_iterate,

@@ -24,12 +24,18 @@ need no tails; a solve's seed is _rows of its input on those nodes.  Both
 exponential passes go through _exp_floor, which skips the exponentials that
 fall below the smallest normal double.  Volume integrals go through
 model.integrate.
+
+The Gram diagonal is integrated on the nodes only.  The kernel and its
+second derivative (_kernel_d2, from the rows, Phi' and the density) take
+rows at any points, so a kernel at other points, such as the knots of a
+report's tables, is _rows there against the same Gram diagonal
+(kernel_at, beta_at and expansion_fit's t).
 """
 import numpy as np
 from scipy.special import expit, betaln, betainc
 
-from .model import (discretization_errors, grid_function, integrate,
-                    scalar_curvature)
+from .model import (GridFunction, discretization_errors, grid_function,
+                    integrate, scalar_curvature)
 
 MAX_LEVEL = 200
 # largest |y| m for the weights e^{jy}, j <= m (e^709 overflows float64)
@@ -63,16 +69,20 @@ class GramDiagonal:
 
 
 class BergmanReport:
-    """Kernel report at one level.  `kernel` carries the values and the
-    second derivative (d2, which beta reads); other derivatives fall back to
-    spline differentiation of the values."""
+    """Kernel report at one level of the potential P.  `kernel` carries the
+    values and the second derivative (d2, which beta reads) at the nodes;
+    other derivatives fall back to spline differentiation of the values.
+    `weights` are the kernel's G_jj e^{jy}, from which kernel_at samples it
+    at other points."""
 
     def __init__(self, level, kernel, expected_constant, sup_deviation,
-                 weight=0.0):
+                 potential, weights, weight=0.0):
         self.level = level
         self.kernel = kernel
         self.expected_constant = expected_constant
         self.sup_deviation = sup_deviation
+        self.potential = potential
+        self.weights = weights
         self.weight = weight
 
 
@@ -175,21 +185,18 @@ def section_norms(m, P):
     return _norms_and_rows(m, P)[0]
 
 
-def _kernel_d2(m, P, y):
-    """The Gram diagonal, the rows, and the kernel weighted by e^{jy} and
-    its second derivative at the nodes.  d2 attaches through a_j = j -
-    m Phi': E'' = (a^2 - m Phi'') E.
+def _kernel_d2(m, R, Phi1, dens, weights):
+    """The second derivative of _kernel(m, R, weights) at points where the
+    rows are R, Phi' is Phi1 and the density Phi'' is dens: through a_j =
+    j - m Phi', R_j'' = (a_j^2 - m Phi'') R_j.
     """
-    G, E = _norms_and_rows(m, P)
-    j = np.arange(m + 1.0)    # float: an int j is cast entry by entry below
-    w = G.entries * np.exp(j * y)
-    K = _kernel(m, E, w)
-    # (a^2 - m Phi'') E built in place: one (m+1) x N array besides E
-    a = j[:, None] - m * P.node_values("Phi1")[None, :]
+    # float: an int j is cast entry by entry below
+    a = np.arange(m + 1.0)[:, None] - m * Phi1[None, :]
+    # (a^2 - m Phi'') R built in place: one (m+1) x N array besides R
     a *= a
-    a -= m * P.node_values("dens")[None, :]
-    a *= E
-    return G, E, K, _kernel(m, a, w)
+    a -= m * dens[None, :]
+    a *= R
+    return _kernel(m, a, weights)
 
 
 def c_of_m(xi):
@@ -230,9 +237,12 @@ def weighted_bergman(m, P, y):
     if not abs(y) * m <= MAX_EXPONENT:
         raise ValueError("weight scaling exp(m y) exceeds floating range: "
                          "|y| m = %.3g" % (abs(y) * m))
-    G, E, K, K2 = _kernel_d2(m, P, y)
+    G, E = _norms_and_rows(m, P)
+    w = G.entries * np.exp(np.arange(m + 1.0) * y)
+    K = _kernel(m, E, w)
     kern = grid_function(P, K, name="B_%d%s" % (m, "_weighted" if y else ""),
-                         d2=K2)
+                         d2=_kernel_d2(m, E, P.node_values("Phi1"),
+                                       P.node_values("dens"), w))
     if y == 0.0:
         expected = c_of_m(m)
     else:
@@ -240,7 +250,19 @@ def weighted_bergman(m, P, y):
         shift = np.exp(m * (P.node_values("Phi") - P.Phi(P.quad.nodes + y)))
         expected = integrate(P, K0 * shift)
     return BergmanReport(m, kern, expected,
-                         float(np.max(np.abs(K - expected))), weight=y)
+                         float(np.max(np.abs(K - expected))), P, w, weight=y)
+
+
+def kernel_at(rep, t):
+    """The kernel of rep and its d2 at the points t, a GridFunction there:
+    the potential's rows at t against rep's weights, with no second Gram
+    diagonal."""
+    m, P = rep.level, rep.potential
+    t = np.asarray(t, dtype=float)
+    R = _rows(m, t, P.Phi(t))
+    return GridFunction(_kernel(m, R, rep.weights), t, name=rep.kernel.name,
+                        d2=_kernel_d2(m, R, P.Phi_d(t, 1), P.density(t),
+                                      rep.weights))
 
 
 def c_weighted(m, P, y):
@@ -250,25 +272,49 @@ def c_weighted(m, P, y):
     return weighted_bergman(m, P, y).expected_constant
 
 
+def beta_report(m, P, w):
+    """The kernel report of beta_weighted(m, P, w): weighted_bergman at the
+    level-m weight y = w / m^2 of the torus generator's coefficient w."""
+    m = _check_level(m)
+    return weighted_bergman(m, P, w / float(m) ** 2)
+
+
+def beta_at(rep, t=None):
+    """beta = 2m (B - C) + (4/3) Delta B of the kernel report rep, Delta =
+    -(d/dt)^2 / Phi'', as a GridFunction at the nodes (t None) or at the
+    points t (kernel_at)."""
+    m, P = rep.level, rep.potential
+    if t is None:
+        kern, dens = rep.kernel, P.node_values("dens")
+    else:
+        kern = kernel_at(rep, t)
+        dens = P.density(kern.nodes)
+    dev = kern.values - rep.expected_constant
+    lap = -kern.d2 / dens
+    return GridFunction(2.0 * m * dev + (4.0 / 3.0) * lap, kern.nodes,
+                        name="beta_%d%s" % (m, "_weighted" if rep.weight
+                                            else ""))
+
+
 def beta_weighted(m, P, w):
     """Weighted modified kernel at the coefficient w of the torus generator:
     the level-m weight is y = w / m^2 on the monomial z^j (weight j).
 
-    w = 0 is beta(m, P).
+    w = 0 is beta(m, P).  beta_at(beta_report(m, P, w), t) samples the same
+    beta at other points, from the same Gram diagonal.
     """
-    m = _check_level(m)
-    rep = weighted_bergman(m, P, w / float(m) ** 2)
-    dev = rep.kernel.values - rep.expected_constant
-    lap = -rep.kernel.d2 / P.node_values("dens")
-    return grid_function(P, 2.0 * m * dev + (4.0 / 3.0) * lap,
-                         name="beta_%d%s" % (m, "_weighted" if w else ""))
+    return beta_at(beta_report(m, P, w))
 
 
 class FitReport:
+    """The fit's a1 and a2 at the nodes, and at the points of expansion_fit's
+    t as the pair `at` (None without t)."""
+
     def __init__(self, a1, a2, levels, residual_sup, first_order_error,
-                 sup_a1_error, metadata):
+                 sup_a1_error, metadata, at):
         self.a1 = a1
         self.a2 = a2
+        self.at = at
         self.levels = levels
         self.residual_sup = residual_sup
         self.first_order_error = first_order_error
@@ -276,14 +322,16 @@ class FitReport:
         self.metadata = metadata
 
 
-def expansion_fit(P, m_list):
+def expansion_fit(P, m_list, t=None):
     """Fit B_m(t) = 1 + a1 q + a2 q^2 (q = 1/m) per node over the levels.
 
     The constant term is pinned at 1.  Returns the fitted a1 as a grid
     function together with the per-level sup residuals, the per-level
     first-order errors sup|B_m - 1 - sigma/(2m)| (the sup of what is left
     after the first-order model; decays faster than 1/m), and
-    sup|a1 - sigma/2|.
+    sup|a1 - sigma/2|, all read at the nodes.  With points t the same fit
+    is made at t too, from the kernel values there against the same Gram
+    diagonals, and FitReport.at holds its (a1, a2) on t.
     """
     m_list = [_check_level(m) for m in m_list]
     if len(set(m_list)) != len(m_list):
@@ -298,15 +346,25 @@ def expansion_fit(P, m_list):
     if cond > 1e12:
         raise DegenerateFitError("fit design condition number %.2e" % cond)
 
-    def values(m):
-        # bergman_kernel's values bit for bit, without its d2 pass
-        G, E = _norms_and_rows(m, P)
-        return _kernel(m, E, G.entries)
+    Phi_t = None if t is None else P.Phi(t)
 
-    kernels = np.stack([values(m) for m in m_list])
+    def values(m):
+        # bergman_kernel's values bit for bit, without its d2 pass, and the
+        # kernel at t from the same Gram diagonal
+        G, E = _norms_and_rows(m, P)
+        return (_kernel(m, E, G.entries), None if t is None
+                else _kernel(m, _rows(m, t, Phi_t), G.entries))
+
+    kernels, kernels_t = zip(*map(values, m_list))
+    kernels = np.stack(kernels)
     coef, *_ = np.linalg.lstsq(V, kernels - 1.0, rcond=None)
     a1 = grid_function(P, coef[0], name="a1_fit")
     a2 = grid_function(P, coef[1], name="a2_fit")
+    at = None
+    if t is not None:
+        c = np.linalg.lstsq(V, np.stack(kernels_t) - 1.0, rcond=None)[0]
+        at = (GridFunction(c[0], t, name="a1_fit"),
+              GridFunction(c[1], t, name="a2_fit"))
     model = 1.0 + V @ coef
     residual_sup = np.max(np.abs(kernels - model), axis=1)
     sig = scalar_curvature(P).values
@@ -316,7 +374,7 @@ def expansion_fit(P, m_list):
     meta = {"degree": 2, "constant_pinned": True, "levels": list(m_list),
             "condition_number": float(cond)}
     return FitReport(a1, a2, list(m_list), residual_sup, first_order,
-                     sup_a1, meta)
+                     sup_a1, meta, at)
 
 
 def gram_derivative(m, P, psi):

@@ -146,7 +146,8 @@ class Quadrature:
 
 
 class GridFunction:
-    """A function sampled at the quadrature nodes.
+    """A function sampled at points: the quadrature nodes (grid_function),
+    or others, such as the knots of a report's tables.
 
     Producers that know the analytic derivatives attach them (d1..d4); the
     differential operators use attached arrays when present and fall back to
@@ -402,36 +403,45 @@ def _volume_integral(quad, vals, dens, masses):
                  + left * vals[0] + right * vals[-1])
 
 
-def _curvature_core(P):
-    """Shared stable pieces: density, sigma, (log Phi'')' and (log Phi'')''.
+def _curvature_core(P, t=None):
+    """Shared stable pieces: density, sigma, (log Phi'')' and (log Phi'')'',
+    at the nodes (t None, cached) or at the points t.
 
     The split isolates the perturbation terms so that on Fubini-Study the
     cancellations are exact and sigma evaluates to 2.0 bitwise; the naive
     quotient form loses eps/Phi''(T) relative accuracy at the window edges.
     """
+    if t is not None:
+        return _curvature_pieces(t, P.density(t),
+                                 *(P.phi_d(t, k) for k in (2, 3, 4)))
     if "core" not in P._cache:
-        _, y, w = _fs_pieces(P.quad.nodes)
-        dens = P.node_values("dens")
-        p2 = P.node_values("phi2")
-        p3 = P.node_values("phi3")
-        p4 = P.node_values("phi4")
-        A = p3 - w * p2
-        B = p4 - (w * w - 2.0 * y) * p2
-        t1 = A / dens
-        num = 2.0 * y + 2.0 * w * t1 + t1 * t1 - B / dens
-        sigma = num / dens
-        r1 = w + t1          # (log Phi'')'
-        gpp = -num           # (log Phi'')''
-        P._cache["core"] = (dens, sigma, r1, gpp)
+        P._cache["core"] = _curvature_pieces(
+            P.quad.nodes, P.node_values("dens"),
+            *(P.node_values("phi%d" % k) for k in (2, 3, 4)))
     return P._cache["core"]
 
 
-def scalar_curvature(P):
-    """sigma = -(log Phi'')''/Phi'' sampled at the nodes; mean is 2 for all P."""
-    _, sigma, _, _ = _curvature_core(P)
+def _curvature_pieces(t, dens, p2, p3, p4):
+    """_curvature_core from the density and phi^(k), k = 2, 3, 4, at t."""
+    _, y, w = _fs_pieces(t)
+    A = p3 - w * p2
+    B = p4 - (w * w - 2.0 * y) * p2
+    t1 = A / dens
+    num = 2.0 * y + 2.0 * w * t1 + t1 * t1 - B / dens
+    sigma = num / dens
+    r1 = w + t1          # (log Phi'')'
+    gpp = -num           # (log Phi'')''
+    return dens, sigma, r1, gpp
+
+
+def scalar_curvature(P, t=None):
+    """sigma = -(log Phi'')''/Phi'', a GridFunction at the nodes (t None) or
+    at the points t; its mean is 2 for all P."""
+    _, sigma, _, _ = _curvature_core(P, t)
+    t = P.quad.nodes if t is None else np.asarray(t, dtype=float)
     if not np.all(np.isfinite(sigma)):
-        raise PositivityError(P.quad.nodes[np.argmin(np.isfinite(sigma))], 0.0)
-    return grid_function(P, sigma, name="sigma")
+        raise PositivityError(t[np.argmin(np.isfinite(sigma))], 0.0)
+    return GridFunction(sigma, t, name="sigma")
 
 
 def laplacian_apply(P, f):

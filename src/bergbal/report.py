@@ -1,9 +1,9 @@
 """Report serialization: one CSV per table, and report.json indexing them.
 
-The CSVs hold the table numbers.  Tables are plot-ready: one row per
-quadrature node in a run's one table of node samples (the node t, then a
-column per sampled quantity and level; a solve's phi and density are read
-exactly from its diagonal x at the nodes), one row per iteration for
+The CSVs hold the table numbers.  Tables are plot-ready: one row per knot
+of the input's quadrature in a run's one table of samples in t (the knot t,
+then a column per sampled quantity and level; a solve's phi and density are
+read exactly from its diagonal x at the knots), one row per iteration for
 residual histories.  A CSV has a header row of column names, then one row per entry;
 a cell writes a float as %.17g, a bool as 1 or 0 and anything else as str().
 
@@ -77,7 +77,7 @@ def build_report(config_echo):
     import scipy
     versions["scipy"] = scipy.__version__
     return {
-        "report_version": 2,
+        "report_version": 3,
         "config": _plain(config_echo),
         "versions": versions,
         "conventions": {

@@ -2,10 +2,13 @@
 
 Every run produces the same report structure: config echo, versions,
 conventions, command outputs, plot-ready tables (written as CSVs, which
-report.json indexes), pass/fail verdicts, and timing.  A run's samples at
-the quadrature nodes t share one table, `potential`, `beta` or `expansion`,
-whose first column is t; a solve's phi and density columns read its Phi_x
-exactly there (solvers.BalanceResult.read), with no spline.  Reports are
+report.json indexes), pass/fail verdicts, and timing.  A run's samples of
+a function of t share one table, `potential`, `beta` or `expansion`, with
+one row per knot of the input's quadrature and the knot t as its first
+column: a solve's phi and density read its Phi_x exactly there
+(solvers.BalanceResult.read), and beta and the expansion read the kernels
+of the Gram diagonals computed on the nodes.  The nodes stay the
+integration rule, and every `outputs` number is read on them.  Reports are
 deterministic up to the timing block, at a fixed BLAS thread count.
 """
 import time
@@ -14,7 +17,7 @@ import numpy as np
 
 from .model import (QUADRATURE, default_window, make_perturbed_potential,
                     scalar_curvature)
-from .bergman import beta_weighted, expansion_fit
+from .bergman import beta_at, beta_report, expansion_fit
 from .solvers import tk_iterate, newton_balance, t_balance, balanced_family, \
     uniqueness_probe
 from .circle import CircleSample, make_partition, integer_consistency_report, \
@@ -43,12 +46,13 @@ def _history_table(name, history):
                         "residual": [float(r) for r in history]}}
 
 
-def _add_node_columns(report, name, P, columns):
-    """Add the arrays of columns, sampled at P's quadrature nodes, to the
-    table name; the first call creates it with the nodes as its column t."""
+def _add_knot_columns(report, name, P, columns):
+    """Add the arrays of columns, sampled at the knots of P's quadrature, to
+    the table name; the first call creates it with the knots as its column
+    t."""
     table = next((tb for tb in report["tables"] if tb["name"] == name), None)
     if table is None:
-        table = {"name": name, "columns": {"t": P.quad.nodes.tolist()}}
+        table = {"name": name, "columns": {"t": P.quad.knots.tolist()}}
         report["tables"].append(table)
     table["columns"].update((k, v.tolist()) for k, v in columns.items())
 
@@ -73,8 +77,8 @@ def _solve_command(cfg, report):
         report["verdicts"]["m%d_converged" % m] = res.converged
         report["tables"].append(
             _history_table("history_m%d" % m, res.residual_history))
-        phi, dens = res.read(P.quad.nodes)
-        _add_node_columns(report, "potential", P,
+        phi, dens = res.read(P.quad.knots)
+        _add_knot_columns(report, "potential", P,
                           {"phi_m%d" % m: phi, "density_m%d" % m: dens})
     report["outputs"]["levels"] = per_level
 
@@ -104,14 +108,14 @@ def _family_command(cfg, report):
 
 def _expand_command(cfg, report):
     P = _record_quadrature(report, _build_potential(cfg.potential, cfg))
-    fit = expansion_fit(P, cfg.levels)
-    sig = scalar_curvature(P)
+    fit = expansion_fit(P, cfg.levels, P.quad.knots)
     report["outputs"]["a1"] = {"sup_error": fit.sup_a1_error}
     report["outputs"]["first_order_error"] = fit.first_order_error
     report["outputs"]["residual_sup"] = fit.residual_sup
-    _add_node_columns(report, "expansion", P, {
-        "a1": fit.a1.values, "a2": fit.a2.values,
-        "half_sigma": 0.5 * sig.values})
+    a1, a2 = fit.at
+    _add_knot_columns(report, "expansion", P, {
+        "a1": a1.values, "a2": a2.values,
+        "half_sigma": 0.5 * scalar_curvature(P, P.quad.knots).values})
     finite = all(np.all(np.isfinite(np.asarray(v))) for v in
                  (fit.a1.values, fit.a2.values, fit.residual_sup,
                   fit.first_order_error))
@@ -122,9 +126,10 @@ def _beta_command(cfg, report):
     P = _record_quadrature(report, _build_potential(cfg.potential, cfg))
     sup = {}
     for m in cfg.levels:
-        b = beta_weighted(m, P, cfg.weight or 0.0)
-        sup[str(m)] = float(np.max(np.abs(b.values)))
-        _add_node_columns(report, "beta", P, {"beta_m%d" % m: b.values})
+        kernel = beta_report(m, P, cfg.weight or 0.0)
+        sup[str(m)] = float(np.max(np.abs(beta_at(kernel).values)))
+        knots = beta_at(kernel, P.quad.knots)
+        _add_knot_columns(report, "beta", P, {"beta_m%d" % m: knots.values})
     report["outputs"]["sup_abs_beta"] = sup
     report["verdicts"]["outputs_finite"] = bool(
         all(np.isfinite(v) for v in sup.values()))

@@ -239,8 +239,19 @@ class _DSpace:
         is analytic in u, (1/m) log sum_j e^{-x_j} u^j (1 - u)^{m-j}."""
         n = self.t.size
         phi, p = self._phi(x, np.concatenate((self.t, t)))
-        phi = phi[n:] - (self.w * fs_derivative(self.t, 2)) @ phi[:n]
+        phi = phi[n:] - self._fs_mean(phi[:n])
         return phi, self._moments(p[:, n:])[2] / self.m
+
+    def node_phi(self, x):
+        """read's phi at the nodes, from one softmax there and no density:
+        the softmax works column by column, so this is read(x, self.t)[0]
+        bit for bit."""
+        phi = self._phi(x, self.t)[0]
+        return phi - self._fs_mean(phi)
+
+    def _fs_mean(self, phi):
+        """int phi dmu_fs on the u-rule, from phi at the nodes."""
+        return (self.w * fs_derivative(self.t, 2)) @ phi
 
     def _moments(self, p):
         """The softmax mean mu, the squared deviations d2 = (j - mu)^2 and
@@ -320,7 +331,7 @@ class _DSpace:
 
         Each floor starts from what the closed-form round diagonal x_j =
         -log C(m, j), the exact balanced solution, reads on the nodes, where
-        a solve is read: d from read, as d_m is, and sigma from _cumulants
+        a solve is read: d from node_phi, as d_m is, and sigma from _cumulants
         of its one evaluation, as sigma_core_err is.  Two allowances widen
         it:
 
@@ -360,7 +371,7 @@ class _DSpace:
         m = self.m
         j = self.j
         x = gammaln(j + 1) + gammaln(m - j + 1) - gammaln(m + 1)
-        d_round = float(np.max(np.abs(self.read(x, self.t)[0])))
+        d_round = float(np.max(np.abs(self.node_phi(x))))
         if m == 1:
             # both entries of x are gauge directions: every diagonal is
             # round, and v = 0
@@ -638,7 +649,7 @@ def balanced_family(m_range, P_seed, opts=SolverOptions()):
             failure_index = i
             break
         ds = _DSpace(m)
-        rows.append((float(np.max(np.abs(res.read(ds.t)[0]))),
+        rows.append((float(np.max(np.abs(ds.node_phi(res.x)))),
                      res.diagnostics["sigma_core_err"])
                     + ds.round_floors(res.final_residual))
     d, s, d_floor, sigma_floor = np.array(rows).reshape(-1, 4).T
@@ -658,8 +669,8 @@ def uniqueness_probe(m, seeds, opts=SolverOptions()):
     results = [newton_balance(m, seed, opts) for seed in seeds]
     kept = [i for i, res in enumerate(results) if res.converged]
     excluded = [i for i, res in enumerate(results) if not res.converged]
-    t = _DSpace(m).t
-    phi = {i: results[i].read(t)[0] for i in kept}
+    ds = _DSpace(m)
+    phi = {i: ds.node_phi(results[i].x) for i in kept}
     dist = np.zeros((len(results), len(results)))
     for a in kept:
         for b in kept:

@@ -371,6 +371,25 @@ def test_beta_weighted_reduces_at_zero(bump):
     assert np.array_equal(bw.values, b.values)
 
 
+@pytest.mark.parametrize("w", [0.0, 2.0])
+def test_points_path_is_the_node_path(bump, w):
+    # sampled at the nodes, the kernel, beta and the fit at points are
+    # those at the nodes bit for bit: one formula, and the same weights
+    rep = bergman.beta_report(40, bump, w)
+    nodes = bump.quad.nodes
+    kern = bergman.kernel_at(rep, nodes)
+    assert np.array_equal(kern.values, rep.kernel.values)
+    assert np.array_equal(kern.d2, rep.kernel.d2)
+    assert np.array_equal(bergman.beta_at(rep, nodes).values,
+                          beta_weighted(40, bump, w).values)
+    fit = expansion_fit(bump, [10, 20, 40], nodes)
+    assert np.array_equal(fit.at[0].values, fit.a1.values)
+    assert np.array_equal(fit.at[1].values, fit.a2.values)
+    assert expansion_fit(bump, [10, 20, 40]).at is None
+    assert np.array_equal(scalar_curvature(bump, nodes).values,
+                          scalar_curvature(bump).values)
+
+
 def test_expansion_fit_fs(fs):
     # B_m = 1 + 1/m exactly, so a1 = 1 and a2 = 0
     fit = expansion_fit(fs, [5, 10, 20, 40])

@@ -4,6 +4,7 @@ import os
 import re
 
 import pytest
+import yaml
 
 from bergbal import runner
 from bergbal.cli import main
@@ -44,7 +45,8 @@ def test_pass_run(tmp_path, capsys):
 def test_failed_level_keeps_earlier_node_columns(failing, tmp_path,
                                                  monkeypatch, capsys):
     # a level that raises ends the run; the levels solved before it keep
-    # their columns in potential.csv, and with none solved it is not written
+    # their columns in potential.csv, one row per knot of the input's
+    # quadrature, and with none solved it is not written
     solve = runner.newton_balance
 
     def solve_or_fail(m, P, opts):
@@ -53,11 +55,12 @@ def test_failed_level_keeps_earlier_node_columns(failing, tmp_path,
         return solve(m, P, opts)
 
     monkeypatch.setattr(runner, "newton_balance", solve_or_fail)
-    cfg = _write(tmp_path, """
+    text = """
 command: newton
 potential: {type: fubini-study}
 levels: [4, 8]
-""")
+"""
+    cfg = _write(tmp_path, text)
     out_dir = tmp_path / "out"
     assert main(["newton", "--config", cfg, "--out", str(out_dir)]) == 3
     assert "level %d fails" % failing in capsys.readouterr().err
@@ -68,7 +71,10 @@ levels: [4, 8]
         return
     rows = path.read_text().splitlines()
     assert rows[0] == "t,phi_m4,density_m4"
-    assert len(rows) == 1 + rep["outputs"]["quadrature"]["n_nodes"]
+    assert len(rows) == 1 + rep["outputs"]["quadrature"]["grid_size"]
+    parsed = parse_config(yaml.safe_load(text))
+    knots = runner._build_potential(parsed.potential, parsed).quad.knots
+    assert [float(r.split(",")[0]) for r in rows[1:]] == knots.tolist()
 
 
 def _family_columns(out_dir):

@@ -642,7 +642,7 @@ def test_plain_fast_paths():
 
 def test_build_and_validate():
     rep = build_report({"command": "balance"})
-    assert rep["report_version"] == 2
+    assert rep["report_version"] == 3
     assert rep["config"] == {"command": "balance"}
     assert "numpy" in rep["versions"]
     validate_report(rep)
@@ -803,7 +803,7 @@ def test_writer_bytes_on_minimal_runs(command, tmp_path):
     assert len(files) == 1 + len(rep["tables"])
 
 
-# the header of each MINIMAL run's one CSV of node samples
+# the header of each MINIMAL run's one CSV of samples in t
 NODE_HEADERS = {
     "balance": "t,phi_m4,density_m4",
     "newton": "t,phi_m8,density_m8",
@@ -815,9 +815,10 @@ NODE_HEADERS = {
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_nodes_written_once_per_run(command, tmp_path):
-    # a run's node samples share one CSV: the node column t heads it, with
-    # one row per quadrature node, and no other CSV repeats it
-    rep = run_experiment(parse_config(MINIMAL[command]))
+    # a run's samples in t share one CSV: the knot column t heads it, with
+    # one row per knot of the input's quadrature, and no other CSV repeats it
+    cfg = parse_config(MINIMAL[command])
+    rep = run_experiment(cfg)
     paths = write_report(rep, str(tmp_path))
     assert len(paths) == len(set(paths))
     with_t = []
@@ -825,9 +826,11 @@ def test_nodes_written_once_per_run(command, tmp_path):
         lines = path.read_text().splitlines()
         if "t" in lines[0].split(","):
             with_t.append((lines[0], len(lines) - 1))
+            t = [float(line.split(",")[0]) for line in lines[1:]]
     if command in NODE_HEADERS:
-        n_nodes = rep["outputs"]["quadrature"]["n_nodes"]
-        assert with_t == [(NODE_HEADERS[command], n_nodes)]
+        grid = rep["outputs"]["quadrature"]["grid_size"]
+        assert with_t == [(NODE_HEADERS[command], grid)]
+        assert t == _build_potential(cfg.potential, cfg).quad.knots.tolist()
     else:
         assert with_t == []
 

@@ -124,8 +124,8 @@ def test_outputs_share_the_seed_quadrature(bump, newton8):
 
 def test_node_table_reads_the_cached_density(monkeypatch):
     # one density pass at the nodes, the input's, which its construction
-    # caches: the seed reads the input on the u-rule, and the node table
-    # reads each level's Phi_x exactly (BalanceResult.read), no spline
+    # caches: the seed reads the input on the u-rule, and the table reads
+    # each level's Phi_x exactly at the knots (BalanceResult.read), no spline
     seen = []
     density = model.RadialPotential.density
 
@@ -149,11 +149,12 @@ def test_node_table_reads_the_cached_density(monkeypatch):
     assert [id(p) for p in seen] == [id(P)]
     monkeypatch.undo()
     [table] = [tb for tb in report["tables"] if tb["name"] == "potential"]
-    assert table["columns"]["t"] == P.quad.nodes.tolist()
+    assert table["columns"]["t"] == P.quad.knots.tolist()
+    assert len(table["columns"]["t"]) == P.quad.grid_size
     for seed, res in solves:
         assert seed is P and res.quad is P.quad
         cols = table["columns"]
-        phi, dens = res.read(P.quad.nodes)
+        phi, dens = res.read(P.quad.knots)
         assert np.array_equal(cols["phi_m%d" % res.level], phi)
         assert np.array_equal(cols["density_m%d" % res.level], dens)
 
@@ -1035,8 +1036,8 @@ def test_round_floors_match_eig_form(desc, m):
 @pytest.mark.parametrize("m", [1, 40])
 def test_round_floors_one_evaluation(monkeypatch, m):
     # no Jacobian or eigen-decomposition: one exact reading of phi on the
-    # u-rule, with the u-rule again for its gauge, and one evaluation there,
-    # which sigma reads
+    # u-rule, whose one softmax also gives its gauge, and one evaluation
+    # there, which sigma reads
     ds = _DSpace(m)
     calls = _softmax_columns(monkeypatch)
     evaluations = _recorded_evaluations(monkeypatch)
@@ -1049,7 +1050,19 @@ def test_round_floors_one_evaluation(monkeypatch, m):
     ds.round_floors(1e-9)
     assert len(evaluations) == 1
     n = m + solvers.EXTRA_NODES
-    assert calls == [2 * n, n]
+    assert calls == [n, n]
+
+
+@pytest.mark.parametrize("m", [1, 8, 40, 200])
+def test_node_phi_is_read_on_the_nodes(box, monkeypatch, m):
+    # one softmax of n columns, and read's phi on the nodes bit for bit:
+    # the softmax works column by column
+    ds = _DSpace(m)
+    x = newton_balance(m, box).x
+    calls = _softmax_columns(monkeypatch)
+    phi = ds.node_phi(x)
+    assert calls == [ds.t.size]
+    assert np.array_equal(phi, ds.read(x, ds.t)[0])
 
 
 @pytest.mark.parametrize("desc", [BUMP, OFF, BOX], ids=["bump", "off", "box"])
