@@ -32,10 +32,9 @@ report's tables, is _rows there against the same Gram diagonal
 (kernel_at, beta_at and expansion_fit's t).
 """
 import numpy as np
-from scipy.special import expit, betaln, betainc
 
 from .model import (GridFunction, discretization_errors, grid_function,
-                    integrate, scalar_curvature)
+                    integrate, log_factorials, scalar_curvature)
 
 MAX_LEVEL = 200
 # largest |y| m for the weights e^{jy}, j <= m (e^709 overflows float64)
@@ -98,14 +97,21 @@ def fs_tails(m, window):
 
     Left tail is over t < -T (x < expit(-T)), right over t > T.  Multiplied by
     e^{-m c} these are the exact Gram tails for any potential whose
-    perturbation equals the constant c beyond the window.
+    perturbation equals the constant c beyond the window.  With integer
+    parameters the incomplete Beta function is a finite Bernstein sum:
+    left_j = B(j+1, m-j+1) sum_{k > j} C(m+1, k) x^k (1-x)^{m+1-k} at x =
+    expit(-T), each term formed in log space and the sum as a running
+    logaddexp, so that no term underflows before it is scaled by the Beta
+    function.  The right tail is the left one reflected, j -> m - j.
     """
-    j = np.arange(m + 1)
-    xT = expit(-window)
-    base = np.exp(betaln(j + 1, m - j + 1))
-    left = base * betainc(j + 1, m - j + 1, xT)
-    right = base * betainc(m - j + 1, j + 1, xT)
-    return left, right
+    lf = log_factorials(m + 1)
+    k = np.arange(m + 2.0)
+    # log x = -log(1 + e^T) and log(1 - x) = -log(1 + e^{-T})
+    terms = (lf[-1] - lf - lf[::-1]) - k * np.logaddexp(0.0, window) \
+        - (m + 1 - k) * np.logaddexp(0.0, -window)
+    tail_sums = np.logaddexp.accumulate(terms[::-1])[::-1]
+    left = np.exp(lf[:-1] + lf[-2::-1] - lf[-1] + tail_sums[1:])
+    return left, left[::-1]
 
 
 def _exp_floor(z, low):

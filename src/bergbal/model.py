@@ -5,8 +5,12 @@ as a perturbation phi of the Fubini-Study potential,
 
     Phi(t) = log(1 + e^t) + phi(t),
 
-with phi a quintic spline on a uniform grid over [-T, T], extended by its
-boundary constants outside the window.  The volume density is Phi''(t) dt
+with phi given on a window [-T, T] and extended by its boundary constants
+outside it: in closed form for the Fubini-Study potential (phi = 0) and the
+Gaussian bump, and as a quintic spline on a uniform grid of knots over the
+window for tabulated input and for potentials built from knot values (a
+translate, the spline of a solve's output).  Only the spline needs scipy,
+which it imports when it is built.  The volume density is Phi''(t) dt
 (total mass 1, the degree), the scalar curvature is
 
     sigma = -(log Phi'')'' / Phi'',
@@ -14,9 +18,9 @@ boundary constants outside the window.  The volume density is Phi''(t) dt
 normalized so that the Fubini-Study metric has sigma = 2 and the mean of
 sigma is 2 for every metric in the class (Gauss-Bonnet).
 """
+import math
+
 import numpy as np
-from scipy.special import expit
-from scipy.interpolate import make_interp_spline
 
 DECAY_TOL = 1e-10
 # the bounds of discretization_errors: leggauss(order) diagonalizes an order
@@ -82,6 +86,19 @@ def discretization_errors(window, grid, order, top):
                            "bytes per array, above the maximum %d"
                            % (grid, order, top, size, MAX_ARRAY_BYTES)))
     return errors
+
+
+def expit(t):
+    """The logistic function 1/(1 + e^{-t}), with no overflow: from e =
+    e^{-|t|}, 1/(1 + e) at t >= 0 and e/(1 + e) below."""
+    t = np.asarray(t, dtype=float)
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def log_factorials(n):
+    """log k! for k = 0..n, by math.lgamma."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
 
 
 def _fs_pieces(t):
@@ -177,39 +194,41 @@ class GridFunction:
         # would leak O(eps/h^k) edge noise into quotients by the tail density
         if np.ptp(self.values) == 0.0:
             return np.zeros_like(self.values)
+        from scipy.interpolate import make_interp_spline
         spl = make_interp_spline(self.nodes, self.values, k=5)
         return spl.derivative(k)(self.nodes)
 
 
 class RadialPotential:
-    """Full potential Phi = log(1+e^t) + phi with phi stored as a quintic spline.
+    """Full potential Phi = log(1+e^t) + phi; here phi = 0, the Fubini-Study
+    potential, and each subclass gives its own phi through _phi_k.
 
-    phi lives on the knots of quad, a read-only Quadrature that potentials
+    phi lives on the window of quad, a read-only Quadrature that potentials
     built from one another share: make_fs_potential and
     make_perturbed_potential build one, and a translate and the spline of a
-    solve's output (_from_knot_values) keep their seed's.  Immutable after
-    construction; derived node arrays are cached.  The splines of phi^(k),
-    k = 1..5, are built before the gauge shift: a constant, it would change
-    them only by rounding.
+    solve's output (_from_knot_values) keep their seed's.  Beyond the window
+    phi is extended by its boundary constants c_minus and c_plus.  It is
+    gauged to mean zero against the Fubini-Study measure, a constant that
+    leaves its derivatives as _phi_k gives them.  Immutable after
+    construction; derived node arrays are cached.
     """
 
-    def __init__(self, quad, phi_knot_values, decay_tol=DECAY_TOL):
+    def __init__(self, quad, decay_tol=DECAY_TOL):
         self.quad = quad
         self.window = quad.window
         self.decay_tol = float(decay_tol)
-        vals = np.asarray(phi_knot_values, dtype=float)
-        if vals.shape != quad.knots.shape:
-            raise ValueError("knot value array has wrong length")
-        self._spline = make_interp_spline(quad.knots, vals, k=5)
-        self._dsplines = [self._spline.derivative(k) for k in range(1, 6)]
         # additive gauge: mean-zero against the Fubini-Study measure
-        c0 = self._fs_mean(self._spline(quad.nodes))
-        self._spline.c = self._spline.c - c0
-        self.c_minus = float(self._spline(-self.window))
-        self.c_plus = float(self._spline(self.window))
+        self._gauge = self._fs_mean(self._phi_k(quad.nodes, 0))
+        self.c_minus = float(self.phi(-self.window))
+        self.c_plus = float(self.phi(self.window))
         self._cache = {}
         self._check_decay()
         self._check_positivity()
+
+    def _phi_k(self, t, k):
+        """The k-th derivative of phi before the gauge, k = 0..5, at points
+        t of the window."""
+        return np.zeros_like(t)
 
     def _fs_mean(self, node_values):
         q = self.quad
@@ -220,8 +239,8 @@ class RadialPotential:
 
     def _check_decay(self):
         for tb in (-self.window, self.window):
-            d1 = abs(self._dsplines[0](tb))
-            d2 = abs(self._dsplines[1](tb))
+            d1 = abs(self.phi_d(tb, 1))
+            d2 = abs(self.phi_d(tb, 2))
             if d1 > self.decay_tol or d2 > self.decay_tol:
                 raise ValueError(
                     "perturbation does not settle at the window: "
@@ -239,7 +258,8 @@ class RadialPotential:
 
     def phi(self, t):
         t = np.asarray(t, dtype=float)
-        return self._spline(np.clip(t, -self.window, self.window))
+        return self._phi_k(np.clip(t, -self.window, self.window), 0) \
+            - self._gauge
 
     def phi_d(self, t, k):
         """k-th derivative of phi, k = 1..5; zero outside the window (constant
@@ -247,7 +267,7 @@ class RadialPotential:
         if k not in (1, 2, 3, 4, 5):
             raise ValueError("k out of range: %r" % (k,))
         t = np.asarray(t, dtype=float)
-        out = self._dsplines[k - 1](np.clip(t, -self.window, self.window))
+        out = self._phi_k(np.clip(t, -self.window, self.window), k)
         return np.where(np.abs(t) > self.window, 0.0, out)
 
     def Phi(self, t):
@@ -258,6 +278,11 @@ class RadialPotential:
 
     def density(self, t):
         return self.Phi_d(t, 2)
+
+    def read(self, t):
+        """phi and the density at the points t, as a solve reads its seed
+        (see solvers.BalanceResult.read)."""
+        return self.phi(t), self.density(t)
 
     # -- cached node samples ----------------------------------------------
 
@@ -281,10 +306,48 @@ class RadialPotential:
         return self._cache[key]
 
 
+class BumpPotential(RadialPotential):
+    """The Gaussian bump phi = a e^{-v^2/2}, v = (t - c)/s, of amplitude a,
+    width s and center c, in closed form: phi^(k) = a (-1/s)^k He_k(v)
+    e^{-v^2/2}, He_k the probabilists' Hermite polynomial."""
+
+    def __init__(self, quad, amplitude, width, center=0.0):
+        self.amplitude = float(amplitude)
+        self.width = float(width)
+        self.center = float(center)
+        if self.width <= 0:
+            raise ValueError("bump width must be positive")
+        super().__init__(quad)
+
+    def _phi_k(self, t, k):
+        v = (t - self.center) / self.width
+        return (self.amplitude * (-1.0 / self.width) ** k
+                * np.polynomial.hermite_e.hermeval(v, [0.0] * k + [1.0])
+                * np.exp(-0.5 * v * v))
+
+
+class SplinePotential(RadialPotential):
+    """phi as the quintic spline through its values at the knots of quad:
+    tabulated input, a translate and the spline of a solve's output.  The
+    splines of phi^(k), k = 1..5, are built with it, and scipy is imported
+    here, by the first potential that needs it."""
+
+    def __init__(self, quad, phi_knot_values, decay_tol=DECAY_TOL):
+        from scipy.interpolate import make_interp_spline
+        vals = np.asarray(phi_knot_values, dtype=float)
+        if vals.shape != quad.knots.shape:
+            raise ValueError("knot value array has wrong length")
+        spline = make_interp_spline(quad.knots, vals, k=5)
+        self._splines = [spline] + [spline.derivative(k) for k in range(1, 6)]
+        super().__init__(quad, decay_tol)
+
+    def _phi_k(self, t, k):
+        return self._splines[k](t)
+
+
 def make_fs_potential(window, grid_size, order=QUADRATURE["order"]):
     """The reference Fubini-Study potential (phi = 0)."""
-    quad = Quadrature(window, grid_size, order)
-    return RadialPotential(quad, np.zeros(quad.grid_size))
+    return RadialPotential(Quadrature(window, grid_size, order))
 
 
 def make_perturbed_potential(desc, window, grid_size, order=QUADRATURE["order"]):
@@ -302,17 +365,12 @@ def make_perturbed_potential(desc, window, grid_size, order=QUADRATURE["order"])
         return make_fs_potential(window, grid_size, order)
     quad = Quadrature(window, grid_size, order)
     if kind == "gaussian-bump":
-        a = float(desc["amplitude"])
-        s = float(desc["width"])
-        c = float(desc.get("center", 0.0))
-        if s <= 0:
-            raise ValueError("bump width must be positive")
-        vals = a * np.exp(-0.5 * ((quad.knots - c) / s) ** 2)
-    elif kind == "tabulated":
-        vals = _resample_tabulated(desc, quad.knots, quad.window)
-    else:
-        raise ValueError("unknown perturbation type: %r" % (kind,))
-    return RadialPotential(quad, vals)
+        return BumpPotential(quad, desc["amplitude"], desc["width"],
+                             desc.get("center", 0.0))
+    if kind == "tabulated":
+        return SplinePotential(
+            quad, _resample_tabulated(desc, quad.knots, quad.window))
+    raise ValueError("unknown perturbation type: %r" % (kind,))
 
 
 def tabulated_errors(t, phi, window):
@@ -338,6 +396,7 @@ def tabulated_errors(t, phi, window):
         return errors
     # smoothness check: the spline through every other sample must predict
     # the skipped samples; jagged data fails by orders of magnitude
+    from scipy.interpolate import make_interp_spline
     spl_half = make_interp_spline(t[::2], v[::2], k=3)
     scale = max(np.max(np.abs(v)), 1e-30)
     mismatch = np.max(np.abs(spl_half(t[1::2]) - v[1::2])) / scale
@@ -353,6 +412,7 @@ def _resample_tabulated(desc, knots, window):
     errors = tabulated_errors(desc["t"], desc["phi"], window)
     if errors:
         raise ValueError(errors[0])
+    from scipy.interpolate import make_interp_spline
     return make_interp_spline(np.asarray(desc["t"], dtype=float),
                               np.asarray(desc["phi"], dtype=float), k=5)(knots)
 
@@ -366,7 +426,7 @@ def _from_knot_values(vals, quad):
     relaxed because these potentials settle like e^{-|t|} by construction,
     with a genuinely nonzero (if tiny) tail at any finite window.
     """
-    return RadialPotential(quad, vals, decay_tol=1e-8)
+    return SplinePotential(quad, vals, decay_tol=1e-8)
 
 
 def translate_potential(P, s):

@@ -70,12 +70,14 @@ def load_schema():
 
 
 def build_report(config_echo):
-    """Skeleton report; callers fill outputs/tables/verdicts/timing."""
+    """Skeleton report; callers fill outputs/tables/verdicts/timing.  The
+    versions name scipy only if this process has loaded it: a run loads it
+    for tabulated input alone, whose config check already has."""
     versions = {"bergbal": __version__,
                 "python": sys.version.split()[0],
                 "numpy": np.__version__}
-    import scipy
-    versions["scipy"] = scipy.__version__
+    if "scipy" in sys.modules:
+        versions["scipy"] = sys.modules["scipy"].__version__
     return {
         "report_version": 3,
         "config": _plain(config_echo),

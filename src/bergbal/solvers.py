@@ -50,10 +50,8 @@ import functools
 import time
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
-from .model import fs_derivative, _from_knot_values
+from .model import fs_derivative, log_factorials, _from_knot_values
 from .bergman import c_of_m, _check_window, _exp_floor, _kernel, _rows
 
 # nodes of the u-rule beyond the level: n = m + EXTRA_NODES (see _DSpace)
@@ -82,11 +80,11 @@ class BalanceResult:
     seed's quadrature quad, with the history and diagnostics of the solve.
 
     read(t) gives phi and the density of Phi_x exactly at any points (see
-    _DSpace.read).  Phi and density are what a solve reads of its seed, so
-    a result seeds the next level of a family.  potential is the spline
-    RadialPotential of Phi_x, built on first use, for callers that pass a
-    solution to the kernel functions: the quintic through the ungauged knot
-    values S/m - log(1 + e^t) on quad."""
+    _DSpace.read).  It is what a solve reads of its seed, as of a
+    RadialPotential, so a result seeds the next level of a family in one
+    read.  potential is the SplinePotential of Phi_x, built on first use,
+    for callers that pass a solution to the kernel functions: the quintic
+    through the ungauged knot values S/m - log(1 + e^t) on quad."""
 
     def __init__(self, level, x, quad, torus_weight, residual_history,
                  converged, iterations, wall_time, mode, diagnostics=None):
@@ -111,12 +109,6 @@ class BalanceResult:
 
     def read(self, t):
         return _DSpace(self.level).read(self.x, t)
-
-    def Phi(self, t):
-        return fs_derivative(t, 0) + self.read(t)[0]
-
-    def density(self, t):
-        return self.read(t)[1]
 
     @functools.cached_property
     def potential(self):
@@ -159,10 +151,14 @@ def _u_rule(n):
     k / (2 sqrt(4 k^2 - 1))): its end weights are within 1e-12 of a 40-digit
     reference at n = 216, where those of leggauss are off by 8.7e-11.  1 - u
     is read from the mirrored node, exact near u = 1, and w_u symmetrized.
-    Cached, read-only: n = m + EXTRA_NODES takes one value per level."""
+    The tridiagonal matrix is diagonalized as a dense one by
+    np.linalg.eigh, which reads its lower triangle.  Cached, read-only: n =
+    m + EXTRA_NODES takes one value per level."""
     k = np.arange(1.0, n)
-    u, V = eigh_tridiagonal(np.full(n, 0.5),
-                            k / (2.0 * np.sqrt(4.0 * k * k - 1.0)))
+    J = np.diag(np.full(n, 0.5))
+    J[np.arange(1, n), np.arange(n - 1)] = \
+        k / (2.0 * np.sqrt(4.0 * k * k - 1.0))
+    u, V = np.linalg.eigh(J)
     v = u[::-1]
     w = V[0] ** 2
     w = 0.5 * (w + w[::-1]) / (u * v)
@@ -370,7 +366,8 @@ class _DSpace:
         """
         m = self.m
         j = self.j
-        x = gammaln(j + 1) + gammaln(m - j + 1) - gammaln(m + 1)
+        lf = log_factorials(m)
+        x = lf + lf[::-1] - lf[-1]
         d_round = float(np.max(np.abs(self.node_phi(x))))
         if m == 1:
             # both entries of x are gauge directions: every diagonal is
@@ -415,12 +412,13 @@ def _sigma_err(m, k2, k3, k4):
 
 def _seed(m, P0):
     """The _DSpace of a solve at level m and its seed x0 = log((m+1) G), G
-    the Gram diagonal of P0 on the solve's own u-rule, from P0.Phi and
-    P0.density at the nodes: a spline potential or the BalanceResult of a
-    lower level.  Raises ValueError unless m is in [1, MAX_LEVEL] and
+    the Gram diagonal of P0 on the solve's own u-rule, from one P0.read of
+    phi and the density at the nodes: a RadialPotential or the BalanceResult
+    of a lower level.  Raises ValueError unless m is in [1, MAX_LEVEL] and
     WindowError unless P0's window carries level m."""
     ds = _DSpace(_check_window(m, P0.quad.window))
-    G = _rows(ds.m, ds.t, P0.Phi(ds.t)) @ (ds.w * P0.density(ds.t))
+    phi, dens = P0.read(ds.t)
+    G = _rows(ds.m, ds.t, fs_derivative(ds.t, 0) + phi) @ (ds.w * dens)
     return ds, np.log((ds.m + 1) * G)
 
 

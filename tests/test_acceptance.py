@@ -5,13 +5,13 @@ asserting, so a full run always prints all eleven verdicts (see the
 "acceptance criteria" section of the terminal summary).
 
 Ten of the eleven pass.  Criterion 3 stays red: at levels 10..80 the fitted
-a1 misses sigma/2 by 21.3% of sup|sigma - 2| against a 5% budget.  The
+a1 misses sigma/2 by 21.2% of sup|sigma - 2| against a 5% budget.  The
 kernel is right; the levels are pre-asymptotic for this bump.  An
 independent log-domain quadrature of the bump gives m (B_m - 1) at t = 0 of
 -0.137, -0.849, -1.634, -2.366, -2.949, -3.351 for m = 10, 20, 40, ..., 320
 (the package gives -2.366 at m = 80), against the limit sigma(0)/2 = -3.889.
 The gap to the limit shrinks by a factor of only 0.81, 0.74, 0.67, 0.61,
-0.57 per doubling.  The a1 error is 21.3% on levels 10..80, 15.6% on
+0.57 per doubling.  The a1 error is 21.2% on levels 10..80, 15.6% on
 25..200, and, with MAX_LEVEL raised, 11.4% on 40..320 and 6.4% on 80..640;
 grids of 768 and 1536 agree to 0.1 point, and cubic or quartic fits on
 10..80 still give 17.8% or 10.9%.  The 5% budget thus needs levels past

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import betaln
+from scipy.special import betainc, betaln
 
 from bergbal import bergman, model
 from bergbal.model import (
@@ -53,6 +53,23 @@ def test_fs_tails_sum():
     full = np.exp(betaln(j + 1, 6 - j + 1))
     assert np.all(left > 0) and np.all(right > 0)
     assert np.max((left + right) / full) < 1e-7
+
+
+@pytest.mark.parametrize("m", [1, 8, 40, 200])
+@pytest.mark.parametrize("window", [10.0, 25.3, 40.0])
+def test_fs_tails_match_the_incomplete_beta(m, window):
+    # the Bernstein sum in log space against scipy's regularized incomplete
+    # Beta function, B(j+1, m-j+1) I_x(j+1, m-j+1) at x = expit(-T):
+    # measured <= 3.5e-13 relative, the error of e^z at |z| up to 140
+    left, right = fs_tails(m, window)
+    j = np.arange(m + 1)
+    x = model.expit(-window)
+    base = np.exp(betaln(j + 1, m - j + 1))
+    for ours, ref in ((left, base * betainc(j + 1, m - j + 1, x)),
+                      (right, base * betainc(m - j + 1, j + 1, x))):
+        normal = ref > 1e-300
+        assert np.max(np.abs(ours[normal] / ref[normal] - 1.0)) <= 1e-12
+        assert np.all(ours[~normal] <= 1e-300)
 
 
 def test_fs_kernel_constant(fs):

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -473,6 +475,52 @@ def test_m_max_bound(degree, top):
     with pytest.raises(ConfigError, match="m_max: 20 plus the sample's "
                        "degree 251 exceeds 270"):
         parse_config(doc)
+
+
+# runs each (command, config path, output directory) of its arguments
+# through cli.main in one process and prints, per run, its exit code and the
+# scipy modules loaded so far
+_SCIPY_PROBE = """
+import json, sys
+from bergbal.cli import main
+runs = []
+for command, path, out in zip(*[iter(sys.argv[1:])] * 3):
+    code = main([command, "--config", path, "--out", out])
+    runs.append([code, sorted(m for m in sys.modules
+                              if m.split(".")[0] == "scipy")])
+print(json.dumps(runs))
+"""
+
+
+def test_closed_form_runs_load_no_scipy(tmp_path):
+    # every command on closed-form input, in a fresh process, imports and
+    # runs without scipy, and its report names none; a tabulated run loads
+    # scipy.interpolate for its spline, and its report names scipy
+    runs = [(command, MINIMAL[command]) for command in COMMANDS]
+    runs.append(("newton", dict(MINIMAL["newton"],
+                                potential=_tabulated(_T, _SMOOTH))))
+    args = []
+    for i, (command, doc) in enumerate(runs):
+        path = tmp_path / ("run%d.yaml" % i)
+        path.write_text(json.dumps(doc))
+        args += [command, str(path), str(tmp_path / ("run%d" % i))]
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
+                                             else ""))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    for i, ((command, _), (code, modules)) in enumerate(zip(runs, loaded)):
+        assert code == 0, command
+        versions = load_report(
+            str(tmp_path / ("run%d" % i) / "report.json"))["versions"]
+        if i < len(COMMANDS):
+            assert modules == [] and "scipy" not in versions, command
+        else:
+            assert "scipy.interpolate" in modules and "scipy" in versions
 
 
 def test_tabulated_window_is_the_runs():

@@ -1,9 +1,11 @@
 import json
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
 from scipy.interpolate import make_interp_spline
+from scipy.special import expit as scipy_expit
 
 from bergbal import bergman, model
 from bergbal.cli import main
@@ -27,6 +29,18 @@ def fs():
 @pytest.fixture(scope="module")
 def bump():
     return make_perturbed_potential(BUMP, window=20.0, grid_size=512)
+
+
+def test_expit_matches_scipy():
+    # within two ulps relative of scipy's on [-40, 40] (measured 4.4e-16),
+    # and no overflow (a RuntimeWarning fails the suite) from e^{-|t|} where
+    # 1/(1 + e^{-t}) would overflow
+    t = np.linspace(-40.0, 40.0, 20001)
+    ref = scipy_expit(t)
+    assert np.max(np.abs(model.expit(t) - ref) / ref) \
+        <= 2.0 * np.finfo(float).eps
+    far = np.array([-np.inf, -1e4, -800.0, 800.0, 1e4, np.inf])
+    assert np.array_equal(model.expit(far), scipy_expit(far))
 
 
 def test_fs_value_at_origin(fs):
@@ -83,12 +97,17 @@ def test_positivity_rejected_with_location():
 
 
 def test_tabulated_round_trip(bump):
+    # tabulated samples at the knots give back the spline through them, and
+    # that spline is within its interpolation error of the closed-form bump
+    # (measured 2.1e-11)
     kn = bump.quad.knots
+    spline = model.SplinePotential(bump.quad, bump.phi(kn))
     P = make_perturbed_potential({"type": "tabulated", "t": kn,
                                   "phi": bump.phi(kn)},
                                  window=20.0, grid_size=512)
     t = bump.quad.nodes
-    assert np.max(np.abs(P.phi(t) - bump.phi(t))) < 1e-12
+    assert np.max(np.abs(P.phi(t) - spline.phi(t))) < 1e-12
+    assert np.max(np.abs(P.phi(t) - bump.phi(t))) < 1e-10
 
 
 def test_tabulated_rejects_nonsmooth():
@@ -97,6 +116,56 @@ def test_tabulated_rejects_nonsmooth():
     with pytest.raises(ValueError):
         make_perturbed_potential({"type": "tabulated", "t": kn, "phi": vals},
                                  window=20.0, grid_size=512)
+
+
+BOX = {"type": "gaussian-bump", "amplitude": 0.07, "width": 1.3,
+       "center": 0.45}
+
+
+@pytest.mark.parametrize("desc", [BUMP, BOX], ids=["criterion-3", "box"])
+def test_bump_closed_form_matches_sympy(desc):
+    # Phi^(k), k = 0..5, and sigma of the closed-form bump against sympy's
+    # derivatives of a e^{-(t-c)^2/(2 s^2)} + log(1 + e^t), evaluated at 30
+    # digits, on |t| <= 10: within 1e-12 of each function's sup there
+    # (measured <= 1.8e-15).  Phi itself is compared before the gauge, a
+    # constant
+    P = make_perturbed_potential(desc, window=20.0, grid_size=512)
+    ts = sympy.Symbol("t")
+    a, s, c = desc["amplitude"], desc["width"], desc["center"]
+    Phi = (sympy.Float(a) * sympy.exp(-(ts - sympy.Float(c)) ** 2
+                                       / (2 * sympy.Float(s) ** 2))
+           + sympy.log(1 + sympy.exp(ts)))
+    dens = sympy.diff(Phi, ts, 2)
+    exact = [sympy.diff(Phi, ts, k) for k in range(6)]
+    exact.append(-sympy.diff(sympy.log(dens), ts, 2) / dens)
+    t = np.linspace(-10.0, 10.0, 81)
+    ours = [P.Phi(t) + P._gauge] + [P.Phi_d(t, k) for k in range(1, 6)]
+    ours.append(scalar_curvature(P, t).values)
+    for k, (expr, values) in enumerate(zip(exact, ours)):
+        f = sympy.lambdify(ts, expr, "mpmath")
+        with mpmath.workdps(30):
+            ref = np.array([float(f(mpmath.mpf(u))) for u in t])
+        assert np.max(np.abs(values - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+
+
+def test_tabulated_sigma_error_is_fourth_order():
+    # a tabulated bump is a quintic spline on the knots, and its sigma, from
+    # the spline's fourth derivative, is O(h^2) off the closed form's: on
+    # criterion 3's bump and |t| <= 10, 0.308, 0.074, 0.036 and 0.0088 at
+    # grid 256, 512, 768 and 1536, falling 4.1 times per halving of h
+    window = default_window(80)
+    samples = np.linspace(-window, window, 3001)
+    t = np.linspace(-10.0, 10.0, 2001)
+    err = {}
+    for grid in (256, 512, 768, 1536):
+        tab = make_perturbed_potential(
+            {"type": "tabulated", "t": samples,
+             "phi": 0.1 * np.exp(-0.5 * samples ** 2)}, window, grid)
+        exact = make_perturbed_potential(BUMP, window, grid)
+        err[grid] = np.max(np.abs(scalar_curvature(tab, t).values
+                                  - scalar_curvature(exact, t).values))
+    assert err[256] / err[512] >= 3.5
+    assert err[768] / err[1536] >= 3.5
 
 
 def test_node_values_cached_read_only(bump):
@@ -124,8 +193,11 @@ def test_phi_mean_zero(bump):
 
 
 def test_scalar_curvature_fs_exact(fs):
-    sig = scalar_curvature(fs)
-    assert np.max(np.abs(sig.values - 2.0)) < 1e-9
+    # phi = 0, so the perturbation terms of _curvature_pieces vanish and
+    # sigma is 2.0 bit for bit, at the nodes and at any point
+    assert np.all(scalar_curvature(fs).values == 2.0)
+    t = np.linspace(-40.0, 40.0, 1001)
+    assert np.all(scalar_curvature(fs, t).values == 2.0)
 
 
 def test_scalar_curvature_gauss_bonnet(bump):
@@ -276,22 +348,31 @@ def test_derivative_fallback_matches_attached(fs):
     assert np.max(np.abs(d2 - (t ** 2 - 1) * vals)) < 1e-7
 
 
-def _recorded_potentials(monkeypatch):
-    """The list of (potential, knot values) of every RadialPotential built."""
+def _recorded_potentials(monkeypatch, cls=model.RadialPotential):
+    """The list of (potential, constructor arguments) of every potential of
+    class cls built."""
     built = []
-    init = model.RadialPotential.__init__
+    init = cls.__init__
 
-    def recorded(self, quad, phi_knot_values, *args, **kwargs):
-        init(self, quad, phi_knot_values, *args, **kwargs)
-        built.append((self, np.asarray(phi_knot_values, dtype=float)))
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self, args))
 
-    monkeypatch.setattr(model.RadialPotential, "__init__", recorded)
+    monkeypatch.setattr(cls, "__init__", recorded)
     return built
 
 
+def _tabulated_bump():
+    knots = np.linspace(-20.0, 20.0, 512)
+    return make_perturbed_potential(
+        {"type": "tabulated", "t": knots,
+         "phi": 0.1 * np.exp(-0.5 * knots ** 2)}, window=20.0, grid_size=512)
+
+
 @pytest.mark.parametrize("build", [
-    lambda: make_perturbed_potential(BUMP, window=20.0, grid_size=512),
-    lambda: make_fs_potential(window=20.0, grid_size=512),
+    _tabulated_bump,
+    lambda: model._from_knot_values(np.zeros(512),
+                                    model.Quadrature(20.0, 512, 8)),
     lambda: translate_potential(
         make_perturbed_potential(BUMP, window=20.0, grid_size=512), 0.7),
     lambda: newton_balance(
@@ -299,13 +380,15 @@ def _recorded_potentials(monkeypatch):
     ).potential],
     ids=["bump", "fs", "translate", "newton"])
 def test_derivative_splines_are_the_eager_ones(build, monkeypatch):
-    # each phi^(k) is bit for bit the derivative of the spline through the
-    # knot values before the gauge shift, a solve's spline included
-    built = _recorded_potentials(monkeypatch)
+    # each phi^(k) of a spline potential is bit for bit the derivative of
+    # the spline through its knot values before the gauge shift: the bump
+    # as tabulated input, Fubini-Study as its zero knot values, a translate
+    # and a solve's spline
+    built = _recorded_potentials(monkeypatch, model.SplinePotential)
     build()
     assert built
-    for P, vals in built:
-        spline = make_interp_spline(P.quad.knots, vals, k=5)
+    for P, (quad, vals, *_) in built:
+        spline = make_interp_spline(quad.knots, vals, k=5)
         t = P.quad.nodes
         for k in range(1, 6):
             assert np.array_equal(P.phi_d(t, k), spline.derivative(k)(t)), k
@@ -317,13 +400,14 @@ def test_derivative_splines_are_the_eager_ones(build, monkeypatch):
 def test_solve_commands_build_only_their_inputs(command, seeds, tmp_path,
                                                 monkeypatch):
     # a solve's answer is its diagonal x: a CLI solve run builds one
-    # potential per input, the seeds' splines, and none for its levels,
-    # and it never integrates a spline's Gram diagonal (section_norms)
+    # potential per input, in closed form here, and none for its levels,
+    # and it never integrates a potential's Gram diagonal (section_norms)
     def refused(*args):
-        raise AssertionError("a solve reads no spline Gram diagonal")
+        raise AssertionError("a solve reads no potential's Gram diagonal")
 
     monkeypatch.setattr(bergman, "_norms_and_rows", refused)
     built = _recorded_potentials(monkeypatch)
+    splines = _recorded_potentials(monkeypatch, model.SplinePotential)
     doc = {"command": command, "levels": [8] if command == "probe" else [4, 8]}
     if command == "probe":
         doc["seeds"] = [BUMP, OFF, {"type": "fubini-study"}]
@@ -333,4 +417,4 @@ def test_solve_commands_build_only_their_inputs(command, seeds, tmp_path,
     cfg.write_text(json.dumps(doc))
     assert main([command, "--config", str(cfg), "--out",
                  str(tmp_path / "out")]) == 0
-    assert len(built) == seeds
+    assert len(built) == seeds and not splines

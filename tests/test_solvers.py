@@ -476,6 +476,20 @@ def _seeded(desc, m):
     return _seed(m, P)
 
 
+def test_family_seed_reads_the_lower_level_once(bump, newton8, monkeypatch):
+    # a level seeded from a lower level's result reads it once, one softmax
+    # at the lower level's nodes and its own, and gets the same x0 as from
+    # two reads, of phi and of the density
+    ds = _DSpace(16)
+    phi, dens = newton8.read(ds.t)
+    G = solvers._rows(16, ds.t, model.fs_derivative(ds.t, 0) + phi) \
+        @ (ds.w * dens)
+    calls = _softmax_columns(monkeypatch)
+    x0 = _seed(16, newton8)[1]
+    assert calls == [_DSpace(8).t.size + ds.t.size]
+    assert np.array_equal(x0, np.log(17 * G))
+
+
 def test_moment_map_pushes_volume_to_lebesgue(fs, bump, off):
     # Phi' pushes dmu = Phi'' dt forward to Lebesgue measure on [0, 1]
     # (Duistermaat-Heckman for the circle action), so int Phi'^k dmu =
@@ -943,8 +957,8 @@ def _round(desc, m):
     nodes of desc on its default window."""
     P = make_perturbed_potential(desc, window=default_window(m), grid_size=512)
     ds = _DSpace(m)
-    return (ds, gammaln(ds.j + 1) + gammaln(m - ds.j + 1) - gammaln(m + 1),
-            P.quad.nodes)
+    lf = model.log_factorials(m)
+    return ds, lf + lf[::-1] - lf[-1], P.quad.nodes
 
 
 def _chebyshev(m):
@@ -991,7 +1005,8 @@ def _eig_round_floors(ds, residual, t):
     nodes t: the form the closed forms replace.  d_round and its rounding
     are read on the u-rule, as round_floors reads them."""
     m, j = ds.m, ds.j
-    x = gammaln(j + 1) + gammaln(m - j + 1) - gammaln(m + 1)
+    lf = model.log_factorials(m)
+    x = lf + lf[::-1] - lf[-1]
     d_round = float(np.max(np.abs(ds.read(x, ds.t)[0])))
     ev = ds.evaluate(x)
     if m == 1:

@@ -10,7 +10,7 @@ from scipy.interpolate import make_interp_spline
 
 from bergbal.bergman import beta_weighted, expansion_fit
 from bergbal.config import parse_config
-from bergbal.model import RadialPotential, scalar_curvature
+from bergbal.model import SplinePotential, scalar_curvature
 from bergbal.runner import _build_potential, run_experiment
 from bergbal.solvers import newton_balance, tk_iterate
 
@@ -106,6 +106,6 @@ def test_box_solve_knots_match_the_nodes(command, solve, levels):
         phi, dens = res.read(P.quad.nodes)
         assert _spline_gap(P, phi, cols["phi_m%d" % m]) <= 1e-13
         assert _spline_gap(P, dens, cols["density_m%d" % m]) <= 1e-13
-        rebuilt = RadialPotential(P.quad, cols["phi_m%d" % m])
+        rebuilt = SplinePotential(P.quad, cols["phi_m%d" % m])
         gap = rebuilt.phi(P.quad.nodes) - res.potential.phi(P.quad.nodes)
         assert np.max(np.abs(gap)) <= 1e-13
