@@ -12,6 +12,10 @@ parameter: the lifted integral is entire in xi and restricts to F on the
 integers.  Off the integers the value depends on the chosen partition (the
 restriction to Z is the invariant content), which the consistency report
 demonstrates numerically.
+
+Each piece is summed on Gauss-Legendre panels, theta_pg = mid_p + off_g, as
+sum_p e^{-i xi mid_p} sum_g e^{-i xi off_g} w_pg S(theta_pg): one exponential
+per panel and one per node offset, not one per node.
 """
 import numpy as np
 
@@ -74,6 +78,8 @@ class PartitionPair:
     The quadrature's panels are _PANEL wide, or a fifteenth of the transition
     of rho, (1 - 2 profile) pi/2 wide, where that is narrower."""
 
+    _gauss = None          # the 10-point Gauss-Legendre rule, built once
+
     def __init__(self, profile):
         if not 0.02 <= profile <= 0.45:
             raise ValueError(
@@ -85,7 +91,7 @@ class PartitionPair:
         self.support1 = (-_I1[1] + half, _I1[1] - half)
         self.support2 = (_I2[0] + half, _I2[1] - half)
         self.panel = min(_PANEL, (0.5 - self.profile) * np.pi / 15.0)
-        self._quad = None
+        self._quad = self.panels = None
 
     @staticmethod
     def _smoothstep(s):
@@ -106,20 +112,23 @@ class PartitionPair:
 
     def quadrature(self):
         """Panel Gauss-Legendre nodes/weights over the two lifted supports,
-        with the cutoff values attached."""
+        with the cutoff values attached: per piece (panels, 10) arrays
+        th = mid[:, None] + off[None, :], and self.panels holds (mid, off)."""
         if self._quad is None:
-            xg, wg = np.polynomial.legendre.leggauss(10)
-            pieces = []
+            if PartitionPair._gauss is None:
+                PartitionPair._gauss = np.polynomial.legendre.leggauss(10)
+            xg, wg = PartitionPair._gauss
+            self._quad, self.panels = [], []
             for (lo, hi), rho in ((self.support1, self.rho1),
                                   (self.support2, self.rho2)):
                 n_panels = int(np.ceil((hi - lo) / self.panel))
                 edges = np.linspace(lo, hi, n_panels + 1)
                 mid = 0.5 * (edges[:-1] + edges[1:])
                 hw = 0.5 * (edges[1] - edges[0])
-                th = (mid[:, None] + hw * xg[None, :]).ravel()
-                w = np.broadcast_to(hw * wg[None, :], (n_panels, xg.size)).ravel()
-                pieces.append((th, w * rho(th)))
-            self._quad = pieces
+                off = hw * xg
+                th = mid[:, None] + off[None, :]
+                self._quad.append((th, hw * wg * rho(th)))
+                self.panels.append((mid, off))
         return self._quad
 
 
@@ -134,13 +143,18 @@ def fourier_coefficient(S, m):
 
 def entire_extension(S, pair, xi):
     """The lifted Fourier integral at a complex frequency xi (a complex) or
-    at an array of them (an array), as exp(-i xi (x) theta) @ (w S(theta)).
+    at an array of them (an array), as the panel sum
+    sum_p e^{-i xi mid_p} sum_g e^{-i xi off_g} (w S(theta))_pg.
 
     Entire in xi; equals fourier_coefficient(S, m) at every integer m for any
     valid partition, while values off the integers depend on the partition.
-    Raises beyond |Im xi| = 50 and beyond |Re xi| + degree = MAX_FREQUENCY.
+    Raises at a non-finite xi, beyond |Im xi| = 50 and beyond
+    |Re xi| + degree = MAX_FREQUENCY.
     """
     xi = np.asarray(xi, dtype=complex)
+    bad = xi[~np.isfinite(xi)]
+    if bad.size:
+        raise ValueError("frequency %s is not finite" % bad[0])
     im = float(np.max(np.abs(xi.imag), initial=0.0))
     if im > _MAX_IM:
         raise ValueError("|Im xi| = %.3g exceeds the bound %.0f (integrand "
@@ -149,8 +163,10 @@ def entire_extension(S, pair, xi):
     if top > MAX_FREQUENCY:
         raise ValueError("|Re xi| + degree = %.6g exceeds the bound %d, the "
                          "highest frequency resolved" % (top, MAX_FREQUENCY))
-    total = sum(np.exp(-1j * np.multiply.outer(xi, th)) @ (w * S(th))
-                for th, w in pair.quadrature())
+    total = 0.0
+    for (th, w), (mid, off) in zip(pair.quadrature(), pair.panels):
+        inner = np.exp(-1j * np.multiply.outer(xi, off)) @ (w * S(th)).T
+        total += (np.exp(-1j * np.multiply.outer(xi, mid)) * inner).sum(-1)
     return complex(total) if xi.ndim == 0 else total
 
 
@@ -203,5 +219,6 @@ def _mean_value_gap(S, pair, xi0):
     """|F(xi0) - mean of F on the circle of radius 0.5 about it|, a numerical
     holomorphy check (exact mean-value property for entire functions)."""
     angles = 2.0 * np.pi * np.arange(24) / 24
-    ring = entire_extension(S, pair, xi0 + 0.5 * np.exp(1j * angles))
-    return abs(np.mean(ring) - entire_extension(S, pair, xi0))
+    ext = entire_extension(S, pair,
+                           np.append(xi0 + 0.5 * np.exp(1j * angles), xi0))
+    return abs(np.mean(ext[:-1]) - ext[-1])

@@ -102,11 +102,14 @@ def log_factorials(n):
 
 
 def _fs_pieces(t):
-    # x = e^t/(1+e^t); y = Phi_fs''; w = 1-2x computed without cancellation
-    x = expit(t)
-    y = x * expit(-t)
-    w = expit(-t) - x
-    return x, y, w
+    # x = e^t/(1+e^t); y = Phi_fs''; w = 1-2x computed without cancellation;
+    # x and 1 - x as expit(t) and expit(-t) from one e = e^{-|t|}
+    t = np.asarray(t, dtype=float)
+    e = np.exp(-np.abs(t))
+    d = 1.0 + e
+    x = np.where(t >= 0.0, 1.0, e) / d
+    xc = np.where(t <= 0.0, 1.0, e) / d
+    return x, x * xc, xc - x
 
 
 def fs_derivative(t, k):

@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
 
+from bergbal import circle
 from bergbal.circle import (
     MAX_FREQUENCY, CircleSample, _mean_value_gap, entire_extension,
     extension_errors, fourier_coefficient, integer_consistency_report,
     make_partition,
 )
+
+
+def _reference_extension(S, pair, xi):
+    """The nodal sum exp(-i xi (x) theta) @ (w S(theta)), one exponential per
+    node, that entire_extension took before it factored the panels."""
+    xi = np.asarray(xi, dtype=complex)
+    total = sum(np.exp(-1j * np.multiply.outer(xi, th.ravel()))
+                @ (w * S(th)).ravel() for th, w in pair.quadrature())
+    return complex(total) if xi.ndim == 0 else total
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +198,84 @@ def test_extension_of_an_array(sample, partitions):
             scalar = entire_extension(sample, pair, z)
             assert type(scalar) is complex
             assert abs(scalar - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_panels_factor_the_nodes(partitions):
+    # every node is its panel's midpoint plus an offset shared by all panels
+    for pair in partitions:
+        for (th, _), (mid, off) in zip(pair.quadrature(), pair.panels):
+            assert th.shape == (mid.size, 10) and off.shape == (10,)
+            assert np.array_equal(th, mid[:, None] + off[None, :])
+            assert np.all(np.diff(mid) > 0.0) and np.all(np.diff(off) > 0.0)
+
+
+@pytest.mark.parametrize("xi", [
+    np.nan, complex(0.0, np.nan), np.array([1.0, complex(np.nan, 2.0)]),
+    np.inf, complex(0.0, -np.inf), np.array([0.5, -np.inf])])
+def test_non_finite_frequency(sample, partitions, xi):
+    # NaN compares False with both bounds; the message names the frequency
+    with pytest.raises(ValueError,
+                       match=r"frequency \S*(nan|inf)\S* is not finite"):
+        entire_extension(sample, partitions[0], xi)
+
+
+@pytest.mark.parametrize("profile", [0.02, 0.15, 0.45])
+def test_extension_matches_a_40_digit_sum(sample, profile):
+    # the panel sum against mpmath at 40 digits over the same nodes
+    # mid_p + off_g (added exactly), weights and S values, relative to the
+    # sum's own size sum_k |w_k S_k e^{-i xi theta_k}|, since the sum cancels
+    # 2 to 5 digits at -200-50j and 13 to 15 at 266.  Measured at most
+    # 1.1e-14 (10+50j at 0.45; the nodal sum read 5.3e-15); bound 4e-14
+    import mpmath
+    pair = make_partition(profile)
+    with mpmath.workdps(40):
+        nodes, values, thetas = [], [], []
+        for (th, w), (mid, off) in zip(pair.quadrature(), pair.panels):
+            nodes += [mpmath.mpf(a) + b for a in mid.tolist()
+                      for b in off.tolist()]
+            values += (w * sample(th)).ravel().tolist()
+            thetas.append(th.ravel())
+        thetas = np.concatenate(thetas)
+        for xi in (10 + 50j, 0.5 + 49j, -200 - 50j, 266, 0.3 + 0.2j,
+                   7 - 1.5j):
+            z = -1j * mpmath.mpc(complex(xi).real, complex(xi).imag)
+            ref = mpmath.fsum(v * mpmath.exp(z * a)
+                              for a, v in zip(nodes, values))
+            size = np.sum(np.abs(values) * np.exp(complex(xi).imag * thetas))
+            got = entire_extension(sample, pair, xi)
+            assert abs(mpmath.mpc(got) - ref) <= 4e-14 * size
+
+
+@pytest.mark.parametrize("profiles, m_max", [
+    ([0.15, 0.3], 60), ([0.45, 0.15], MAX_FREQUENCY - 3)])
+def test_reports_match_the_nodal_sum(monkeypatch, profiles, m_max):
+    # the benchmark's fourier shape (a degree-3 sample, profiles 0.15 and
+    # 0.3, m_max 60) and the steepest profile at the highest resolved
+    # frequency: the same verdicts, every number within 1e-13 of the nodal
+    # sum (measured 6.5e-15 and 1.9e-14)
+    rng = np.random.default_rng(3)
+    S = CircleSample(np.concatenate([[1.0], rng.uniform(-0.5, 0.5, 3)]),
+                     np.concatenate([[0.0], rng.uniform(-0.5, 0.5, 2)]))
+    assert S.degree == 3
+    parts = [make_partition(p) for p in profiles]
+
+    def run():
+        rep = integer_consistency_report(S, parts,
+                                         range(-m_max, m_max + 1))
+        return rep, _mean_value_gap(S, parts[0], 0.3 + 0.2j)
+
+    rep, gap = run()
+    monkeypatch.setattr(circle, "entire_extension", _reference_extension)
+    ref, ref_gap = run()
+    assert (rep.integers_agree, rep.shift_invisible, rep.spread_at_half > 1e-3,
+            gap <= 1e-8) == (ref.integers_agree, ref.shift_invisible,
+                             ref.spread_at_half > 1e-3, ref_gap <= 1e-8)
+    assert np.max(np.abs(rep.discrepancies - ref.discrepancies)) <= 1e-13
+    assert np.max(np.abs(rep.values_at_half - ref.values_at_half)) <= 1e-13
+    for a, b in ((rep.max_discrepancy, ref.max_discrepancy),
+                 (rep.shift_discrepancy, ref.shift_discrepancy),
+                 (rep.spread_at_half, ref.spread_at_half), (gap, ref_gap)):
+        assert abs(a - b) <= 1e-13
 
 
 def test_report_guards(sample, partitions):

@@ -43,6 +43,19 @@ def test_expit_matches_scipy():
     assert np.array_equal(model.expit(far), scipy_expit(far))
 
 
+def test_fs_pieces_match_three_expits():
+    # one e^{-|t|} gives x, y and w bit for bit as expit(t) and expit(-t),
+    # signed zeros included
+    special = np.array([0.0, 1e-300, 36.7, 800.0, np.inf])
+    t = np.concatenate([np.random.default_rng(11).standard_normal(10 ** 5),
+                        special, -special])
+    x = model.expit(t)
+    ref = (x, x * model.expit(-t), model.expit(-t) - x)
+    for got, want in zip(model._fs_pieces(t), ref):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_fs_value_at_origin(fs):
     assert abs(fs.Phi(0.0) - np.log(2.0)) < 1e-14
 
