@@ -13,34 +13,38 @@ and the kernel (with the dimension/level normalization of degree one) is
 Torus reweighting scales each monomial line by e^{j y} (the lift is fixed so
 z^j has weight j; a different lift multiplies everything by a global factor).
 
-The engine is three private functions on the section rows at the nodes of a
-potential: _rows forms e^{jt - m Phi} from samples of Phi, _gram integrates
-rows against a density with exact Beta tails, and _kernel is one
-matrix-vector product of the rows with the inverse Gram weights.  _kernel
-takes rows R with a per-row scale s, the row j being s_j R_j: the x = log D
-solvers (solvers._DSpace) pass the softmax they hold with s = e^x, so the
-rows are never formed there, and form their own Gram diagonal on nodes that
-need no tails; a solve's seed is _rows of its input on those nodes.  Both
-exponential passes go through _exp_floor, which skips the exponentials that
-fall below the smallest normal double.  Volume integrals go through
-model.integrate.
-
-The Gram diagonal is integrated on the nodes only.  The kernel and its
-second derivative (_kernel_d2, from the rows, Phi' and the density) take
-rows at any points, so a kernel at other points, such as the knots of a
-report's tables, is _rows there against the same Gram diagonal
-(kernel_at, beta_at and expansion_fit's t).
+_rows forms the section rows e^{jt - m Phi} from samples of Phi, through
+_exp_floor, and _kernel is one matrix-vector product of rows R with inverse
+Gram weights and a row scale s; the x = log D solvers (solvers._DSpace)
+pass their softmax with s = e^x, so their rows are never formed.  The one
+Gram function, _gram_rows, is one P.read of phi and the density at the nodes
+of _u_rule, a Gauss-Legendre rule in u = expit(t) where the integrand is
+smooth on [0, 1], and the rows there against its weights: no window and no
+tails.  A solve's seed takes m + 64 nodes, the kernel commands 4m + 256
+(KERNEL_NODES).  Tabulated input, a quintic spline only C^4 at its knots,
+keeps the composite t-rule with exact Beta tails (_norms_and_rows), chosen
+by its type; so do gram_derivative and bergman_derivative.  A kernel report
+holds the Gram weights alone: the kernel, its d2 (_kernel_d2) and beta are
+read once, at the points asked for, the knots of the tables by default.
 """
+import collections
+import functools
+
 import numpy as np
 
-from .model import (GridFunction, discretization_errors, grid_function,
-                    integrate, log_factorials, scalar_curvature)
+from .model import (GridFunction, SplinePotential, discretization_errors,
+                    fs_derivative, grid_function, integrate, log_factorials,
+                    scalar_curvature)
 
 MAX_LEVEL = 200
 # largest |y| m for the weights e^{jy}, j <= m (e^709 overflows float64)
 MAX_EXPONENT = 700.0
 # ln of the smallest normal double: e^z is normal exactly for z >= _LOG_TINY
 _LOG_TINY = float(np.log(np.finfo(float).tiny))
+# n = 4 m + 256 nodes for a kernel command's u-rule: on the bump (0.08, 1.3,
+# 0.45) its G is within 3.3e-13, 6.9e-14, 2.1e-14 and 2.5e-14 of the
+# t-rule's at m = 8, 40, 120 and 200, where m + 64 misses by up to 1.2e-7
+KERNEL_NODES = (4, 256)
 
 
 class WindowError(ValueError):
@@ -67,22 +71,11 @@ class GramDiagonal:
             raise ValueError("Gram entries must be positive and finite")
 
 
-class BergmanReport:
-    """Kernel report at one level of the potential P.  `kernel` carries the
-    values and the second derivative (d2, which beta reads) at the nodes;
-    other derivatives fall back to spline differentiation of the values.
-    `weights` are the kernel's G_jj e^{jy}, from which kernel_at samples it
-    at other points."""
-
-    def __init__(self, level, kernel, expected_constant, sup_deviation,
-                 potential, weights, weight=0.0):
-        self.level = level
-        self.kernel = kernel
-        self.expected_constant = expected_constant
-        self.sup_deviation = sup_deviation
-        self.potential = potential
-        self.weights = weights
-        self.weight = weight
+# a kernel report: the weights G_jj e^{jy} from which kernel_at reads the
+# kernel at any points, and the size of the rule G was integrated on
+BergmanReport = collections.namedtuple(
+    "BergmanReport", "level expected_constant potential weights weight "
+    "gram_nodes")
 
 
 def _check_level(m):
@@ -90,6 +83,47 @@ def _check_level(m):
     if not 1 <= m <= MAX_LEVEL:
         raise ValueError("level m must be in [1, %d], got %d" % (MAX_LEVEL, m))
     return m
+
+
+@functools.lru_cache(maxsize=None)
+def _u_rule(n):
+    """The n-point Gauss-Legendre rule in u = expit(t) on [0, 1] as nodes
+    t = log u - log(1 - u) and dt-weights w_u / (u (1 - u)), cached and
+    read-only.  The roots x = cos theta >= 0 of P_n are found by Newton's
+    method in theta from pi (k - 1/4) / (n + 1/2), the others mirrored,
+    t -> -t.  P_n and P_{n-1} come from the recurrence on P_k and D_k =
+    P_k - P_{k-1} in s = 1 - x, (k + 1) D_{k+1} = k D_k - (2k + 1) s P_k,
+    which never forms x: s keeps its relative accuracy near x = 1.  t is
+    2 log cot(theta/2), and with 1 - x^2 = 4 u (1 - u) the dt-weight is
+    4 / ((1 - x^2) P_n'(x))^2 = 4 / (n (P_{n-1} - x P_n))^2, which a node's
+    rounding moves only to second order.  Against 40 digits at n = 65, 264
+    and 1,056, t is within 1.5e-15 and the weights 6.9e-15 relative (the
+    dense Golub-Welsch rule it replaced: 3.7e-11 and 3.0e-11)."""
+    theta = np.pi * (np.arange(1.0, (n + 1) // 2 + 1) - 0.25) / (n + 0.5)
+    done = False
+    for _ in range(12):
+        half = np.sin(0.5 * theta)
+        s = 2.0 * half * half
+        p, d = 1.0 - s, -s
+        for k in range(1, n):
+            d *= k / (k + 1.0)
+            d -= ((2.0 * k + 1.0) / (k + 1.0)) * s * p
+            p += d
+        dp = n * (p - d - (1.0 - s) * p)    # (1 - x^2) P_n'(x)
+        if done:
+            break
+        step = p * np.sin(theta) / dp
+        theta += step
+        # quadratic: the error left after this step is far below rounding
+        done = np.max(np.abs(step) / theta) <= 1e-11
+    t = 2.0 * (np.log(np.cos(0.5 * theta)) - np.log(half))
+    if n % 2:
+        t[-1] = 0.0
+    t = np.concatenate((-t, t[:n // 2][::-1]))
+    w = 4.0 / dp ** 2
+    w = np.concatenate((w, w[:n // 2][::-1]))
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def fs_tails(m, window):
@@ -172,23 +206,40 @@ def _check_window(m, window):
 
 
 def _norms_and_rows(m, P):
-    """section_norms(m, P) and the rows it integrates, at all nodes."""
-    m = _check_window(m, P.window)
+    """P's Gram diagonal on its t-nodes at a level m its window carries, and
+    the rows it integrates: for tabulated input and the Gram derivatives."""
     factors = (np.exp(-m * P.c_minus), np.exp(-m * P.c_plus))
     E = _rows(m, P.quad.nodes, P.node_values("Phi"))
     G = _gram(m, P.quad, E, P.node_values("dens"), factors)
     return GramDiagonal(m, G), E
 
 
-def section_norms(m, P):
-    """Squared L^2 norms of the monomial sections z^j, j = 0..m.
+def _gram_rows(m, P, n=None):
+    """The Gram diagonal of P at level m, the rows E it integrates, their
+    nodes t and the volume integral of samples there.  It is the one Gram
+    function: on the n-point u-rule, from one P.read of phi and the density
+    at its nodes, P a RadialPotential or a solve's BalanceResult; if n is
+    None it is 4m + 256 (KERNEL_NODES), and a spline keeps its t-rule.
+    Raises ValueError unless m is in [1, MAX_LEVEL] and WindowError unless
+    P's window carries level m."""
+    m = _check_window(m, P.quad.window)
+    if n is None:
+        if isinstance(P, SplinePotential):
+            return _norms_and_rows(m, P) + (P.quad.nodes,
+                                            functools.partial(integrate, P))
+        n = KERNEL_NODES[0] * m + KERNEL_NODES[1]
+    t, w = _u_rule(n)
+    phi, dens = P.read(t)
+    E = _rows(m, t, fs_derivative(t, 0) + phi)
+    mass = w * dens
+    return GramDiagonal(m, E @ mass), E, t, mass.__matmul__
 
-    Interior panels are integrated by the potential's scheme; the two tails
-    are closed-form incomplete Beta integrals (the perturbation is constant
-    outside the window), so the Fubini-Study diagonal reproduces the Beta
-    oracle j!(m-j)!/(m+1)! to machine precision.
-    """
-    return _norms_and_rows(m, P)[0]
+
+def section_norms(m, P):
+    """Squared L^2 norms of the monomial sections z^j, j = 0..m: on the
+    round metric the Beta function j!(m-j)!/(m+1)! to rounding, the u-rule's
+    integrand being a polynomial of degree m in u."""
+    return _gram_rows(m, P)[0]
 
 
 def _kernel_d2(m, R, Phi1, dens, weights):
@@ -223,10 +274,8 @@ def bergman_kernel(m, P):
 
 
 def beta(m, P):
-    """Modified kernel beta = 2m (Id + (2/(3m)) Delta)(B_m - C_m).
-
-    Vanishes exactly iff B_m is constant; tends to sigma - 2 as m grows.
-    """
+    """Modified kernel beta = 2m (Id + (2/(3m)) Delta)(B_m - C_m) at the
+    knots of P: vanishes exactly iff B_m is constant; tends to sigma - 2."""
     return beta_weighted(m, P, 0.0)
 
 
@@ -234,39 +283,33 @@ def weighted_bergman(m, P, y):
     """Torus-weighted kernel: the j-th monomial line is scaled by e^{j y}.
 
     y = 0 is the Bergman kernel, whose expected constant is c_of_m(m);
-    otherwise it is c_weighted, int K_y(u + y) dmu(u), read from the rows
-    formed once: K_y(u + y) = K_0(u) e^{m (Phi(u) - Phi(u + y))}, and K_0 =
-    (1/m) sum_j E_j / G_jj from the same rows E.
+    otherwise it is c_weighted, int K_y(u + y) dmu(u) on the Gram
+    diagonal's nodes, from its rows E formed once: K_y(u + y) = K_0(u)
+    e^{m (Phi(u) - Phi(u + y))}, K_0 = (1/m) sum_j E_j / G_jj.
     """
     m = _check_level(m)
     y = float(y)
     if not abs(y) * m <= MAX_EXPONENT:
         raise ValueError("weight scaling exp(m y) exceeds floating range: "
                          "|y| m = %.3g" % (abs(y) * m))
-    G, E = _norms_and_rows(m, P)
-    w = G.entries * np.exp(np.arange(m + 1.0) * y)
-    K = _kernel(m, E, w)
-    kern = grid_function(P, K, name="B_%d%s" % (m, "_weighted" if y else ""),
-                         d2=_kernel_d2(m, E, P.node_values("Phi1"),
-                                       P.node_values("dens"), w))
+    G, E, t, volume = _gram_rows(m, P)
     if y == 0.0:
         expected = c_of_m(m)
     else:
         K0 = _kernel(m, E, G.entries)
-        shift = np.exp(m * (P.node_values("Phi") - P.Phi(P.quad.nodes + y)))
-        expected = integrate(P, K0 * shift)
-    return BergmanReport(m, kern, expected,
-                         float(np.max(np.abs(K - expected))), P, w, weight=y)
+        expected = volume(K0 * np.exp(m * (P.Phi(t) - P.Phi(t + y))))
+    return BergmanReport(m, expected, P,
+                         G.entries * np.exp(np.arange(m + 1.0) * y), y, t.size)
 
 
-def kernel_at(rep, t):
-    """The kernel of rep and its d2 at the points t, a GridFunction there:
-    the potential's rows at t against rep's weights, with no second Gram
-    diagonal."""
+def kernel_at(rep, t=None):
+    """The kernel of rep and its d2 as a GridFunction at the points t (the
+    knots if None): the potential's rows at t against rep's weights."""
     m, P = rep.level, rep.potential
-    t = np.asarray(t, dtype=float)
+    t = P.quad.knots if t is None else np.asarray(t, dtype=float)
     R = _rows(m, t, P.Phi(t))
-    return GridFunction(_kernel(m, R, rep.weights), t, name=rep.kernel.name,
+    return GridFunction(_kernel(m, R, rep.weights), t,
+                        name="B_%d%s" % (m, "_weighted" if rep.weight else ""),
                         d2=_kernel_d2(m, R, P.Phi_d(t, 1), P.density(t),
                                       rep.weights))
 
@@ -287,58 +330,39 @@ def beta_report(m, P, w):
 
 def beta_at(rep, t=None):
     """beta = 2m (B - C) + (4/3) Delta B of the kernel report rep, Delta =
-    -(d/dt)^2 / Phi'', as a GridFunction at the nodes (t None) or at the
-    points t (kernel_at)."""
+    -(d/dt)^2 / Phi'', as a GridFunction at the points t, the knots of its
+    potential if None (kernel_at)."""
     m, P = rep.level, rep.potential
-    if t is None:
-        kern, dens = rep.kernel, P.node_values("dens")
-    else:
-        kern = kernel_at(rep, t)
-        dens = P.density(kern.nodes)
-    dev = kern.values - rep.expected_constant
-    lap = -kern.d2 / dens
-    return GridFunction(2.0 * m * dev + (4.0 / 3.0) * lap, kern.nodes,
+    kern = kernel_at(rep, t)
+    lap = -kern.d2 / P.density(kern.nodes)
+    return GridFunction(2.0 * m * (kern.values - rep.expected_constant)
+                        + (4.0 / 3.0) * lap, kern.nodes,
                         name="beta_%d%s" % (m, "_weighted" if rep.weight
                                             else ""))
 
 
 def beta_weighted(m, P, w):
-    """Weighted modified kernel at the coefficient w of the torus generator:
-    the level-m weight is y = w / m^2 on the monomial z^j (weight j).
-
-    w = 0 is beta(m, P).  beta_at(beta_report(m, P, w), t) samples the same
-    beta at other points, from the same Gram diagonal.
-    """
+    """Weighted modified kernel at the knots of P, at the coefficient w of
+    the torus generator: the level-m weight is y = w / m^2 (see
+    beta_report).  w = 0 is beta(m, P); beta_at(beta_report(m, P, w), t)
+    reads it at other points t."""
     return beta_at(beta_report(m, P, w))
 
 
-class FitReport:
-    """The fit's a1 and a2 at the nodes, and at the points of expansion_fit's
-    t as the pair `at` (None without t)."""
-
-    def __init__(self, a1, a2, levels, residual_sup, first_order_error,
-                 sup_a1_error, metadata, at):
-        self.a1 = a1
-        self.a2 = a2
-        self.at = at
-        self.levels = levels
-        self.residual_sup = residual_sup
-        self.first_order_error = first_order_error
-        self.sup_a1_error = sup_a1_error
-        self.metadata = metadata
+# the fit's a1 and a2 at the points of expansion_fit, and the errors there
+FitReport = collections.namedtuple(
+    "FitReport", "a1 a2 levels residual_sup first_order_error sup_a1_error "
+    "metadata")
 
 
 def expansion_fit(P, m_list, t=None):
-    """Fit B_m(t) = 1 + a1 q + a2 q^2 (q = 1/m) per node over the levels.
-
-    The constant term is pinned at 1.  Returns the fitted a1 as a grid
-    function together with the per-level sup residuals, the per-level
-    first-order errors sup|B_m - 1 - sigma/(2m)| (the sup of what is left
-    after the first-order model; decays faster than 1/m), and
-    sup|a1 - sigma/2|, all read at the nodes.  With points t the same fit
-    is made at t too, from the kernel values there against the same Gram
-    diagonals, and FitReport.at holds its (a1, a2) on t.
-    """
+    """Fit B_m(t) = 1 + a1 q + a2 q^2 (q = 1/m), the constant pinned at 1,
+    over the levels at the points t, the knots of P if None: the kernel
+    values there, with no d2, against each level's Gram diagonal, whose
+    rule sizes are metadata["gram_nodes"].  Returns a1 and a2 as grid
+    functions at t, the per-level sup residuals, the per-level first-order
+    errors sup|B_m - 1 - sigma/(2m)| (decaying faster than 1/m) and
+    sup|a1 - sigma/2|, all read at t."""
     m_list = [_check_level(m) for m in m_list]
     if len(set(m_list)) != len(m_list):
         raise DegenerateFitError("duplicated levels in %r" % (m_list,))
@@ -352,35 +376,25 @@ def expansion_fit(P, m_list, t=None):
     if cond > 1e12:
         raise DegenerateFitError("fit design condition number %.2e" % cond)
 
-    Phi_t = None if t is None else P.Phi(t)
-
-    def values(m):
-        # bergman_kernel's values bit for bit, without its d2 pass, and the
-        # kernel at t from the same Gram diagonal
-        G, E = _norms_and_rows(m, P)
-        return (_kernel(m, E, G.entries), None if t is None
-                else _kernel(m, _rows(m, t, Phi_t), G.entries))
-
-    kernels, kernels_t = zip(*map(values, m_list))
+    t = P.quad.knots if t is None else np.asarray(t, dtype=float)
+    Phi_t = P.Phi(t)
+    kernels, nodes = [], []
+    for m in m_list:
+        G, _, tg, _ = _gram_rows(m, P)
+        kernels.append(_kernel(m, _rows(m, t, Phi_t), G.entries))
+        nodes.append(tg.size)
     kernels = np.stack(kernels)
     coef, *_ = np.linalg.lstsq(V, kernels - 1.0, rcond=None)
-    a1 = grid_function(P, coef[0], name="a1_fit")
-    a2 = grid_function(P, coef[1], name="a2_fit")
-    at = None
-    if t is not None:
-        c = np.linalg.lstsq(V, np.stack(kernels_t) - 1.0, rcond=None)[0]
-        at = (GridFunction(c[0], t, name="a1_fit"),
-              GridFunction(c[1], t, name="a2_fit"))
-    model = 1.0 + V @ coef
-    residual_sup = np.max(np.abs(kernels - model), axis=1)
-    sig = scalar_curvature(P).values
+    residual_sup = np.max(np.abs(kernels - (1.0 + V @ coef)), axis=1)
+    sig = scalar_curvature(P, t).values
     first_order = np.array([np.max(np.abs(kernels[i] - 1.0 - 0.5 * sig / m))
                             for i, m in enumerate(m_list)])
     sup_a1 = float(np.max(np.abs(coef[0] - 0.5 * sig)))
     meta = {"degree": 2, "constant_pinned": True, "levels": list(m_list),
-            "condition_number": float(cond)}
-    return FitReport(a1, a2, list(m_list), residual_sup, first_order,
-                     sup_a1, meta, at)
+            "condition_number": float(cond), "gram_nodes": nodes}
+    return FitReport(GridFunction(coef[0], t, name="a1_fit"),
+                     GridFunction(coef[1], t, name="a2_fit"), list(m_list),
+                     residual_sup, first_order, sup_a1, meta)
 
 
 def gram_derivative(m, P, psi):
@@ -391,7 +405,7 @@ def gram_derivative(m, P, psi):
 
     psi must be mean-zero against the volume (tolerance 1e-10).
     """
-    m = _check_level(m)
+    m = _check_window(m, P.window)
     _check_mean_zero(P, psi)
     return _gram_derivative(m, P, psi, _norms_and_rows(m, P)[1])
 
@@ -421,7 +435,7 @@ def bergman_derivative(m, P, psi):
     When dG vanishes (psi in the kernel of gram_derivative) this is the pure
     contraction term -m psi B_m.
     """
-    m = _check_level(m)
+    m = _check_window(m, P.window)
     _check_mean_zero(P, psi)
     G, E = _norms_and_rows(m, P)
     dG = _gram_derivative(m, P, psi, E)

@@ -19,6 +19,8 @@ per panel and one per node offset, not one per node.
 """
 import numpy as np
 
+from .model import _leggauss
+
 _I1 = (-3.0 * np.pi / 4.0, 3.0 * np.pi / 4.0)
 _I2 = (np.pi / 4.0, 7.0 * np.pi / 4.0)
 _MAX_IM = 50.0
@@ -26,6 +28,8 @@ _PANEL = 0.04
 # the highest frequency |Re xi| + degree the panel sums resolve: samples with
 # |a_k|, |b_k| <= a_0 read integer discrepancies up to 4.6e-12 (2.7e-11 at 285)
 MAX_FREQUENCY = 270
+# the holomorphy check's circle, radius 0.5 about this center: |Re xi| <= 0.8
+MEAN_VALUE_CENTER = 0.3 + 0.2j
 
 
 class CircleSample:
@@ -78,8 +82,6 @@ class PartitionPair:
     The quadrature's panels are _PANEL wide, or a fifteenth of the transition
     of rho, (1 - 2 profile) pi/2 wide, where that is narrower."""
 
-    _gauss = None          # the 10-point Gauss-Legendre rule, built once
-
     def __init__(self, profile):
         if not 0.02 <= profile <= 0.45:
             raise ValueError(
@@ -91,7 +93,7 @@ class PartitionPair:
         self.support1 = (-_I1[1] + half, _I1[1] - half)
         self.support2 = (_I2[0] + half, _I2[1] - half)
         self.panel = min(_PANEL, (0.5 - self.profile) * np.pi / 15.0)
-        self._quad = self.panels = None
+        self._quad = self.panels = self._samples = None
 
     @staticmethod
     def _smoothstep(s):
@@ -115,9 +117,7 @@ class PartitionPair:
         with the cutoff values attached: per piece (panels, 10) arrays
         th = mid[:, None] + off[None, :], and self.panels holds (mid, off)."""
         if self._quad is None:
-            if PartitionPair._gauss is None:
-                PartitionPair._gauss = np.polynomial.legendre.leggauss(10)
-            xg, wg = PartitionPair._gauss
+            xg, wg = _leggauss(10)
             self._quad, self.panels = [], []
             for (lo, hi), rho in ((self.support1, self.rho1),
                                   (self.support2, self.rho2)):
@@ -130,6 +130,12 @@ class PartitionPair:
                 self._quad.append((th, hw * wg * rho(th)))
                 self.panels.append((mid, off))
         return self._quad
+
+    def weighted_samples(self, S):
+        """w S(theta) on each piece's nodes, once for the last S asked for."""
+        if self._samples is None or self._samples[0] is not S:
+            self._samples = (S, [w * S(th) for th, w in self.quadrature()])
+        return self._samples[1]
 
 
 def make_partition(profile=0.15):
@@ -164,19 +170,22 @@ def entire_extension(S, pair, xi):
         raise ValueError("|Re xi| + degree = %.6g exceeds the bound %d, the "
                          "highest frequency resolved" % (top, MAX_FREQUENCY))
     total = 0.0
-    for (th, w), (mid, off) in zip(pair.quadrature(), pair.panels):
-        inner = np.exp(-1j * np.multiply.outer(xi, off)) @ (w * S(th)).T
+    for wS, (mid, off) in zip(pair.weighted_samples(S), pair.panels):
+        inner = np.exp(-1j * np.multiply.outer(xi, off)) @ wS.T
         total += (np.exp(-1j * np.multiply.outer(xi, mid)) * inner).sum(-1)
     return complex(total) if xi.ndim == 0 else total
 
 
 def extension_errors(m_max, degree):
-    """The message, if any, for an m_max whose integers |m| <= m_max carry a
-    sample of this degree past MAX_FREQUENCY (see entire_extension)."""
-    if m_max + degree > MAX_FREQUENCY:
-        return ["%d plus the sample's degree %d exceeds %d, the highest "
+    """The message, if any, for an m_max whose fourier run carries a sample
+    of this degree past MAX_FREQUENCY (see entire_extension): at |m| <=
+    m_max, at 1/2 or on the holomorphy check's circle, |Re xi| <= 0.8."""
+    reach = abs(MEAN_VALUE_CENTER.real) + 0.5
+    if max(m_max, reach) + degree > MAX_FREQUENCY:
+        return ["%s plus the sample's degree %d exceeds %d, the highest "
                 "frequency the quadrature resolves"
-                % (m_max, degree, MAX_FREQUENCY)]
+                % (m_max if m_max > reach else "the mean-value circle's "
+                   "|Re xi| <= %g" % reach, degree, MAX_FREQUENCY)]
     return []
 
 
@@ -215,7 +224,7 @@ def integer_consistency_report(S, partitions, m_range):
     return ConsistencyReport(m_values, disc, shift, spread, at_half)
 
 
-def _mean_value_gap(S, pair, xi0):
+def _mean_value_gap(S, pair, xi0=MEAN_VALUE_CENTER):
     """|F(xi0) - mean of F on the circle of radius 0.5 about it|, a numerical
     holomorphy check (exact mean-value property for entire functions)."""
     angles = 2.0 * np.pi * np.arange(24) / 24

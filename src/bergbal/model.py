@@ -18,6 +18,7 @@ which it imports when it is built.  The volume density is Phi''(t) dt
 normalized so that the Fubini-Study metric has sigma = 2 and the mean of
 sigma is 2 for every metric in the class (Gauss-Bonnet).
 """
+import functools
 import math
 
 import numpy as np
@@ -112,6 +113,15 @@ def _fs_pieces(t):
     return x, x * xc, xc - x
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(order):
+    """leggauss(order) once per order, read-only: it diagonalizes an order x
+    order matrix, 0.18 ms at order 8."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
 def fs_derivative(t, k):
     """k-th derivative of the Fubini-Study potential log(1+e^t), k = 0..5."""
     t = np.asarray(t, dtype=float)
@@ -149,7 +159,7 @@ class Quadrature:
         self.grid_size = int(grid_size)
         self.order = int(order)
         self.knots = np.linspace(-self.window, self.window, self.grid_size)
-        xg, wg = np.polynomial.legendre.leggauss(self.order)
+        xg, wg = _leggauss(self.order)
         a, b = self.knots[:-1], self.knots[1:]
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)

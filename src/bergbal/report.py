@@ -89,6 +89,10 @@ def build_report(config_echo):
                          "Gauss-Legendre rule in u = expit(t) (diagnostics."
                          "solve_nodes), and over t = -inf and +inf"),
             "weight_character": "section j carries the factor e^{j y}",
+            "gram": ("beta and expand: Gram diagonals on a Gauss-Legendre "
+                     "rule in u = expit(t) (tabulated input: the quadrature's "
+                     "t-nodes), of outputs.gram_nodes nodes; kernels, beta "
+                     "and the fit read at the knots, where the tables are"),
         },
         "outputs": {},
         "tables": [],

@@ -7,8 +7,9 @@ a function of t share one table, `potential`, `beta` or `expansion`, with
 one row per knot of the input's quadrature and the knot t as its first
 column: a solve's phi and density read its Phi_x exactly there
 (solvers.BalanceResult.read), and beta and the expansion read the kernels
-of the Gram diagonals computed on the nodes.  The nodes stay the
-integration rule, and every `outputs` number is read on them.  Reports are
+of their Gram diagonals there (bergman.kernel_at).  Each output is read
+once: a sup in `outputs` is the sup of the column the table holds, and
+`gram_nodes` gives the size of each level's Gram rule.  Reports are
 deterministic up to the timing block, at a fixed BLAS thread count.
 """
 import time
@@ -108,13 +109,13 @@ def _family_command(cfg, report):
 
 def _expand_command(cfg, report):
     P = _record_quadrature(report, _build_potential(cfg.potential, cfg))
-    fit = expansion_fit(P, cfg.levels, P.quad.knots)
-    report["outputs"]["a1"] = {"sup_error": fit.sup_a1_error}
-    report["outputs"]["first_order_error"] = fit.first_order_error
-    report["outputs"]["residual_sup"] = fit.residual_sup
-    a1, a2 = fit.at
+    fit = expansion_fit(P, cfg.levels)
+    report["outputs"].update(
+        a1={"sup_error": fit.sup_a1_error}, residual_sup=fit.residual_sup,
+        first_order_error=fit.first_order_error,
+        gram_nodes=dict(zip(map(str, cfg.levels), fit.metadata["gram_nodes"])))
     _add_knot_columns(report, "expansion", P, {
-        "a1": a1.values, "a2": a2.values,
+        "a1": fit.a1.values, "a2": fit.a2.values,
         "half_sigma": 0.5 * scalar_curvature(P, P.quad.knots).values})
     finite = all(np.all(np.isfinite(np.asarray(v))) for v in
                  (fit.a1.values, fit.a2.values, fit.residual_sup,
@@ -124,13 +125,14 @@ def _expand_command(cfg, report):
 
 def _beta_command(cfg, report):
     P = _record_quadrature(report, _build_potential(cfg.potential, cfg))
-    sup = {}
+    sup, nodes = {}, {}
     for m in cfg.levels:
         kernel = beta_report(m, P, cfg.weight or 0.0)
-        sup[str(m)] = float(np.max(np.abs(beta_at(kernel).values)))
-        knots = beta_at(kernel, P.quad.knots)
-        _add_knot_columns(report, "beta", P, {"beta_m%d" % m: knots.values})
-    report["outputs"]["sup_abs_beta"] = sup
+        b = beta_at(kernel).values
+        sup[str(m)] = float(np.max(np.abs(b)))
+        nodes[str(m)] = kernel.gram_nodes
+        _add_knot_columns(report, "beta", P, {"beta_m%d" % m: b})
+    report["outputs"].update(sup_abs_beta=sup, gram_nodes=nodes)
     report["verdicts"]["outputs_finite"] = bool(
         all(np.isfinite(v) for v in sup.values()))
 
@@ -139,7 +141,7 @@ def _fourier_command(cfg, report):
     S = CircleSample(cfg.sample.get("cos", [0.0]), cfg.sample.get("sin", []))
     parts = [make_partition(p) for p in cfg.profiles]
     rep = integer_consistency_report(S, parts, range(-cfg.m_max, cfg.m_max + 1))
-    gap = _mean_value_gap(S, parts[0], 0.3 + 0.2j)
+    gap = _mean_value_gap(S, parts[0])
     report["outputs"]["max_integer_discrepancy"] = rep.max_discrepancy
     report["outputs"]["shift_discrepancy"] = rep.shift_discrepancy
     report["outputs"]["spread_at_half"] = rep.spread_at_half

@@ -27,7 +27,8 @@ and every solver step read that record by name.
 The nodes are one Gauss-Legendre rule in u = expit(t), m + 64 of them (see
 _DSpace): in u the Gram integrand is smooth on [0, 1], so a solve needs no
 window, no tails and no second node set.  The seed is the Gram diagonal of
-the input potential on the same rule (_seed).  The residual is the sup of
+the input potential on the same rule, by the kernel commands' Gram function
+(_seed, bergman._gram_rows).  The residual is the sup of
 the kernel deviation over the nodes and t = -oo, +oo; sigma, from exact
 cumulants, is read on the nodes too, and so are a family's d_m, the floors
 of both and the probe's distances.  A solve's answer is its x: the
@@ -52,7 +53,7 @@ import time
 import numpy as np
 
 from .model import fs_derivative, log_factorials, _from_knot_values
-from .bergman import c_of_m, _check_window, _exp_floor, _kernel, _rows
+from .bergman import c_of_m, _exp_floor, _gram_rows, _kernel, _u_rule
 
 # nodes of the u-rule beyond the level: n = m + EXTRA_NODES (see _DSpace)
 EXTRA_NODES = 64
@@ -116,55 +117,18 @@ class BalanceResult:
         return _from_knot_values(vals, self.quad)
 
 
-class FamilyReport:
-    def __init__(self, levels, results, d_sup, sigma_sup, d_floor,
-                 sigma_floor, verdicts, failure_index):
-        self.levels = list(levels)
-        self.results = results
-        self.d_sup = np.asarray(d_sup, dtype=float)
-        self.sigma_sup = np.asarray(sigma_sup, dtype=float)
-        self.d_floor = np.asarray(d_floor, dtype=float)
-        self.sigma_floor = np.asarray(sigma_floor, dtype=float)
-        self.verdicts = verdicts
-        self.failure_index = failure_index
-
-
-class UniquenessReport:
-    def __init__(self, results, distances, max_distance, passed, excluded):
-        self.results = results
-        self.distances = distances
-        self.max_distance = max_distance
-        self.passed = passed
-        self.excluded = excluded
+# a family's solved levels and results, its curves and their floors as
+# arrays, its verdicts and the index of the level that failed, if any
+FamilyReport = collections.namedtuple(
+    "FamilyReport", "levels results d_sup sigma_sup d_floor sigma_floor "
+    "verdicts failure_index")
+UniquenessReport = collections.namedtuple(
+    "UniquenessReport", "results distances max_distance passed excluded")
 
 
 # one iterate's evaluation, read by field name (see _DSpace.evaluate)
 _Evaluation = collections.namedtuple("_Evaluation",
                                      "x p mu d2 k2 dens G dev sup")
-
-
-@functools.lru_cache(maxsize=None)
-def _u_rule(n):
-    """The n-point Gauss-Legendre rule in u = expit(t) on [0, 1] as nodes
-    t = log u - log(1 - u) and dt-weights w_u / (u (1 - u)), by Golub-Welsch
-    on the shifted Legendre Jacobi matrix (diagonal 1/2, off-diagonal
-    k / (2 sqrt(4 k^2 - 1))): its end weights are within 1e-12 of a 40-digit
-    reference at n = 216, where those of leggauss are off by 8.7e-11.  1 - u
-    is read from the mirrored node, exact near u = 1, and w_u symmetrized.
-    The tridiagonal matrix is diagonalized as a dense one by
-    np.linalg.eigh, which reads its lower triangle.  Cached, read-only: n =
-    m + EXTRA_NODES takes one value per level."""
-    k = np.arange(1.0, n)
-    J = np.diag(np.full(n, 0.5))
-    J[np.arange(1, n), np.arange(n - 1)] = \
-        k / (2.0 * np.sqrt(4.0 * k * k - 1.0))
-    u, V = np.linalg.eigh(J)
-    v = u[::-1]
-    w = V[0] ** 2
-    w = 0.5 * (w + w[::-1]) / (u * v)
-    t = np.log(u) - np.log(v)
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
 
 
 class _DSpace:
@@ -412,14 +376,10 @@ def _sigma_err(m, k2, k3, k4):
 
 def _seed(m, P0):
     """The _DSpace of a solve at level m and its seed x0 = log((m+1) G), G
-    the Gram diagonal of P0 on the solve's own u-rule, from one P0.read of
-    phi and the density at the nodes: a RadialPotential or the BalanceResult
-    of a lower level.  Raises ValueError unless m is in [1, MAX_LEVEL] and
-    WindowError unless P0's window carries level m."""
-    ds = _DSpace(_check_window(m, P0.quad.window))
-    phi, dens = P0.read(ds.t)
-    G = _rows(ds.m, ds.t, fs_derivative(ds.t, 0) + phi) @ (ds.w * dens)
-    return ds, np.log((ds.m + 1) * G)
+    the Gram diagonal of P0, a RadialPotential or the BalanceResult of a
+    lower level, on the solve's own u-rule (bergman._gram_rows)."""
+    G = _gram_rows(m, P0, int(m) + EXTRA_NODES)[0]
+    return _DSpace(G.level), np.log((G.level + 1) * G.entries)
 
 
 def _centered(ds, x):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +14,8 @@ from bergbal.model import (
 from bergbal.bergman import (
     DegenerateFitError, GramDiagonal, WindowError, bergman_derivative,
     bergman_kernel, beta, beta_weighted, c_of_m, c_weighted, expansion_fit,
-    fs_tails, gram_derivative, section_norms, weighted_bergman, _kernel,
-    _norms_and_rows, _rows, _LOG_TINY,
+    fs_tails, gram_derivative, kernel_at, section_norms, weighted_bergman,
+    _kernel, _norms_and_rows, _rows, _LOG_TINY,
 )
 
 BUMP = {"type": "gaussian-bump", "amplitude": 0.1, "width": 1.0, "center": 0.0}
@@ -43,6 +45,51 @@ def test_gram_symmetry(fs, bump):
     for P in (fs, bump):
         G = section_norms(9, P).entries
         assert np.max(np.abs(G / G[::-1] - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [65, 264, 1056])
+def test_u_rule_against_mpmath(n):
+    # nodes t and dt-weights 4 / (n P_{n-1}(x))^2 against Newton's method
+    # at 40 digits, from the rule's own nodes, on the lower half (the rule
+    # is symmetric) at both ends and a stride of the interior: measured
+    # 6.8e-16, 1.2e-15 and 1.5e-15 for t and 1.8e-15, 2.6e-15 and 6.9e-15
+    # relative for the weights, where the dense Golub-Welsch rule it
+    # replaced reads 1.8e-13, 7.3e-13 and 3.7e-11, and 9.1e-14, 5.5e-13
+    # and 3.0e-11
+    import mpmath
+    t, w = bergman._u_rule(n)
+    assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(t) > 0)
+    half = n // 2
+    idx = sorted(set(range(12)) | set(range(12, half, 29)) | {half - 1})
+    t_err = w_err = 0.0
+    with mpmath.workdps(40):
+        for i in idx:
+            x = 2 / (1 + mpmath.exp(-mpmath.mpf(float(t[i])))) - 1
+            for newton in (True, True, False):
+                p0, p1 = mpmath.mpf(1), x
+                for k in range(1, n):
+                    p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+                if newton:
+                    x -= p1 * (x * x - 1) / (n * (x * p1 - p0))
+            u = (1 + x) / 2
+            t_err = max(t_err, abs(float(mpmath.log(u / (1 - u)) - t[i])))
+            w_err = max(w_err, abs(float(w[i] / (4 / (n * p0) ** 2) - 1)))
+    assert t_err <= 1e-14
+    assert w_err <= 1e-13
+
+
+def test_u_rule_beta_oracle():
+    # on the round metric the u-rule's integrand is a polynomial of degree
+    # m in u, so the kernel commands' rule gives the Beta function
+    # B(j + 1, m - j + 1) = 1 / ((m + 1) C(m, j)) at every level (measured
+    # <= 1.6e-14; scipy's betaln is itself off by up to 3.2e-13 from m = 170)
+    fs = make_fs_potential(window=default_window(200), grid_size=512)
+    for m in range(1, 201):
+        G = section_norms(m, fs).entries
+        exact = np.array([1 / ((m + 1) * math.comb(m, j))
+                          for j in range(m + 1)])
+        assert np.max(np.abs(G / exact - 1.0)) <= 1e-13, m
 
 
 def test_fs_tails_sum():
@@ -75,13 +122,14 @@ def test_fs_tails_match_the_incomplete_beta(m, window):
 def test_fs_kernel_constant(fs):
     rep = bergman_kernel(7, fs)
     assert rep.expected_constant == pytest.approx(8.0 / 7.0, abs=1e-15)
-    assert rep.sup_deviation < 1e-12
+    assert np.max(np.abs(kernel_at(rep).values - rep.expected_constant)) \
+        < 1e-12
 
 
 def test_trace_identity(bump):
     # integral of B_m against the volume is N_m/m for any metric
     rep = bergman_kernel(10, bump)
-    assert abs(integrate(bump, rep.kernel) - 1.1) < 1e-12
+    assert abs(integrate(bump, kernel_at(rep, bump.quad.nodes)) - 1.1) < 1e-12
 
 
 def test_c_of_m():
@@ -127,8 +175,8 @@ def test_kernel_equivariance():
     s = 0.6
     Ps = translate_potential(P, s)
     from scipy.interpolate import make_interp_spline
-    B0 = bergman_kernel(8, P).kernel
-    Bs = bergman_kernel(8, Ps).kernel
+    B0 = kernel_at(bergman_kernel(8, P), P.quad.nodes)
+    Bs = kernel_at(bergman_kernel(8, Ps), P.quad.nodes)
     s0 = make_interp_spline(B0.nodes, B0.values, k=5)
     ss = make_interp_spline(Bs.nodes, Bs.values, k=5)
     tt = np.linspace(-7.0, 7.0, 301)
@@ -139,7 +187,7 @@ def test_kernel_d2_matches_spline(bump):
     # d2 is the one kernel derivative attached; the quintic spline through
     # the values must reproduce it in the core
     for m in (8, 40):
-        kern = bergman_kernel(m, bump).kernel
+        kern = kernel_at(bergman_kernel(m, bump), bump.quad.nodes)
         spline_d2 = grid_function(bump, kern.values).derivative(2)
         core = np.abs(kern.nodes) <= 10.0
         gap = np.max(np.abs(kern.d2 - spline_d2)[core])
@@ -154,7 +202,7 @@ def test_beta_vanishes_on_fs(fs):
 
 def test_beta_approaches_curvature(bump):
     # sup|beta - (sigma - 2)| shrinks as the level grows
-    gap = scalar_curvature(bump).values - 2.0
+    gap = scalar_curvature(bump, bump.quad.knots).values - 2.0
     sups = [np.max(np.abs(beta(m, bump).values - gap)) for m in (10, 20, 40)]
     assert sups[0] > sups[1] > sups[2]
 
@@ -166,7 +214,7 @@ def test_weighted_closed_form(fs):
     rep = weighted_bergman(2, fs, y)
     t = fs.quad.nodes
     closed = 1.5 * (1.0 + np.exp(t - y)) ** 2 / (1.0 + np.exp(t)) ** 2
-    assert np.max(np.abs(rep.kernel.values - closed)) < 1e-12
+    assert np.max(np.abs(kernel_at(rep, t).values - closed)) < 1e-12
     assert abs(rep.expected_constant - 1.5 * np.exp(-y)) < 1e-13
     assert rep.weight == y
 
@@ -184,7 +232,7 @@ def test_weighted_trace_consistency(fs, bump):
         rep = weighted_bergman(m, P, y)
         masses = (float(P.Phi_d(-P.window - y, 1)),
                   float(1.0 - P.Phi_d(P.window - y, 1)))
-        mean = _volume_integral(P.quad, rep.kernel.values,
+        mean = _volume_integral(P.quad, kernel_at(rep, P.quad.nodes).values,
                                 P.density(P.quad.nodes - y), masses)
         assert abs(mean - rep.expected_constant) < 1e-10
 
@@ -192,7 +240,7 @@ def test_weighted_trace_consistency(fs, bump):
 def test_weighted_reduces_at_zero(bump):
     w = weighted_bergman(5, bump, 0.0)
     b = bergman_kernel(5, bump)
-    assert np.array_equal(w.kernel.values, b.kernel.values)
+    assert np.array_equal(kernel_at(w).values, kernel_at(b).values)
     assert w.expected_constant == b.expected_constant
 
 
@@ -238,19 +286,18 @@ def test_weighted_kernel_forms_rows_once(bump, monkeypatch):
     assert len(calls) == 1
 
 
-def _parent_kernel_d2(m, P, y):
-    """K, d2 and K0 of weighted_bergman in the form that the one
-    matrix-vector product per kernel replaces: the rows divided in place by
-    G e^{jy} and summed over axis 0, K0 = (1/m) sum_j e^{jy} times the
-    divided rows.  Also the sum of the absolute d2 terms, which scales its
-    rounding."""
+def _parent_kernel_d2(m, P, y, t):
+    """K, d2 and K0 of weighted_bergman at the points t in the form that
+    the one matrix-vector product per kernel replaces: the rows divided in
+    place by G e^{jy} and summed over axis 0, K0 = (1/m) sum_j e^{jy} times
+    the divided rows.  Also the sum of the absolute d2 terms, which scales
+    its rounding."""
     G = section_norms(m, P).entries
-    t = P.quad.nodes
     j = np.arange(m + 1)
-    E = np.exp(j[:, None] * t[None, :] - m * P.node_values("Phi")[None, :])
+    E = np.exp(j[:, None] * t[None, :] - m * P.Phi(t)[None, :])
     E /= (G * np.exp(j * y))[:, None]
     a = (j[:, None] - m * P.Phi_d(t, 1)[None, :]) ** 2 \
-        - m * P.node_values("dens")[None, :]
+        - m * P.density(t)[None, :]
     return (E.sum(axis=0) / m, (a * E).sum(axis=0) / m,
             np.exp(j * y) @ E / m, (np.abs(a) * E).sum(axis=0) / m)
 
@@ -264,13 +311,16 @@ def test_weighted_kernel_matches_parent_form(m, y):
     for P in (make_fs_potential(window=T, grid_size=512),
               make_perturbed_potential(BUMP, window=T, grid_size=512)):
         rep = weighted_bergman(m, P, y)
-        K, d2, K0, d2_scale = _parent_kernel_d2(m, P, y)
-        assert np.max(np.abs(rep.kernel.values / K - 1.0)) <= 1e-13
-        assert np.max(np.abs(rep.kernel.d2 - d2)) <= 1e-13 * np.max(d2_scale)
+        kern = kernel_at(rep, P.quad.nodes)
+        K, d2, _, d2_scale = _parent_kernel_d2(m, P, y, P.quad.nodes)
+        assert np.max(np.abs(kern.values / K - 1.0)) <= 1e-13
+        assert np.max(np.abs(kern.d2 - d2)) <= 1e-13 * np.max(d2_scale)
         if y:
-            t = P.quad.nodes
-            shift = np.exp(m * (P.node_values("Phi") - P.Phi(t + y)))
-            expected = integrate(P, K0 * shift)
+            # the constant is integrated on the Gram diagonal's u-rule
+            t, w = bergman._u_rule(rep.gram_nodes)
+            K0 = _parent_kernel_d2(m, P, y, t)[2]
+            shift = np.exp(m * (P.Phi(t) - P.Phi(t + y)))
+            expected = (w * P.density(t)) @ (K0 * shift)
             assert abs(rep.expected_constant / expected - 1.0) <= 1e-13
 
 
@@ -289,7 +339,8 @@ def test_expansion_fit_skips_d2(bump, monkeypatch):
     # the fit reads kernel values alone, bergman_kernel's bit for bit, and
     # forms no d2
     levels = [8, 16, 32]
-    ref = np.stack([bergman_kernel(m, bump).kernel.values for m in levels])
+    ref = np.stack([kernel_at(bergman_kernel(m, bump)).values
+                    for m in levels])
     q = 1.0 / np.asarray(levels, dtype=float)
     coef = np.linalg.lstsq(np.stack([q, q * q], axis=1), ref - 1.0,
                            rcond=None)[0]
@@ -353,8 +404,9 @@ def test_exp_floor_keeps_nan():
 def test_torus_weight(fs):
     # the coefficient w weighs level m by y = w / m^2
     rep = weighted_bergman(4, fs, 0.2)
-    lap = -rep.kernel.d2 / fs.node_values("dens")
-    expected = 8.0 * (rep.kernel.values - rep.expected_constant) \
+    kern = kernel_at(rep)
+    lap = -kern.d2 / fs.density(fs.quad.knots)
+    expected = 8.0 * (kern.values - rep.expected_constant) \
         + (4.0 / 3.0) * lap
     assert np.array_equal(beta_weighted(4, fs, 3.2).values, expected)
     for w in (np.inf, np.nan):
@@ -389,20 +441,24 @@ def test_beta_weighted_reduces_at_zero(bump):
 
 
 @pytest.mark.parametrize("w", [0.0, 2.0])
-def test_points_path_is_the_node_path(bump, w):
-    # sampled at the nodes, the kernel, beta and the fit at points are
-    # those at the nodes bit for bit: one formula, and the same weights
+def test_default_points_are_the_knots(bump, w):
+    # the kernel, beta and the fit are read at the points asked for, the
+    # knots by default: one formula, and the same weights
     rep = bergman.beta_report(40, bump, w)
-    nodes = bump.quad.nodes
-    kern = bergman.kernel_at(rep, nodes)
-    assert np.array_equal(kern.values, rep.kernel.values)
-    assert np.array_equal(kern.d2, rep.kernel.d2)
-    assert np.array_equal(bergman.beta_at(rep, nodes).values,
+    knots = bump.quad.knots
+    kern = kernel_at(rep)
+    assert np.array_equal(kern.nodes, knots)
+    assert np.array_equal(kern.values, kernel_at(rep, knots).values)
+    assert np.array_equal(kern.d2, kernel_at(rep, knots).d2)
+    assert np.array_equal(bergman.beta_at(rep, knots).values,
                           beta_weighted(40, bump, w).values)
-    fit = expansion_fit(bump, [10, 20, 40], nodes)
-    assert np.array_equal(fit.at[0].values, fit.a1.values)
-    assert np.array_equal(fit.at[1].values, fit.a2.values)
-    assert expansion_fit(bump, [10, 20, 40]).at is None
+    fit = expansion_fit(bump, [10, 20, 40])
+    at = expansion_fit(bump, [10, 20, 40], knots)
+    assert np.array_equal(fit.a1.nodes, knots)
+    assert np.array_equal(at.a1.values, fit.a1.values)
+    assert np.array_equal(at.a2.values, fit.a2.values)
+    assert fit.sup_a1_error == at.sup_a1_error
+    nodes = bump.quad.nodes
     assert np.array_equal(scalar_curvature(bump, nodes).values,
                           scalar_curvature(bump).values)
 
@@ -490,8 +546,9 @@ def test_bergman_derivative_finite_difference(bump):
     dB = bergman_derivative(m, bump, psi)
     kn = bump.quad.knots
     pk = bump.phi(kn)
-    Bp = bergman_kernel(m, model._from_knot_values(pk + eps * psi_fn(kn), bump.quad)).kernel.values
-    Bm = bergman_kernel(m, model._from_knot_values(pk - eps * psi_fn(kn), bump.quad)).kernel.values
+    Bp, Bm = (kernel_at(bergman_kernel(m, model._from_knot_values(
+        pk + sign * eps * psi_fn(kn), bump.quad)), bump.quad.nodes).values
+        for sign in (1.0, -1.0))
     assert np.max(np.abs((Bp - Bm) / (2 * eps) - dB.values)) < 1e-7
 
 
@@ -514,7 +571,7 @@ def test_derivative_identity_in_gram_kernel(bump):
     dG = gram_derivative(m, bump, psi)
     assert np.max(np.abs(dG)) < 1e-12
     dB = bergman_derivative(m, bump, psi).values
-    B = bergman_kernel(m, bump).kernel.values
+    B = kernel_at(bergman_kernel(m, bump), t).values
     bound = 1e-6 * m * np.max(np.abs(psi_v))
     assert np.max(np.abs(dB + m * psi_v * B)) < bound
 
@@ -528,7 +585,7 @@ def test_trace_identity_property(a, w, c, m):
         {"type": "gaussian-bump", "amplitude": a, "width": w, "center": c},
         window=20.0, grid_size=256)
     rep = bergman_kernel(m, P)
-    assert abs(integrate(P, rep.kernel) - c_of_m(m)) < 1e-9
+    assert abs(integrate(P, kernel_at(rep, P.quad.nodes)) - c_of_m(m)) < 1e-9
 
 
 @settings(max_examples=8, deadline=None)

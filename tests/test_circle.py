@@ -283,3 +283,35 @@ def test_report_guards(sample, partitions):
         integer_consistency_report(sample, partitions[:1], range(3))
     with pytest.raises(ValueError, match="non-empty"):
         integer_consistency_report(sample, partitions, [])
+
+
+def test_fourier_evaluates_the_sample_once_per_partition(monkeypatch):
+    # a fourier run evaluates S once on each partition's nodes: the
+    # holomorphy check reuses the first partition's values, and every
+    # output is the one from fresh partitions, bit for bit
+    from bergbal.config import parse_config
+    from bergbal.runner import run_experiment
+    doc = {"command": "fourier", "sample": {"cos": [1.0, 0.2, -0.3],
+                                            "sin": [0.0, 0.4]},
+           "profiles": [0.15, 0.3], "m_max": 20}
+    cfg = parse_config(doc)
+    S = CircleSample([1.0, 0.2, -0.3], [0.0, 0.4])
+    ref = integer_consistency_report(
+        S, [make_partition(p) for p in cfg.profiles], range(-20, 21))
+    gap = _mean_value_gap(S, make_partition(cfg.profiles[0]))
+    calls = []
+    call = CircleSample.__call__
+
+    def counted(self, theta):
+        calls.append(theta.shape)
+        return call(self, theta)
+
+    monkeypatch.setattr(CircleSample, "__call__", counted)
+    out = run_experiment(cfg)["outputs"]
+    # two pieces per partition
+    assert len(calls) == 2 * len(cfg.profiles)
+    assert out["max_integer_discrepancy"] == ref.max_discrepancy
+    assert out["shift_discrepancy"] == ref.shift_discrepancy
+    assert out["spread_at_half"] == ref.spread_at_half
+    assert np.array_equal(out["values_at_half"], ref.values_at_half)
+    assert out["mean_value_gap"] == gap

@@ -434,6 +434,10 @@ RUN_TIME_FAILURES = [
      "degree 2 exceeds 270, the highest frequency the quadrature resolves"),
     ({"command": "fourier", "profiles": [0.15, 0.15]},
      "profiles: profile 0.15 repeated"),
+    # m_max 0 still reads xi = 1/2 and the holomorphy check's circle
+    ({"command": "fourier", "sample": {"cos": [1.0] * 271}, "m_max": 0},
+     "m_max: the mean-value circle's |Re xi| <= 0.8 plus the sample's "
+     "degree 270 exceeds 270, the highest frequency the quadrature resolves"),
 ]
 
 

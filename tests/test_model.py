@@ -431,3 +431,27 @@ def test_solve_commands_build_only_their_inputs(command, seeds, tmp_path,
     assert main([command, "--config", str(cfg), "--out",
                  str(tmp_path / "out")]) == 0
     assert len(built) == seeds and not splines
+
+
+@pytest.mark.parametrize("potential", [{"type": "fubini-study"}, BUMP])
+@pytest.mark.parametrize("command, fields", [
+    ("beta", {"levels": [8, 40]}),
+    ("beta", {"levels": [8, 40], "weight": 2.0}),
+    ("expand", {"levels": [5, 10, 20]})])
+def test_closed_form_kernel_commands_form_no_t_node_rows(
+        potential, command, fields, tmp_path, monkeypatch):
+    # a closed-form potential's Gram diagonal is integrated on the u-rule,
+    # and its kernels are read at the knots: no rows on the t-nodes
+    def refused(*args):
+        raise AssertionError("rows formed on the potential's t-nodes")
+
+    monkeypatch.setattr(bergman, "_norms_and_rows", refused)
+    monkeypatch.setattr(bergman, "_gram", refused)
+    doc = dict(fields, command=command, potential=potential)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["outputs"]["gram_nodes"] == {
+        str(m): 4 * m + 256 for m in fields["levels"]}

@@ -12,7 +12,7 @@ from bergbal.solvers import (
     BalanceResult, SolverOptions, _DSpace, _family_verdicts, _seed,
     balanced_family, newton_balance, t_balance, tk_iterate, uniqueness_probe,
 )
-from bergbal import model, runner, solvers
+from bergbal import bergman, model, runner, solvers
 from bergbal.config import parse_config
 from bergbal.bergman import (
     WindowError, _exp_floor, _kernel, _rows, c_of_m, _LOG_TINY,
@@ -482,7 +482,7 @@ def test_family_seed_reads_the_lower_level_once(bump, newton8, monkeypatch):
     # two reads, of phi and of the density
     ds = _DSpace(16)
     phi, dens = newton8.read(ds.t)
-    G = solvers._rows(16, ds.t, model.fs_derivative(ds.t, 0) + phi) \
+    G = bergman._rows(16, ds.t, model.fs_derivative(ds.t, 0) + phi) \
         @ (ds.w * dens)
     calls = _softmax_columns(monkeypatch)
     x0 = _seed(16, newton8)[1]

@@ -2,13 +2,13 @@
 
 Known answers on Fubini-Study, and on a bump from the benchmark's box each
 knot column against the quintic spline through the same quantity on the
-quadrature nodes, where the `outputs` numbers are read.
+quadrature nodes.  The `outputs` sups are read from the knot columns.
 """
 import numpy as np
 import pytest
 from scipy.interpolate import make_interp_spline
 
-from bergbal.bergman import beta_weighted, expansion_fit
+from bergbal.bergman import beta_at, beta_report, beta_weighted, expansion_fit
 from bergbal.config import parse_config
 from bergbal.model import SplinePotential, scalar_curvature
 from bergbal.runner import _build_potential, run_experiment
@@ -42,13 +42,14 @@ def _spline_gap(P, node_values, column):
 
 def test_fs_beta_vanishes_at_the_knots():
     # the round metric is balanced: beta is quadrature rounding at every
-    # knot, as the benchmark's check asks of sup_abs_beta on the nodes
-    # (measured 3.6e-13, 1.5e-11 and 5.3e-10 at m = 8, 40 and 200)
+    # knot, as the benchmark's check asks of sup_abs_beta, the sup of the
+    # same column
     _, report, cols = _run({"command": "beta", "potential": FS,
                             "levels": LEVELS})
     for m in LEVELS:
-        assert np.max(np.abs(cols["beta_m%d" % m])) <= 1e-8 * m
-        assert report["outputs"]["sup_abs_beta"][str(m)] <= 1e-8 * m
+        sup = np.max(np.abs(cols["beta_m%d" % m]))
+        assert sup <= 1e-8 * m
+        assert report["outputs"]["sup_abs_beta"][str(m)] == sup
 
 
 def test_fs_half_sigma_is_one_at_the_knots():
@@ -69,9 +70,10 @@ def test_box_beta_knots_match_the_node_spline():
     # measured 2.2e-9, 8.7e-9 and 4.3e-8 at m = 8, 40 and 200
     P, _, cols = _run({"command": "beta", "potential": BOX, "levels": LEVELS})
     for m in LEVELS:
-        gap = _spline_gap(P, beta_weighted(m, P, 0.0).values,
-                          cols["beta_m%d" % m])
-        assert gap <= 1e-7
+        assert np.array_equal(cols["beta_m%d" % m],
+                              beta_weighted(m, P, 0.0).values)
+        nodes = beta_at(beta_report(m, P, 0.0), P.quad.nodes).values
+        assert _spline_gap(P, nodes, cols["beta_m%d" % m]) <= 1e-7
 
 
 def test_box_expansion_knots_match_the_node_spline():
@@ -82,7 +84,7 @@ def test_box_expansion_knots_match_the_node_spline():
     # so that bound only catches a wrong formula
     P, _, cols = _run({"command": "expand", "potential": BOX,
                        "levels": EXPAND_LEVELS})
-    fit = expansion_fit(P, EXPAND_LEVELS)
+    fit = expansion_fit(P, EXPAND_LEVELS, P.quad.nodes)
     assert _spline_gap(P, fit.a1.values, cols["a1"]) <= 1e-9
     assert _spline_gap(P, fit.a2.values, cols["a2"]) <= 1e-7
     assert _spline_gap(P, 0.5 * scalar_curvature(P).values,
