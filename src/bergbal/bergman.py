@@ -89,17 +89,18 @@ def _check_level(m):
 def _u_rule(n):
     """The n-point Gauss-Legendre rule in u = expit(t) on [0, 1] as nodes
     t = log u - log(1 - u) and dt-weights w_u / (u (1 - u)), cached and
-    read-only.  The roots x = cos theta >= 0 of P_n are found by Newton's
-    method in theta from pi (k - 1/4) / (n + 1/2), the others mirrored,
-    t -> -t.  P_n and P_{n-1} come from the recurrence on P_k and D_k =
-    P_k - P_{k-1} in s = 1 - x, (k + 1) D_{k+1} = k D_k - (2k + 1) s P_k,
-    which never forms x: s keeps its relative accuracy near x = 1.  t is
-    2 log cot(theta/2), and with 1 - x^2 = 4 u (1 - u) the dt-weight is
-    4 / ((1 - x^2) P_n'(x))^2 = 4 / (n (P_{n-1} - x P_n))^2, which a node's
-    rounding moves only to second order.  Against 40 digits at n = 65, 264
-    and 1,056, t is within 1.5e-15 and the weights 6.9e-15 relative (the
-    dense Golub-Welsch rule it replaced: 3.7e-11 and 3.0e-11)."""
-    theta = np.pi * (np.arange(1.0, (n + 1) // 2 + 1) - 0.25) / (n + 0.5)
+    read-only.  The roots x = cos theta >= 0 of P_n come from Newton's
+    method in theta from Tricomi's phi + cot(phi) / (8 v^2), phi = pi (k -
+    1/4) / v, v = n + 1/2, the others mirrored, t -> -t; P_n and P_{n-1}
+    from the recurrence on P_k and D_k = P_k - P_{k-1} in s = 1 - x,
+    (k + 1) D_{k+1} = k D_k - (2k + 1) s P_k, which never forms x and keeps
+    s's relative accuracy near x = 1.  t = 2 log cot(theta/2), and the
+    dt-weight is 4 / ((1 - x^2) P_n')^2 = 4 / (n (P_{n-1} - x P_n))^2, which
+    a node's rounding moves only to second order.  Against 40 digits at
+    n = 65, 264 and 1,056 t is within 1.2e-15 and the weights 6.9e-15
+    relative (the dense Golub-Welsch rule it replaced: 3.7e-11, 3.0e-11)."""
+    phi = np.pi * (np.arange(1.0, (n + 1) // 2 + 1) - 0.25) / (n + 0.5)
+    theta = phi + 1.0 / (8.0 * (n + 0.5) ** 2 * np.tan(phi))
     done = False
     for _ in range(12):
         half = np.sin(0.5 * theta)

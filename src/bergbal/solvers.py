@@ -117,8 +117,7 @@ class BalanceResult:
         return _from_knot_values(vals, self.quad)
 
 
-# a family's solved levels and results, its curves and their floors as
-# arrays, its verdicts and the index of the level that failed, if any
+# a family's levels, results, curves and floors (arrays), verdicts, failure
 FamilyReport = collections.namedtuple(
     "FamilyReport", "levels results d_sup sigma_sup d_floor sigma_floor "
     "verdicts failure_index")

@@ -52,7 +52,7 @@ def test_u_rule_against_mpmath(n):
     # nodes t and dt-weights 4 / (n P_{n-1}(x))^2 against Newton's method
     # at 40 digits, from the rule's own nodes, on the lower half (the rule
     # is symmetric) at both ends and a stride of the interior: measured
-    # 6.8e-16, 1.2e-15 and 1.5e-15 for t and 1.8e-15, 2.6e-15 and 6.9e-15
+    # 6.8e-16, 1.2e-15 and 1.2e-15 for t and 1.8e-15, 2.9e-15 and 6.9e-15
     # relative for the weights, where the dense Golub-Welsch rule it
     # replaced reads 1.8e-13, 7.3e-13 and 3.7e-11, and 9.1e-14, 5.5e-13
     # and 3.0e-11
