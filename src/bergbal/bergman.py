@@ -25,7 +25,10 @@ tails.  A solve's seed takes m + 64 nodes, the kernel commands 4m + 256
 keeps the composite t-rule with exact Beta tails (_norms_and_rows), chosen
 by its type; so do gram_derivative and bergman_derivative.  A kernel report
 holds the Gram weights alone: the kernel, its d2 (_kernel_d2) and beta are
-read once, at the points asked for, the knots of the tables by default.
+read once, at the points asked for, the knots of the tables by default.  At
+the knots Phi, Phi' and the density come from the potential's knot_values,
+read once per potential however many levels a command runs; points passed
+explicitly are read afresh.
 """
 import collections
 import functools
@@ -307,12 +310,16 @@ def kernel_at(rep, t=None):
     """The kernel of rep and its d2 as a GridFunction at the points t (the
     knots if None): the potential's rows at t against rep's weights."""
     m, P = rep.level, rep.potential
-    t = P.quad.knots if t is None else np.asarray(t, dtype=float)
-    R = _rows(m, t, P.Phi(t))
+    if t is None:
+        t = P.quad.knots
+        Phi, Phi1, dens = map(P.knot_values, ("Phi", "Phi1", "dens"))
+    else:
+        t = np.asarray(t, dtype=float)
+        Phi, Phi1, dens = P.Phi(t), P.Phi_d(t, 1), P.density(t)
+    R = _rows(m, t, Phi)
     return GridFunction(_kernel(m, R, rep.weights), t,
                         name="B_%d%s" % (m, "_weighted" if rep.weight else ""),
-                        d2=_kernel_d2(m, R, P.Phi_d(t, 1), P.density(t),
-                                      rep.weights))
+                        d2=_kernel_d2(m, R, Phi1, dens, rep.weights))
 
 
 def c_weighted(m, P, y):
@@ -335,7 +342,8 @@ def beta_at(rep, t=None):
     potential if None (kernel_at)."""
     m, P = rep.level, rep.potential
     kern = kernel_at(rep, t)
-    lap = -kern.d2 / P.density(kern.nodes)
+    dens = P.knot_values("dens") if t is None else P.density(kern.nodes)
+    lap = -kern.d2 / dens
     return GridFunction(2.0 * m * (kern.values - rep.expected_constant)
                         + (4.0 / 3.0) * lap, kern.nodes,
                         name="beta_%d%s" % (m, "_weighted" if rep.weight
@@ -350,10 +358,11 @@ def beta_weighted(m, P, w):
     return beta_at(beta_report(m, P, w))
 
 
-# the fit's a1 and a2 at the points of expansion_fit, and the errors there
+# the fit's a1 and a2 at the points of expansion_fit, the errors there and
+# the scalar curvature sigma they were measured against
 FitReport = collections.namedtuple(
     "FitReport", "a1 a2 levels residual_sup first_order_error sup_a1_error "
-    "metadata")
+    "metadata sigma")
 
 
 def expansion_fit(P, m_list, t=None):
@@ -362,8 +371,8 @@ def expansion_fit(P, m_list, t=None):
     values there, with no d2, against each level's Gram diagonal, whose
     rule sizes are metadata["gram_nodes"].  Returns a1 and a2 as grid
     functions at t, the per-level sup residuals, the per-level first-order
-    errors sup|B_m - 1 - sigma/(2m)| (decaying faster than 1/m) and
-    sup|a1 - sigma/2|, all read at t."""
+    errors sup|B_m - 1 - sigma/(2m)| (decaying faster than 1/m),
+    sup|a1 - sigma/2| and sigma itself, all read at t."""
     m_list = [_check_level(m) for m in m_list]
     if len(set(m_list)) != len(m_list):
         raise DegenerateFitError("duplicated levels in %r" % (m_list,))
@@ -377,8 +386,11 @@ def expansion_fit(P, m_list, t=None):
     if cond > 1e12:
         raise DegenerateFitError("fit design condition number %.2e" % cond)
 
-    t = P.quad.knots if t is None else np.asarray(t, dtype=float)
-    Phi_t = P.Phi(t)
+    if t is None:
+        t, Phi_t = P.quad.knots, P.knot_values("Phi")
+    else:
+        t = np.asarray(t, dtype=float)
+        Phi_t = P.Phi(t)
     kernels, nodes = [], []
     for m in m_list:
         G, _, tg, _ = _gram_rows(m, P)
@@ -387,7 +399,8 @@ def expansion_fit(P, m_list, t=None):
     kernels = np.stack(kernels)
     coef, *_ = np.linalg.lstsq(V, kernels - 1.0, rcond=None)
     residual_sup = np.max(np.abs(kernels - (1.0 + V @ coef)), axis=1)
-    sig = scalar_curvature(P, t).values
+    sigma = scalar_curvature(P, t)
+    sig = sigma.values
     first_order = np.array([np.max(np.abs(kernels[i] - 1.0 - 0.5 * sig / m))
                             for i, m in enumerate(m_list)])
     sup_a1 = float(np.max(np.abs(coef[0] - 0.5 * sig)))
@@ -395,7 +408,7 @@ def expansion_fit(P, m_list, t=None):
             "condition_number": float(cond), "gram_nodes": nodes}
     return FitReport(GridFunction(coef[0], t, name="a1_fit"),
                      GridFunction(coef[1], t, name="a2_fit"), list(m_list),
-                     residual_sup, first_order, sup_a1, meta)
+                     residual_sup, first_order, sup_a1, meta, sigma)
 
 
 def gram_derivative(m, P, psi):

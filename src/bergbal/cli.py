@@ -7,6 +7,7 @@ error, 3 internal error.  The default output directory is taken from
 BERGBAL_OUT when --out and the config do not name one.
 """
 import argparse
+import functools
 import os
 import sys
 
@@ -20,7 +21,10 @@ EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
 
+@functools.lru_cache(maxsize=1)
 def _parser():
+    """The argument parser, built once per process: main may run many
+    times in one."""
     p = argparse.ArgumentParser(
         prog="bergbal",
         description="balanced-metric laboratory on the projective line",

@@ -16,7 +16,9 @@ which it imports when it is built.  The volume density is Phi''(t) dt
     sigma = -(log Phi'')'' / Phi'',
 
 normalized so that the Fubini-Study metric has sigma = 2 and the mean of
-sigma is 2 for every metric in the class (Gauss-Bonnet).
+sigma is 2 for every metric in the class (Gauss-Bonnet).  A potential reads
+its samples at the quadrature's nodes and at its knots once, on first use,
+and keeps them read-only (node_values, knot_values).
 """
 import functools
 import math
@@ -223,7 +225,8 @@ class RadialPotential:
     phi is extended by its boundary constants c_minus and c_plus.  It is
     gauged to mean zero against the Fubini-Study measure, a constant that
     leaves its derivatives as _phi_k gives them.  Immutable after
-    construction; derived node arrays are cached.
+    construction; its samples at the nodes and at the knots are read once
+    and cached (node_values, knot_values).
     """
 
     def __init__(self, quad, decay_tol=DECAY_TOL):
@@ -297,26 +300,37 @@ class RadialPotential:
         (see solvers.BalanceResult.read)."""
         return self.phi(t), self.density(t)
 
-    # -- cached node samples ----------------------------------------------
+    # -- cached samples at the nodes and at the knots ----------------------
 
     def node_values(self, key):
         """A read-only array at the nodes: Phi ("Phi"), Phi' ("Phi1"), the
         density Phi'' ("dens") or the k-th derivative of phi ("phi<k>", k =
         2, 3, 4), evaluated on first use."""
-        if key not in self._cache:
-            t = self.quad.nodes
+        return self._samples("nodes", key)
+
+    def knot_values(self, key):
+        """node_values at the knots, where the tables are: the kernel
+        commands read Phi, Phi' and the density there once per potential,
+        however many levels they run."""
+        return self._samples("knots", key)
+
+    def _samples(self, points, key):
+        cached = self._cache.get((points, key))
+        if cached is None:
+            t = getattr(self.quad, points)
             if key == "Phi1":
-                self._cache[key] = self.Phi_d(t, 1)
+                cached = self.Phi_d(t, 1)
             elif key == "dens":
-                self._cache[key] = self.density(t)
+                cached = self.density(t)
             elif key in ("phi2", "phi3", "phi4"):
-                self._cache[key] = self.phi_d(t, int(key[-1]))
+                cached = self.phi_d(t, int(key[-1]))
             elif key == "Phi":
-                self._cache[key] = self.Phi(t)
+                cached = self.Phi(t)
             else:
                 raise KeyError(key)
-            self._cache[key].flags.writeable = False
-        return self._cache[key]
+            cached.flags.writeable = False
+            self._cache[points, key] = cached
+        return cached
 
 
 class BumpPotential(RadialPotential):

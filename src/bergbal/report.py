@@ -10,9 +10,16 @@ a cell writes a float as %.17g, a bool as 1 or 0 and anything else as str().
 report.json holds everything else, and in place of each table's columns its
 index entry: name, file, column names in CSV order and row count.  It
 validates against the schema shipped with the package and round-trips
-exactly: it is the text of json.dump(report, indent=1, sort_keys=True) plus
+exactly: it is the text of json.dumps(report, indent=1, sort_keys=True) plus
 a newline, floats in their shortest round-trip form (float.__repr__), NaN and
 infinities spelled NaN, Infinity and -Infinity.
+
+A write touches the disk only once the report is sound.  It removes a stale
+report.json first, then replaces each CSV, and writes report.json last, so
+report.json never indexes a CSV that is missing or half-written.  Each file
+is removed and created anew, never rewritten in place: a hard link to the
+old file keeps the old bytes.  jsonschema is imported at the first
+validation, not with this module.
 """
 import functools
 import json
@@ -22,7 +29,6 @@ from importlib import resources
 from itertools import chain
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 
@@ -107,6 +113,7 @@ def build_report(config_echo):
 def _validator():
     """Validator of the shipped schema, checked against its metaschema once,
     on first use."""
+    import jsonschema
     schema = load_schema()
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
@@ -116,6 +123,7 @@ def _validator():
 def validate_report(report):
     """Raise the best-matching jsonschema.ValidationError, as
     jsonschema.validate does, if report breaks the schema."""
+    import jsonschema
     error = jsonschema.exceptions.best_match(_validator().iter_errors(report))
     if error is not None:
         raise error
@@ -127,9 +135,10 @@ def write_report(report, out_dir, tables=True):
 
     report.json replaces each table's columns by its index entry.  Nothing
     is written unless every table's columns have one length and the indexed
-    report validates; the CSVs are written before report.json, so the
-    report.json on disk indexes CSVs that exist.  With tables false no CSV
-    is written and the index is empty.
+    report validates.  Then a stale report.json is removed, each CSV is
+    replaced and report.json is written last, so a report.json on disk
+    indexes CSVs that exist in full.  With tables false no CSV is written
+    and the index is empty.
     """
     report = _plain(report)
     csvs, index = [], []
@@ -147,27 +156,37 @@ def write_report(report, out_dir, tables=True):
                       "columns": list(cols), "rows": rows})
     doc = dict(report, tables=index)
     validate_report(doc)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as e:
-        raise ReportWriteError(out_dir, e)
+    if not os.path.isdir(out_dir):
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as e:
+            raise ReportWriteError(out_dir, e)
+    jpath = os.path.join(out_dir, "report.json")
+    _replace(jpath)
     for cpath, cols, rows in csvs:
         template, columns = _row_template(cols.values())
-        try:
-            with open(cpath, "w") as fh:
-                fh.write(",".join(cols) + "\n")
-                fh.write(template * rows % tuple(
-                    chain.from_iterable(zip(*columns))))
-        except OSError as e:
-            raise ReportWriteError(cpath, e)
-    jpath = os.path.join(out_dir, "report.json")
-    try:
-        with open(jpath, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    except OSError as e:
-        raise ReportWriteError(jpath, e)
+        _replace(cpath, ",".join(cols) + "\n",
+                 template * rows % tuple(chain.from_iterable(zip(*columns))))
+    _replace(jpath, json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return [jpath] + [cpath for cpath, _, _ in csvs]
+
+
+def _replace(path, *texts):
+    """Remove the file at path, if any, and write texts to a new one there;
+    with no texts, only remove it.  Where the file system flushes or
+    discards a truncated file's blocks (ext4 mounted with discard), a new
+    file costs a fraction of a rewrite in place."""
+    try:
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+        if texts:
+            with open(path, "w") as fh:
+                for text in texts:
+                    fh.write(text)
+    except OSError as e:
+        raise ReportWriteError(path, e)
 
 
 def _row_template(columns):

@@ -16,8 +16,7 @@ import time
 
 import numpy as np
 
-from .model import (QUADRATURE, default_window, make_perturbed_potential,
-                    scalar_curvature)
+from .model import QUADRATURE, default_window, make_perturbed_potential
 from .bergman import beta_at, beta_report, expansion_fit
 from .solvers import tk_iterate, newton_balance, t_balance, balanced_family, \
     uniqueness_probe
@@ -116,7 +115,7 @@ def _expand_command(cfg, report):
         gram_nodes=dict(zip(map(str, cfg.levels), fit.metadata["gram_nodes"])))
     _add_knot_columns(report, "expansion", P, {
         "a1": fit.a1.values, "a2": fit.a2.values,
-        "half_sigma": 0.5 * scalar_curvature(P, P.quad.knots).values})
+        "half_sigma": 0.5 * fit.sigma.values})
     finite = all(np.all(np.isfinite(np.asarray(v))) for v in
                  (fit.a1.values, fit.a2.values, fit.residual_sup,
                   fit.first_order_error))

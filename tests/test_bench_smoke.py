@@ -67,3 +67,43 @@ def test_direct_calls_run():
     # expansion_fit with no points, newton_balance) keep their signatures
     direct = _bench_module("direct_calls").measure(1)
     assert direct and all(v > 0.0 for v in direct.values())
+
+
+def _kernels_pass(base, index):
+    """Pass `index` of the tiny kernels configs through the CLI, as a pass
+    of bench/run.py runs them: each config's YAML and output directory under
+    base, written over the last pass's, its report.json removed first."""
+    codes = []
+    for name, cfg in workloads.configs("kernels", 1, "tiny", index):
+        path = base / (name + ".yaml")
+        path.write_text(yaml.safe_dump(cfg))
+        out_dir = base / name
+        if (out_dir / "report.json").exists():
+            (out_dir / "report.json").unlink()
+        code = main([cfg["command"], "--config", str(path), "--out",
+                     str(out_dir)])
+        report = json.loads((out_dir / "report.json").read_text())
+        assert workloads.check(cfg, code, report) == [], name
+        codes.append(code)
+    return codes
+
+
+def test_kernels_passes_written_over_each_other(tmp_path):
+    # a second pass written over the first leaves the files a fresh
+    # directory gets, byte for byte apart from report.json's timing
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir()
+    fresh.mkdir()
+    _kernels_pass(shared, 1)
+    assert _kernels_pass(shared, 2) == _kernels_pass(fresh, 2)
+    for name, _ in workloads.configs("kernels", 1, "tiny", 2):
+        files = sorted(os.listdir(fresh / name))
+        assert sorted(os.listdir(shared / name)) == files
+        for f in files:
+            a, b = (d / name / f for d in (shared, fresh))
+            if f == "report.json":
+                a, b = (json.loads(p.read_text()) for p in (a, b))
+                a.pop("timing"), b.pop("timing")
+                assert a == b, name
+            else:
+                assert a.read_bytes() == b.read_bytes(), (name, f)

@@ -461,6 +461,68 @@ def test_default_points_are_the_knots(bump, w):
     nodes = bump.quad.nodes
     assert np.array_equal(scalar_curvature(bump, nodes).values,
                           scalar_curvature(bump).values)
+    assert np.array_equal(fit.sigma.values,
+                          scalar_curvature(bump, knots).values)
+
+
+def _tabulated_potential():
+    t = np.linspace(-25.0, 25.0, 801)
+    desc = {"type": "tabulated", "t": t,
+            "phi": 0.1 * np.exp(-0.5 * (t - 0.3) ** 2)}
+    return make_perturbed_potential(desc, window=20.0, grid_size=512)
+
+
+@pytest.mark.parametrize("kind", ["bump", "fubini-study", "tabulated"])
+@pytest.mark.parametrize("w", [0.0, 2.0])
+def test_knot_samples_are_the_fresh_reads(kind, w, bump, fs):
+    # the cached knot samples of a potential are its fresh reads at the
+    # knots, bit for bit: beta, the kernel and its d2 alike
+    P = {"bump": bump, "fubini-study": fs}.get(kind) or _tabulated_potential()
+    knots = P.quad.knots
+    for m in (8, 40):
+        rep = bergman.beta_report(m, P, w)
+        assert np.array_equal(bergman.beta_at(rep).values,
+                              bergman.beta_at(rep, knots).values)
+        kern, fresh = kernel_at(rep), kernel_at(rep, knots)
+        assert np.array_equal(kern.values, fresh.values)
+        assert np.array_equal(kern.d2, fresh.d2)
+    assert np.array_equal(P.knot_values("Phi"), P.Phi(knots))
+    assert np.array_equal(P.knot_values("Phi1"), P.Phi_d(knots, 1))
+    assert np.array_equal(P.knot_values("dens"), P.density(knots))
+    assert not P.knot_values("dens").flags.writeable
+
+
+@pytest.mark.parametrize("weight", [None, 2.0])
+def test_beta_run_reads_the_knots_once(weight, monkeypatch):
+    # a beta run at three levels reads Phi, Phi' and the density at the
+    # knots once each, however many levels read them
+    from bergbal import runner
+    from bergbal.config import parse_config
+    reads, built = [], []
+
+    def counted(P, name, fn):
+        def read(t, *k):
+            if np.shape(t) == P.quad.knots.shape and \
+                    np.array_equal(t, P.quad.knots):
+                reads.append((name,) + k)
+            return fn(t, *k)
+        return read
+
+    def build(*args, **kwargs):
+        P = make_perturbed_potential(*args, **kwargs)
+        for name in ("Phi", "Phi_d", "density"):
+            setattr(P, name, counted(P, name, getattr(P, name)))
+        built.append(P)
+        return P
+
+    monkeypatch.setattr(runner, "make_perturbed_potential", build)
+    cfg = {"command": "beta", "potential": BUMP, "levels": [8, 16, 24]}
+    if weight is not None:
+        cfg["weight"] = weight
+    report = runner.run_experiment(parse_config(cfg))
+    assert report["error"] is None and len(built) == 1
+    assert sorted(r for r in reads if r != ("Phi_d", 2)) == \
+        [("Phi",), ("Phi_d", 1), ("density",)]
 
 
 def test_expansion_fit_fs(fs):

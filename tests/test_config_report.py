@@ -496,6 +496,20 @@ print(json.dumps(runs))
 """
 
 
+def _fresh_python(code, *args):
+    """The JSON of the last line that code prints in a fresh interpreter
+    that imports bergbal from this checkout's src."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
+                                             else ""))
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_closed_form_runs_load_no_scipy(tmp_path):
     # every command on closed-form input, in a fresh process, imports and
     # runs without scipy, and its report names none; a tabulated run loads
@@ -508,15 +522,7 @@ def test_closed_form_runs_load_no_scipy(tmp_path):
         path = tmp_path / ("run%d.yaml" % i)
         path.write_text(json.dumps(doc))
         args += [command, str(path), str(tmp_path / ("run%d" % i))]
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
-                                             else ""))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *args],
-                          env=env, capture_output=True, text=True,
-                          timeout=300, check=True)
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    loaded = _fresh_python(_SCIPY_PROBE, *args)
     for i, ((command, _), (code, modules)) in enumerate(zip(runs, loaded)):
         assert code == 0, command
         versions = load_report(
@@ -525,6 +531,62 @@ def test_closed_form_runs_load_no_scipy(tmp_path):
             assert modules == [] and "scipy" not in versions, command
         else:
             assert "scipy.interpolate" in modules and "scipy" in versions
+
+
+# imports bergbal.cli, then runs each argv of its JSON argument through main;
+# prints whether jsonschema was loaded after the import and after each run,
+# and the exit codes
+_JSONSCHEMA_PROBE = """
+import json, sys
+from bergbal.cli import main
+loaded, codes = ["jsonschema" in sys.modules], []
+for argv in json.loads(sys.argv[1]):
+    codes.append(main(argv))
+    loaded.append("jsonschema" in sys.modules)
+print(json.dumps([loaded, codes]))
+"""
+
+
+def test_jsonschema_is_imported_at_the_first_validation(tmp_path):
+    # importing the CLI, --help and a config error load no jsonschema; the
+    # first report a run writes does
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(json.dumps(dict(MINIMAL["beta"], levels=[0])))
+    good = tmp_path / "good.yaml"
+    good.write_text(json.dumps(MINIMAL["fourier"]))
+    runs = [["--help"], ["beta", "--config", str(bad)],
+            ["fourier", "--config", str(good), "--out", str(tmp_path / "out")]]
+    loaded, codes = _fresh_python(_JSONSCHEMA_PROBE, json.dumps(runs))
+    assert codes == [0, 2, 0]
+    assert loaded == [False, False, False, True]
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_main_called_twice_in_one_process(tmp_path):
+    # cli.main called for several commands in one process (the parser built
+    # once) gives the exit codes and files of one process per call
+    runs, dirs = [], {}
+    for command in ("beta", "expand", "fourier"):
+        path = tmp_path / (command + ".yaml")
+        path.write_text(json.dumps(MINIMAL[command]))
+        dirs[command] = (tmp_path / "one" / command, tmp_path / "own" / command)
+        runs.append([command, "--config", str(path), "--out"])
+    _, together = _fresh_python(_JSONSCHEMA_PROBE, json.dumps(
+        [argv + [str(dirs[argv[0]][0])] for argv in runs]))
+    alone = [_fresh_python(_JSONSCHEMA_PROBE, json.dumps(
+        [argv + [str(dirs[argv[0]][1])]]))[1][0] for argv in runs]
+    assert together == alone == [0, 0, 0]
+    for one, own in dirs.values():
+        files = sorted(os.listdir(one))
+        assert files == sorted(os.listdir(own))
+        for name in files:
+            a, b = (d / name for d in (one, own))
+            if name == "report.json":
+                a, b = load_report(str(a)), load_report(str(b))
+                assert a.pop("timing").keys() == b.pop("timing").keys()
+                assert a == b
+            else:
+                assert a.read_bytes() == b.read_bytes(), name
 
 
 def test_tabulated_window_is_the_runs():
@@ -778,6 +840,65 @@ def test_failed_csv_leaves_no_report(tmp_path):
     with pytest.raises(ReportWriteError, match="history_m4.csv"):
         write_report(rep, str(tmp_path))
     assert not (tmp_path / "report.json").exists()
+
+
+def _two_table_report():
+    rep = build_report({"command": "balance"})
+    rep["tables"] = [{"name": "first", "columns": {"a": [0.5, 1.0 / 3.0]}},
+                     {"name": "second", "columns": {"b": [1, 2, 3]}}]
+    return rep
+
+
+def _snapshot(out_dir):
+    """Each file's bytes and inode."""
+    return {p.name: (p.read_bytes(), p.stat().st_ino)
+            for p in sorted(out_dir.iterdir())}
+
+
+def test_second_write_replaces_the_files(tmp_path):
+    # a write over an earlier one gives the same bytes in new files: a hard
+    # link to the old CSV keeps the old file, not truncated in place
+    rep = run_experiment(parse_config(MINIMAL["beta"]))
+    out_dir = tmp_path / "out"
+    write_report(rep, str(out_dir))
+    first = _snapshot(out_dir)
+    link = tmp_path / "old_beta.csv"
+    os.link(out_dir / "beta.csv", link)
+    write_report(rep, str(out_dir))
+    assert {k: v[0] for k, v in _snapshot(out_dir).items()} == \
+        {k: v[0] for k, v in first.items()}
+    assert link.read_bytes() == first["beta.csv"][0]
+    assert not os.path.samefile(link, out_dir / "beta.csv")
+
+
+def test_failed_second_csv_removes_a_stale_report(tmp_path):
+    # the report.json of an earlier write goes before any CSV is replaced,
+    # so a failure at the second CSV leaves none that indexes it
+    rep = _two_table_report()
+    write_report(rep, str(tmp_path))
+    (tmp_path / "second.csv").unlink()
+    (tmp_path / "second.csv").mkdir()
+    with pytest.raises(ReportWriteError, match="second.csv"):
+        write_report(rep, str(tmp_path))
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("fault", ["invalid", "ragged"])
+def test_rejected_write_leaves_the_earlier_files(fault, tmp_path):
+    # a report that fails validation or the column-length check touches
+    # nothing: the earlier report.json and CSVs keep their files and bytes
+    write_report(_two_table_report(), str(tmp_path))
+    before = _snapshot(tmp_path)
+    rep = _two_table_report()
+    if fault == "invalid":
+        rep["verdicts"] = {"ok": "yes"}
+        error = jsonschema.ValidationError
+    else:
+        rep["tables"][1]["columns"]["c"] = [1.0]
+        error = ReportWriteError
+    with pytest.raises(error):
+        write_report(rep, str(tmp_path))
+    assert _snapshot(tmp_path) == before
 
 
 def _reference_cell(v):
