@@ -25,10 +25,10 @@ tails.  A solve's seed takes m + 64 nodes, the kernel commands 4m + 256
 keeps the composite t-rule with exact Beta tails (_norms_and_rows), chosen
 by its type; so do gram_derivative and bergman_derivative.  A kernel report
 holds the Gram weights alone: the kernel, its d2 (_kernel_d2) and beta are
-read once, at the points asked for, the knots of the tables by default.  At
-the knots Phi, Phi' and the density come from the potential's knot_values,
-read once per potential however many levels a command runs; points passed
-explicitly are read afresh.
+read once, at the points asked for, the knots of the tables by default.
+kernel_at and beta_at take Phi, Phi' and the density from the potential's
+samples, which reads them at the knots once per potential however many
+levels a command runs, and points passed explicitly afresh.
 """
 import collections
 import functools
@@ -310,12 +310,8 @@ def kernel_at(rep, t=None):
     """The kernel of rep and its d2 as a GridFunction at the points t (the
     knots if None): the potential's rows at t against rep's weights."""
     m, P = rep.level, rep.potential
-    if t is None:
-        t = P.quad.knots
-        Phi, Phi1, dens = map(P.knot_values, ("Phi", "Phi1", "dens"))
-    else:
-        t = np.asarray(t, dtype=float)
-        Phi, Phi1, dens = P.Phi(t), P.Phi_d(t, 1), P.density(t)
+    Phi, Phi1, dens = (P.samples(key, t) for key in ("Phi", "Phi1", "dens"))
+    t = P.quad.knots if t is None else np.asarray(t, dtype=float)
     R = _rows(m, t, Phi)
     return GridFunction(_kernel(m, R, rep.weights), t,
                         name="B_%d%s" % (m, "_weighted" if rep.weight else ""),
@@ -342,8 +338,7 @@ def beta_at(rep, t=None):
     potential if None (kernel_at)."""
     m, P = rep.level, rep.potential
     kern = kernel_at(rep, t)
-    dens = P.knot_values("dens") if t is None else P.density(kern.nodes)
-    lap = -kern.d2 / dens
+    lap = -kern.d2 / P.samples("dens", t)
     return GridFunction(2.0 * m * (kern.values - rep.expected_constant)
                         + (4.0 / 3.0) * lap, kern.nodes,
                         name="beta_%d%s" % (m, "_weighted" if rep.weight
@@ -386,11 +381,8 @@ def expansion_fit(P, m_list, t=None):
     if cond > 1e12:
         raise DegenerateFitError("fit design condition number %.2e" % cond)
 
-    if t is None:
-        t, Phi_t = P.quad.knots, P.knot_values("Phi")
-    else:
-        t = np.asarray(t, dtype=float)
-        Phi_t = P.Phi(t)
+    t = P.quad.knots if t is None else np.asarray(t, dtype=float)
+    Phi_t = P.Phi(t)
     kernels, nodes = [], []
     for m in m_list:
         G, _, tg, _ = _gram_rows(m, P)

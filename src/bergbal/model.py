@@ -18,7 +18,7 @@ which it imports when it is built.  The volume density is Phi''(t) dt
 normalized so that the Fubini-Study metric has sigma = 2 and the mean of
 sigma is 2 for every metric in the class (Gauss-Bonnet).  A potential reads
 its samples at the quadrature's nodes and at its knots once, on first use,
-and keeps them read-only (node_values, knot_values).
+and keeps them read-only (node_values, samples).
 """
 import functools
 import math
@@ -226,7 +226,7 @@ class RadialPotential:
     gauged to mean zero against the Fubini-Study measure, a constant that
     leaves its derivatives as _phi_k gives them.  Immutable after
     construction; its samples at the nodes and at the knots are read once
-    and cached (node_values, knot_values).
+    and cached (node_values, samples).
     """
 
     def __init__(self, quad, decay_tol=DECAY_TOL):
@@ -306,31 +306,35 @@ class RadialPotential:
         """A read-only array at the nodes: Phi ("Phi"), Phi' ("Phi1"), the
         density Phi'' ("dens") or the k-th derivative of phi ("phi<k>", k =
         2, 3, 4), evaluated on first use."""
-        return self._samples("nodes", key)
+        return self._cached("nodes", key)
 
-    def knot_values(self, key):
-        """node_values at the knots, where the tables are: the kernel
-        commands read Phi, Phi' and the density there once per potential,
-        however many levels they run."""
-        return self._samples("knots", key)
+    def samples(self, key, t=None):
+        """The values named as in node_values at the points t, read afresh;
+        at the knots if t is None, where the tables are, read on first use
+        and kept read-only.  The kernel commands read Phi, Phi' and the
+        density there once per potential, however many levels they run."""
+        if t is None:
+            return self._cached("knots", key)
+        return self._read(key, np.asarray(t, dtype=float))
 
-    def _samples(self, points, key):
+    def _cached(self, points, key):
         cached = self._cache.get((points, key))
         if cached is None:
-            t = getattr(self.quad, points)
-            if key == "Phi1":
-                cached = self.Phi_d(t, 1)
-            elif key == "dens":
-                cached = self.density(t)
-            elif key in ("phi2", "phi3", "phi4"):
-                cached = self.phi_d(t, int(key[-1]))
-            elif key == "Phi":
-                cached = self.Phi(t)
-            else:
-                raise KeyError(key)
+            cached = self._read(key, getattr(self.quad, points))
             cached.flags.writeable = False
             self._cache[points, key] = cached
         return cached
+
+    def _read(self, key, t):
+        if key == "Phi1":
+            return self.Phi_d(t, 1)
+        if key == "dens":
+            return self.density(t)
+        if key in ("phi2", "phi3", "phi4"):
+            return self.phi_d(t, int(key[-1]))
+        if key == "Phi":
+            return self.Phi(t)
+        raise KeyError(key)
 
 
 class BumpPotential(RadialPotential):

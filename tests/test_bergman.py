@@ -486,10 +486,10 @@ def test_knot_samples_are_the_fresh_reads(kind, w, bump, fs):
         kern, fresh = kernel_at(rep), kernel_at(rep, knots)
         assert np.array_equal(kern.values, fresh.values)
         assert np.array_equal(kern.d2, fresh.d2)
-    assert np.array_equal(P.knot_values("Phi"), P.Phi(knots))
-    assert np.array_equal(P.knot_values("Phi1"), P.Phi_d(knots, 1))
-    assert np.array_equal(P.knot_values("dens"), P.density(knots))
-    assert not P.knot_values("dens").flags.writeable
+    assert np.array_equal(P.samples("Phi"), P.Phi(knots))
+    assert np.array_equal(P.samples("Phi1"), P.Phi_d(knots, 1))
+    assert np.array_equal(P.samples("dens"), P.density(knots))
+    assert not P.samples("dens").flags.writeable
 
 
 @pytest.mark.parametrize("weight", [None, 2.0])
